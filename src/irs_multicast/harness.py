@@ -182,7 +182,7 @@ def _hybridize(bf_digital: sm.BeamformerSet, cfg: SystemConfig,
     w_rf, w_bb = [], []
     s2 = tx.alternations
     for k in range(cfg.k_users):
-        rx = hf.factor_receive(bf_digital.digital_j[k], cfg.m_ue, rng=rng)
+        rx = hf.factor(bf_digital.digital_j[k], cfg.m_ue, rng=rng)
         w_rf.append(rx.f_rf)
         w_bb.append(rx.f_bb)
         s2 = max(s2, rx.alternations)
@@ -212,6 +212,8 @@ def _surrogate_beamformers(chset: ChannelSet, groups, nu: np.ndarray,
         blocks.append(v_sum / math.sqrt(len(members)) * math.sqrt(p_stream))
     b = np.hstack(blocks)
     realized = float(np.linalg.norm(b, "fro") ** 2)
+    if realized == 0.0:
+        raise ValueError("zero surrogate beamformer cannot be power-normalized")
     b = b * math.sqrt(cfg.power_w / realized)
     return sm.BeamformerSet(mode="digital", digital_b=b, digital_j=j)
 

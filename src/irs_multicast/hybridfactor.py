@@ -2,7 +2,16 @@
 
 Alternates Riemannian descent on the vectorized RF matrix (the complex circle
 manifold, reusing the phase-optimizer's tangent projection and retraction)
-with the least-squares baseband update ``F_B = pinv(F_R) B``.
+with the least-squares baseband update ``F_B = pinv(F_R) B``. The same
+:func:`factor` serves the transmit beamformer and every receive combiner.
+
+Bit-exact contract: the iterates (gradient, tangent projection,
+Barzilai-Borwein step, retraction, pseudo-inverse) are computed with a fixed
+sequence of floating-point operations. The descent is chaotic: scaling the
+gradient by 1 + 1e-15 moves rf-limited sweep rates by up to ~2e-3 relative.
+Work may be removed around that sequence (a residual reused, a constant
+hoisted, a dispatch skipped) but never reordered inside it. The Armijo
+objective ``q`` is compared only.
 """
 
 from __future__ import annotations
@@ -23,7 +32,6 @@ __all__ = [
     "solve_baseband",
     "rf_objective_grad",
     "factor",
-    "factor_receive",
     "normalize_power",
 ]
 
@@ -48,6 +56,15 @@ def solve_baseband(f_rf: np.ndarray, b: np.ndarray) -> np.ndarray:
 def rf_objective_grad(x_mat: np.ndarray, f_bb: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Wirtinger gradient (2 d/dX*) of ``||B - X F_B||_F^2`` in matrix form."""
     return -2.0 * (b - x_mat @ f_bb) @ f_bb.conj().T
+
+
+def _residual_grad(resid: np.ndarray, f_bb_h: np.ndarray) -> np.ndarray:
+    """:func:`rf_objective_grad` from ``R = B - X F_B`` and ``F_B^H`` at hand.
+
+    The same operations in the same order, so the result is bit-identical;
+    tests hold the two to ``np.array_equal``.
+    """
+    return -2.0 * resid @ f_bb_h
 
 
 @dataclass(frozen=True)
@@ -120,48 +137,61 @@ def _init_rf(b: np.ndarray, n_rf: int, rng: np.random.Generator,
     return _phase_copy_init(b, n_rf, rng)
 
 
-def _rf_descent(x: np.ndarray, f_bb: np.ndarray, b: np.ndarray,
+def _fro_norm(m: np.ndarray) -> float:
+    """``np.linalg.norm(m, "fro")`` of a complex matrix, minus the dispatch.
+
+    The same ravel, real-part dots and square root, so the value is
+    bit-identical.
+    """
+    v = m.ravel(order="K")
+    re, im = v.real, v.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
+def _rf_descent(x: np.ndarray, f_bb: np.ndarray, b: np.ndarray, scale: float,
                 st: FactorSettings) -> np.ndarray:
     """Armijo-safeguarded manifold descent on the RF entries, F_B fixed.
 
+    Minimizes ``q(X) = ||B - X F_B||_F^2 / scale`` with ``scale = ||B||_F^2``.
     Trial steps use the Barzilai-Borwein spectral length from the previous
     accepted pair; plain steepest descent stalls well above the factorable
     floor on these strongly coupled blocks.
+
+    Iterate arithmetic follows the module's bit-exact contract. The gradient
+    is :func:`rf_objective_grad` divided by ``scale``, taken from the residual
+    ``R = B - X F_B`` that the accepted Armijo trial already computed, and the
+    tangent projection, BB step and retraction keep their operation order.
+    ``q`` enters only comparisons.
     """
-    scale = max(float(np.linalg.norm(b, "fro") ** 2), 1e-300)
-
-    def q(xm):
-        return float(np.linalg.norm(b - xm @ f_bb, "fro") ** 2) / scale
-
-    q_cur = q(x)
+    f_bb_h = f_bb.conj().T
+    resid = b - x @ f_bb
+    q_cur = _fro_norm(resid) ** 2 / scale
     x_prev = grad_prev = None
     step_trial = st.initial_step
     for _ in range(st.inner_steps):
-        grad = rf_objective_grad(x, f_bb, b) / scale
+        grad = _residual_grad(resid, f_bb_h) / scale
         rgrad = tangent_project(grad, x)
-        gnorm_sq = float(np.sum(np.abs(rgrad) ** 2))
+        gnorm_sq = float((np.abs(rgrad) ** 2).sum())
         if gnorm_sq < 1e-30:
             break
         if x_prev is not None:
             s = x - x_prev
-            y = rgrad - grad_prev
-            denom = abs(float(np.sum(np.real(s * np.conj(y)))))
+            denom = abs(float((s * (rgrad - grad_prev).conj()).real.sum()))
             if denom > 1e-300:
-                step_trial = float(np.sum(np.abs(s) ** 2)) / denom
+                step_trial = float((np.abs(s) ** 2).sum()) / denom
         step = step_trial
-        accepted = False
         for _ in range(st.max_backtracks + 1):
             cand = retract(x - step * rgrad)
-            q_cand = q(cand)
+            cand_resid = b - cand @ f_bb
+            q_cand = _fro_norm(cand_resid) ** 2 / scale
             if q_cand <= q_cur - st.armijo_c * step * gnorm_sq:
-                accepted = True
                 break
             step *= st.shrink
-        if not accepted:
+        else:  # no trial step passed the Armijo test
             break
         x_prev, grad_prev = x, rgrad
         drop = q_cur - q_cand
-        x, q_cur = cand, q_cand
+        x, resid, q_cur = cand, cand_resid, q_cand
         if drop < st.inner_rel_drop * max(q_cur, 1e-300):
             break
     return x
@@ -171,7 +201,9 @@ def factor(b: np.ndarray, n_rf: int, settings: FactorSettings | None = None,
            rng: np.random.Generator | None = None) -> FactorResult:
     """Alternating constant-modulus factorization ``B ~ F_R F_B``.
 
-    The relative-residual trace is non-increasing: the manifold steps are
+    Serves both the transmit beamformer and each receive combiner; no power
+    constraint applies here (see :func:`normalize_power`). The
+    relative-residual trace is non-increasing: the manifold steps are
     Armijo-guarded and the baseband update is the exact least squares.
     """
     st = settings or FactorSettings()
@@ -181,18 +213,19 @@ def factor(b: np.ndarray, n_rf: int, settings: FactorSettings | None = None,
         raise ValueError("empty target matrix")
     if n_rf < 1:
         raise ValueError("need at least one RF chain")
-    b_norm = float(np.linalg.norm(b, "fro"))
+    b_norm = _fro_norm(b)
     if b_norm == 0.0:
         raise ValueError("zero target matrix")
+    scale = max(b_norm ** 2, 1e-300)
     x = _init_rf(b, n_rf, rng, st.init_mode)
     f_bb = solve_baseband(x, b)
-    residuals = [float(np.linalg.norm(b - x @ f_bb, "fro")) / b_norm]
+    residuals = [_fro_norm(b - x @ f_bb) / b_norm]
     alternations = 0
     if residuals[0] > st.floor:
         for alternations in range(1, st.max_alternations + 1):
-            x_new = _rf_descent(x, f_bb, b, st)
+            x_new = _rf_descent(x, f_bb, b, scale, st)
             f_new = solve_baseband(x_new, b)
-            res = float(np.linalg.norm(b - x_new @ f_new, "fro")) / b_norm
+            res = _fro_norm(b - x_new @ f_new) / b_norm
             prev = residuals[-1]
             if res > prev:
                 # Rounding plateau: keep the incumbent rather than log an uptick.
@@ -204,13 +237,6 @@ def factor(b: np.ndarray, n_rf: int, settings: FactorSettings | None = None,
                 break
     return FactorResult(f_rf=x, f_bb=f_bb, residuals=residuals,
                         alternations=alternations)
-
-
-def factor_receive(j_k: np.ndarray, m_ue: int,
-                   settings: FactorSettings | None = None,
-                   rng: np.random.Generator | None = None) -> FactorResult:
-    """Same scheme for the receive side; no power constraint applies there."""
-    return factor(j_k, m_ue, settings=settings, rng=rng)
 
 
 def normalize_power(f_rf: np.ndarray, f_bb: np.ndarray, p_watts: float) -> np.ndarray:

@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 LN2 = math.log(2.0)
+# Distance from the unit circle within which retract() leaves an entry as is.
+_CIRCLE_TOL = 4.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -193,7 +195,7 @@ def tangent_project(grad: np.ndarray, nu: np.ndarray) -> np.ndarray:
     """Project onto the tangent space: g - Re{g o nu*} o nu."""
     if grad.shape != nu.shape:
         raise ValueError("gradient and phase vector lengths differ")
-    return grad - np.real(grad * np.conj(nu)) * nu
+    return grad - (grad * nu.conj()).real * nu
 
 
 def retract(nu_bar: np.ndarray) -> np.ndarray:
@@ -203,9 +205,9 @@ def retract(nu_bar: np.ndarray) -> np.ndarray:
     which makes the retraction exactly idempotent.
     """
     mags = np.abs(nu_bar)
-    if np.any(mags < 1e-300):
+    if (mags < 1e-300).any():
         raise ValueError("retraction singularity: zero-magnitude entry")
-    on_circle = np.abs(mags - 1.0) <= 4.0 * np.finfo(float).eps
+    on_circle = np.abs(mags - 1.0) <= _CIRCLE_TOL
     return np.where(on_circle, nu_bar, nu_bar / mags)
 
 

@@ -122,6 +122,30 @@ def test_surrogate_baselines_leak_interference(desk_cfg):
     assert rec_e.report.interference_ratio().max() > 1e-3
 
 
+def test_surrogate_zero_beamformer_rejected(multiuser_cfg, monkeypatch):
+    # An all-zero channel still has unit singular vectors, so the surrogate
+    # beamformer vanishes only when group members' directions cancel:
+    # here each group's second member sees the negated channel of the first.
+    rng = np.random.default_rng(12)
+    chset = ch.generate_channels(multiuser_cfg, rng)
+    nu = ch.random_phase_vector(multiuser_cfg.n_irs, rng)
+    h_eff = ch.effective_channels(chset, nu, multiuser_cfg)
+    for first, second in multiuser_cfg.groups():
+        h_eff[second] = -h_eff[first]
+    monkeypatch.setattr(harness, "effective_channels", lambda *a: h_eff)
+    with pytest.raises(ValueError, match="zero surrogate"):
+        harness._surrogate_beamformers(chset, multiuser_cfg.groups(), nu,
+                                       multiuser_cfg)
+
+
+@pytest.mark.parametrize("baseline", ["d", "e"])
+def test_surrogate_zero_power_yields_failure_record(desk_cfg, baseline):
+    cfg = dataclasses.replace(desk_cfg, power_dbm=-4000.0)  # power_w underflows to 0
+    rec = harness.run_baseline(baseline, cfg, np.random.default_rng(0), seed=0)
+    assert rec.status.startswith("failed:invalid")
+    assert rec.sum_rate_bps == 0.0
+
+
 def test_unknown_baseline_rejected(desk_cfg):
     with pytest.raises(ch.ConfigError):
         harness.run_baseline("f", desk_cfg, np.random.default_rng(0))

@@ -6,6 +6,7 @@ import pytest
 from irs_multicast import bd
 from irs_multicast import channel as ch
 from irs_multicast import hybridfactor as hf
+from irs_multicast import phaseopt as po
 from irs_multicast import signalmodel as sm
 
 from conftest import random_complex
@@ -116,6 +117,107 @@ def test_descent_only_regime_monotone_fit():
     assert res.final_residual < 0.25 * res.residuals[0]
 
 
+def _reference_factor(b, n_rf, st, rng):
+    """The alternation as first written, kept as the oracle for ``factor``.
+
+    Every Armijo trial takes ``np.linalg.norm`` of a fresh residual and every
+    step calls ``rf_objective_grad``. Also returns the number of backtracks.
+    """
+    b = np.asarray(b, dtype=np.complex128)
+    b_norm = float(np.linalg.norm(b, "fro"))
+    x = hf._init_rf(b, n_rf, rng, st.init_mode)
+    f_bb = hf.solve_baseband(x, b)
+    residuals = [float(np.linalg.norm(b - x @ f_bb, "fro")) / b_norm]
+    backtracks = 0
+
+    def descent(x, f_bb):
+        nonlocal backtracks
+        scale = max(float(np.linalg.norm(b, "fro") ** 2), 1e-300)
+
+        def q(xm):
+            return float(np.linalg.norm(b - xm @ f_bb, "fro") ** 2) / scale
+
+        q_cur = q(x)
+        x_prev = grad_prev = None
+        step_trial = st.initial_step
+        for _ in range(st.inner_steps):
+            grad = hf.rf_objective_grad(x, f_bb, b) / scale
+            rgrad = po.tangent_project(grad, x)
+            gnorm_sq = float(np.sum(np.abs(rgrad) ** 2))
+            if gnorm_sq < 1e-30:
+                break
+            if x_prev is not None:
+                s = x - x_prev
+                y = rgrad - grad_prev
+                denom = abs(float(np.sum(np.real(s * np.conj(y)))))
+                if denom > 1e-300:
+                    step_trial = float(np.sum(np.abs(s) ** 2)) / denom
+            step = step_trial
+            accepted = False
+            for _ in range(st.max_backtracks + 1):
+                cand = po.retract(x - step * rgrad)
+                q_cand = q(cand)
+                if q_cand <= q_cur - st.armijo_c * step * gnorm_sq:
+                    accepted = True
+                    break
+                step *= st.shrink
+                backtracks += 1
+            if not accepted:
+                break
+            x_prev, grad_prev = x, rgrad
+            drop = q_cur - q_cand
+            x, q_cur = cand, q_cand
+            if drop < st.inner_rel_drop * max(q_cur, 1e-300):
+                break
+        return x
+
+    alternations = 0
+    if residuals[0] > st.floor:
+        for alternations in range(1, st.max_alternations + 1):
+            x_new = descent(x, f_bb)
+            f_new = hf.solve_baseband(x_new, b)
+            res = float(np.linalg.norm(b - x_new @ f_new, "fro")) / b_norm
+            prev = residuals[-1]
+            if res > prev:
+                alternations -= 1
+                break
+            x, f_bb = x_new, f_new
+            residuals.append(res)
+            if res <= st.floor or prev - res <= st.tol * max(prev, 1e-300):
+                break
+    return hf.FactorResult(f_rf=x, f_bb=f_bb, residuals=residuals,
+                           alternations=alternations), backtracks
+
+
+@pytest.mark.parametrize("rows, cols, n_rf", [(16, 2, 3), (16, 4, 6)])
+def test_factor_bit_identical_to_reference(rows, cols, n_rf):
+    # fewer than 2*cols chains: no exact split, so every call alternates;
+    # a Fortran-ordered target checks that the norms keep numpy's order
+    st = hf.FactorSettings(max_alternations=6)
+    for seed in range(3):
+        b = random_complex(np.random.default_rng(200 + seed), rows, cols)
+        if seed == 1:
+            b = np.asfortranarray(b)
+        ref, backtracks = _reference_factor(b, n_rf, st, np.random.default_rng(seed))
+        got = hf.factor(b, n_rf, st, rng=np.random.default_rng(seed))
+        assert ref.alternations > 0 and backtracks > 0
+        assert np.array_equal(got.f_rf, ref.f_rf)
+        assert np.array_equal(got.f_bb, ref.f_bb)
+        assert got.residuals == ref.residuals
+        assert got.alternations == ref.alternations
+
+
+def test_residual_gradient_bit_identical():
+    rng = np.random.default_rng(60)
+    for rows, n_rf, cols in [(16, 3, 2), (16, 6, 4), (8, 4, 1)]:
+        x = po.retract(random_complex(rng, rows, n_rf))
+        f_bb = random_complex(rng, n_rf, cols)
+        b = random_complex(rng, rows, cols)
+        resid = b - x @ f_bb
+        assert np.array_equal(hf._residual_grad(resid, f_bb.conj().T),
+                              hf.rf_objective_grad(x, f_bb, b))
+
+
 def test_bad_init_mode_rejected():
     with pytest.raises(ValueError, match="init"):
         hf.factor(np.ones((4, 2), dtype=complex), 4,
@@ -173,14 +275,14 @@ def test_normalize_power_zero_product():
 def test_factor_receive_exact_when_chains_match_columns():
     rng = np.random.default_rng(8)
     j_k = unit_modulus(rng, 16, 2)
-    res = hf.factor_receive(j_k, 2, rng=rng)
+    res = hf.factor(j_k, 2, rng=rng)
     assert res.final_residual < 1e-12
 
 
 def test_factor_receive_monotone_residuals():
     rng = np.random.default_rng(9)
     j_k = random_complex(rng, 16, 2)
-    res = hf.factor_receive(j_k, 4, rng=rng)
+    res = hf.factor(j_k, 4, rng=rng)
     assert np.all(np.diff(res.residuals) <= 0)
 
 
@@ -194,7 +296,7 @@ def test_hybrid_reproduces_digital_rate(desk_cfg):
     f_bb = hf.normalize_power(tx.f_rf, tx.f_bb, desk_cfg.power_w)
     w_rf, w_bb = [], []
     for k in range(desk_cfg.k_users):
-        rx = hf.factor_receive(bf.digital_j[k], desk_cfg.m_ue, rng=rng)
+        rx = hf.factor(bf.digital_j[k], desk_cfg.m_ue, rng=rng)
         w_rf.append(rx.f_rf)
         w_bb.append(rx.f_bb)
     hybrid = sm.BeamformerSet(mode="hybrid", f_rf=tx.f_rf, f_bb=f_bb,
