@@ -26,7 +26,6 @@ __all__ = [
     "decompose",
     "build_beamformers",
     "bd_rate_closed_form",
-    "bd_objective",
 ]
 
 
@@ -67,19 +66,17 @@ def stack_other_groups(h_eff: list[np.ndarray], groups, h: int) -> np.ndarray:
     return np.vstack([h_eff[k] for k in others])
 
 
-def null_projector(h_tilde: np.ndarray, n_bs: int,
-                   rel_tol: float | None = None) -> np.ndarray:
+def null_projector(h_tilde: np.ndarray, n_bs: int) -> np.ndarray:
     """Orthonormal basis of null(h_tilde); errors out when no null space is left."""
     if h_tilde.shape[1] != n_bs:
         raise ValueError(f"expected {n_bs} columns, got {h_tilde.shape[1]}")
-    v0 = mk.nullspace_basis(h_tilde, rel_tol)
+    v0 = mk.nullspace_basis(h_tilde)
     if v0.shape[1] == 0:
         raise BdInfeasibleError("insufficient BS antennas for BD")
     return v0
 
 
-def decompose(h_eff: list[np.ndarray], groups, cfg: SystemConfig,
-              rel_tol: float | None = None) -> BdDecomposition:
+def decompose(h_eff: list[np.ndarray], groups, cfg: SystemConfig) -> BdDecomposition:
     """Per-group null bases and per-user SVD factors (Lemma-1 raw material).
 
     Raises
@@ -93,7 +90,7 @@ def decompose(h_eff: list[np.ndarray], groups, cfg: SystemConfig,
     out = []
     for h, members in enumerate(groups):
         h_tilde = stack_other_groups(h_eff, groups, h)
-        v0 = null_projector(h_tilde, cfg.n_bs, rel_tol)
+        v0 = null_projector(h_tilde, cfg.n_bs)
         if v0.shape[1] < zeta:
             raise BdInfeasibleError(
                 f"group {h}: null space dimension {v0.shape[1]} < zeta={zeta}")
@@ -118,35 +115,20 @@ def decompose(h_eff: list[np.ndarray], groups, cfg: SystemConfig,
     return BdDecomposition(groups=tuple(out), p_stream=p_stream, power_prescale=1.0)
 
 
-def build_beamformers(chset: ChannelSet, groups, nu: np.ndarray, cfg: SystemConfig,
-                      v_sum: str = "group",
-                      ) -> tuple[BeamformerSet, BdDecomposition]:
+def build_beamformers(chset: ChannelSet, groups, nu: np.ndarray,
+                      cfg: SystemConfig) -> tuple[BeamformerSet, BdDecomposition]:
     """Construct the fully digital Lemma-1 beamformers at phase vector ``nu``.
 
-    ``v_sum`` selects how the inner V-factor sum runs: ``"group"`` (default)
-    sums the members of each group; ``"all"`` reproduces the literal all-users
-    sum, which is only meaningful under the asymptotic orthogonality claim.
-    The composed transmit matrix is rescaled to meet the power budget exactly;
-    the pre-rescale ratio is recorded on the returned decomposition.
+    Each group's block sums the V factors of its own members. The composed
+    transmit matrix is rescaled to meet the power budget exactly; the
+    pre-rescale ratio is recorded on the returned decomposition.
     """
-    if v_sum not in ("group", "all"):
-        raise ValueError("v_sum must be 'group' or 'all'")
     h_eff = effective_channels(chset, nu, cfg)
     decomp = decompose(h_eff, groups, cfg)
-    zeta = cfg.zeta
     blocks = []
     for h, members in enumerate(groups):
         gf = decomp.groups[h]
-        if v_sum == "group":
-            v_sum_mat = sum(gf.users[k].v1 for k in members)
-        else:
-            v_sum_mat = np.zeros((gf.v0.shape[1], zeta), dtype=np.complex128)
-            for k in range(cfg.k_users):
-                if k in gf.users:
-                    v_sum_mat = v_sum_mat + gf.users[k].v1
-                else:
-                    res = mk.svd(h_eff[k] @ gf.v0)
-                    v_sum_mat = v_sum_mat + res.vh[:zeta, :].conj().T
+        v_sum_mat = sum(gf.users[k].v1 for k in members)
         b_h = gf.v0 @ (v_sum_mat / np.sqrt(len(members))) * np.sqrt(decomp.p_stream)
         blocks.append(b_h)
     b = np.hstack(blocks)
@@ -155,7 +137,7 @@ def build_beamformers(chset: ChannelSet, groups, nu: np.ndarray, cfg: SystemConf
         raise BdInfeasibleError("degenerate geometry: zero transmit beamformer")
     prescale = realized / cfg.power_w
     b = b * np.sqrt(cfg.power_w / realized)
-    j = [np.zeros((cfg.n_ue, zeta), dtype=np.complex128) for _ in range(cfg.k_users)]
+    j = [None] * cfg.k_users  # groups cover every user (checked in decompose)
     for h, members in enumerate(groups):
         for k in members:
             j[k] = decomp.groups[h].users[k].u1
@@ -178,11 +160,3 @@ def bd_rate_closed_form(decomp: BdDecomposition, groups, cfg: SystemConfig) -> n
             s1 = decomp.groups[h].users[k].s1
             rates[k] = cfg.bw_hz * np.sum(np.log2(1.0 + scale * s1 ** 2))
     return rates
-
-
-def bd_objective(chset: ChannelSet, groups, nu: np.ndarray, cfg: SystemConfig) -> float:
-    """Sum over groups of the minimum member closed-form rate at ``nu``."""
-    h_eff = effective_channels(chset, nu, cfg)
-    decomp = decompose(h_eff, groups, cfg)
-    rates = bd_rate_closed_form(decomp, groups, cfg)
-    return float(sum(min(rates[k] for k in members) for members in groups))

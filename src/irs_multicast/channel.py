@@ -34,9 +34,6 @@ __all__ = [
     "effective_channel",
     "effective_channels",
     "random_phase_vector",
-    "ones_phase_vector",
-    "phase_matrix",
-    "assert_unit_modulus",
 ]
 
 # Half-wavelength element spacing everywhere.
@@ -45,6 +42,23 @@ D_OVER_LAMBDA = 0.5
 
 class ConfigError(ValueError):
     """Raised when a scenario configuration violates a structural constraint."""
+
+
+_COUNT_FIELDS = ("n_bs", "n_ue", "m_bs", "m_ue", "n_irs", "f_y", "f_z", "k_users",
+                 "h_groups", "zeta", "paths_y", "paths_l")
+_REAL_FIELDS = ("power_dbm", "noise_dbm", "bw_hz", "g_tx_dbi", "g_rx_dbi", "bs_pos",
+                "irs_pos", "user_center", "user_radius", "los_pathloss_db",
+                "nlos_backoff_db")
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; 16.0 passes, 16.5, nan and "16" raise ConfigError."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -83,17 +97,20 @@ class SystemConfig:
     nlos_backoff_db: float = 10.0
 
     def __post_init__(self):
-        object.__setattr__(self, "group_sizes", tuple(int(g) for g in self.group_sizes))
+        object.__setattr__(self, "group_sizes", tuple(
+            _integer("group_sizes", g) for g in self.group_sizes))
         for name in ("bs_pos", "irs_pos", "user_center"):
             object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
-        counts = {
-            "n_bs": self.n_bs, "n_ue": self.n_ue, "m_bs": self.m_bs,
-            "m_ue": self.m_ue, "n_irs": self.n_irs, "f_y": self.f_y,
-            "f_z": self.f_z, "k_users": self.k_users, "h_groups": self.h_groups,
-            "zeta": self.zeta, "paths_y": self.paths_y, "paths_l": self.paths_l,
-        }
-        for name, value in counts.items():
-            if int(value) < 1:
+        for name in _REAL_FIELDS:
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.bw_hz <= 0:
+            raise ConfigError(f"bw_hz must be positive, got {self.bw_hz}")
+        object.__setattr__(self, "seed", _integer("seed", self.seed))
+        for name in _COUNT_FIELDS:
+            value = _integer(name, getattr(self, name))
+            object.__setattr__(self, name, value)
+            if value < 1:
                 raise ConfigError(f"{name} must be >= 1, got {value}")
         if self.n_irs != self.f_y * self.f_z:
             raise ConfigError(
@@ -152,7 +169,7 @@ def config_from_dict(data: dict) -> SystemConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     try:
         return SystemConfig(**data)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:  # missing keys, wrong value types
         raise ConfigError(str(exc)) from None
 
 
@@ -164,11 +181,13 @@ def config_to_dict(cfg: SystemConfig) -> dict:
 
 
 def load_config(path) -> SystemConfig:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {path}: {exc}") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON in {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config document must be a JSON object")
     return config_from_dict(data)
@@ -370,21 +389,6 @@ def generate_channels(cfg: SystemConfig, rng: np.random.Generator) -> ChannelSet
 def random_phase_vector(m: int, rng: np.random.Generator) -> np.ndarray:
     """Unit-modulus vector nu with nu_m = exp(-j*phi_m), phi uniform on [0, 2pi)."""
     return np.exp(-1j * rng.uniform(0.0, 2.0 * np.pi, m))
-
-
-def ones_phase_vector(m: int) -> np.ndarray:
-    return np.ones(m, dtype=np.complex128)
-
-
-def assert_unit_modulus(nu: np.ndarray, tol: float = 1e-12) -> None:
-    dev = float(np.max(np.abs(np.abs(nu) - 1.0)))
-    if dev > tol:
-        raise ValueError(f"phase vector off the unit circle by {dev:.3e}")
-
-
-def phase_matrix(nu: np.ndarray) -> np.ndarray:
-    """Diagonal reflection matrix Phi with Phi[m,m] = exp(j*phi_m) = conj(nu_m)."""
-    return np.diag(np.conj(nu))
 
 
 def effective_channel(h_bs: np.ndarray, h_ue_k: np.ndarray, nu: np.ndarray,

@@ -1,15 +1,17 @@
 """``simulate`` command line entry point.
 
 Exit codes: 0 full success, 1 configuration error, 2 partial run failures
-(rows flagged in the status column).
+(rows flagged in the status column) or a failed report.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import harness, phaseopt as po
+from .bd import BdInfeasibleError
 from .channel import ConfigError, load_config
 
 REPORTS = ("theorem1", "cdf", "energy", "convergence")
@@ -35,8 +37,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="emit a named report instead of a sweep")
     parser.add_argument("--static-power-dbm", type=float, default=39.0)
     parser.add_argument("--element-power-dbm", type=float, default=10.0)
-    parser.add_argument("--workers", type=int, default=1,
-                        help="thread pool size for independent runs")
     parser.add_argument("--timing", action="store_true",
                         help="record wall-clock ms per run (breaks byte determinism)")
     return parser
@@ -46,29 +46,48 @@ def _parse_values(text: str | None) -> tuple[float, ...]:
     if not text:
         return ()
     try:
-        return tuple(float(v) for v in text.split(","))
+        values = tuple(float(v) for v in text.split(","))
     except ValueError:
-        raise ConfigError(f"bad sweep values {text!r}") from None
+        values = ()
+    if not values or not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"bad sweep values {text!r}")
+    return values
 
 
 def _run_report(args, cfg) -> int:
-    if args.report == "theorem1":
-        harness.theorem1_report(cfg, seeds=max(args.seeds, 1), out_path=args.out)
-    elif args.report == "cdf":
-        baselines = tuple(args.baselines.split(","))
-        harness.cdf_report(cfg, seeds=args.seeds, baselines=baselines,
-                           out_path=args.out, base_seed=args.base_seed)
-    elif args.report == "energy":
-        values = _parse_values(args.sweep_values) or harness.DEFAULT_SWEEP_VALUES["power"]
-        baselines = tuple(args.baselines.split(","))
-        harness.energy_report(cfg, values, seeds=args.seeds, baselines=baselines,
-                              out_path=args.out,
-                              static_power_dbm=args.static_power_dbm,
-                              element_power_dbm=args.element_power_dbm,
-                              base_seed=args.base_seed)
-    elif args.report == "convergence":
-        harness.convergence_report(cfg, seeds=args.seeds, out_path=args.out,
-                                   base_seed=args.base_seed)
+    """Write the named report.
+
+    Bad arguments raise ConfigError up front (exit 1). Once the report runs,
+    a failure inside it, an infeasible internal sweep point included, exits 2
+    with one labeled stderr line.
+    """
+    min_seeds = 2 if args.report == "cdf" else 1
+    if args.seeds < min_seeds:
+        raise ConfigError(f"report {args.report} needs at least {min_seeds} seeds")
+    baselines = tuple(args.baselines.split(","))
+    unknown = sorted(set(baselines) - set(harness.BASELINES))
+    if unknown:
+        raise ConfigError(f"unknown baselines {unknown}")
+    values = _parse_values(args.sweep_values) or harness.DEFAULT_SWEEP_VALUES["power"]
+    try:
+        if args.report == "theorem1":
+            harness.theorem1_report(cfg, seeds=args.seeds, out_path=args.out)
+        elif args.report == "cdf":
+            harness.cdf_report(cfg, seeds=args.seeds, baselines=baselines,
+                               out_path=args.out, base_seed=args.base_seed)
+        elif args.report == "energy":
+            harness.energy_report(cfg, values, seeds=args.seeds, baselines=baselines,
+                                  out_path=args.out,
+                                  static_power_dbm=args.static_power_dbm,
+                                  element_power_dbm=args.element_power_dbm,
+                                  base_seed=args.base_seed)
+        elif args.report == "convergence":
+            harness.convergence_report(cfg, seeds=args.seeds, out_path=args.out,
+                                       base_seed=args.base_seed)
+    except (ValueError, BdInfeasibleError) as exc:
+        category = "bd-infeasible" if isinstance(exc, BdInfeasibleError) else "invalid"
+        print(f"report {args.report} failed: {category} ({exc})", file=sys.stderr)
+        return 2
     if args.out is None:
         print(f"report {args.report} computed (use --out to persist)", file=sys.stderr)
     return 0
@@ -90,8 +109,7 @@ def main(argv=None) -> int:
             base_seed=args.base_seed,
             static_power_dbm=args.static_power_dbm,
             element_power_dbm=args.element_power_dbm,
-            measure_walltime=args.timing,
-            n_workers=args.workers)
+            measure_walltime=args.timing)
         records = harness.sweep(spec)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

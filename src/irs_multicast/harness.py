@@ -24,8 +24,6 @@ from .channel import (ChannelSet, ConfigError, SystemConfig, effective_channels,
 
 __all__ = [
     "DESK_CONFIG",
-    "DESK_MULTIUSER_CONFIG",
-    "TABLE_FULL_SCALE_CONFIG",
     "BASELINES",
     "SWEEP_CHOICES",
     "DEFAULT_SWEEP_VALUES",
@@ -43,10 +41,11 @@ __all__ = [
     "convergence_report",
 ]
 
-# Scaled-down default: every structural constraint of the full-scale table is
-# kept (RF chain bounds, M^B = 2*H*zeta, bandwidth, noise floor, geometry) at
-# sizes that run in milliseconds. Singleton groups and Y > K*L keep the exact
-# BD construction non-degenerate; see README for the full-scale variant.
+# The preset of configs/desk.json, the default when no config is given: every
+# structural constraint of the full-scale table is kept (RF chain bounds,
+# M^B = 2*H*zeta, bandwidth, noise floor, geometry) at sizes that run in
+# milliseconds. Singleton groups and Y > K*L keep the exact BD construction
+# non-degenerate; see README for the full-scale variant.
 DESK_CONFIG = SystemConfig(
     n_bs=16, n_ue=16, m_bs=8, m_ue=4,
     n_irs=64, f_y=8, f_z=8,
@@ -56,17 +55,6 @@ DESK_CONFIG = SystemConfig(
     paths_y=8, paths_l=3,
     bs_pos=(2.0, 0.0, 10.0), irs_pos=(0.0, 148.0, 10.0),
     user_center=(7.0, 148.0, 1.8), user_radius=10.0, seed=0)
-
-# Two users per group: exercises the min-over-members rate and the V-sum
-# averaging; inter-group nulling stays exact, intra-group is approximate.
-DESK_MULTIUSER_CONFIG = dataclasses.replace(
-    DESK_CONFIG, k_users=4, group_sizes=(2, 2))
-
-# Full-scale reference values; with Y = L every user's cascade shares the
-# whole BS-side path space, so exact BD reports infeasible-run records here.
-TABLE_FULL_SCALE_CONFIG = dataclasses.replace(
-    DESK_CONFIG, n_bs=64, n_ue=64, n_irs=256, f_y=16, f_z=16,
-    zeta=4, m_bs=16, m_ue=8, paths_y=7, paths_l=7)
 
 BASELINES = ("proposed", "a", "b", "c", "d", "e")
 
@@ -97,7 +85,6 @@ class ExperimentSpec:
     static_power_dbm: float = 39.0
     element_power_dbm: float = 10.0
     measure_walltime: bool = False
-    n_workers: int = 1
 
     def __post_init__(self):
         if self.sweep_var not in SWEEP_CHOICES:
@@ -114,8 +101,6 @@ class ExperimentSpec:
                 raise ConfigError(f"unknown baseline {b!r}")
         if self.n_seeds < 1:
             raise ConfigError("need at least one seed")
-        if self.n_workers < 1:
-            raise ConfigError("need at least one worker")
 
     def configs(self) -> list[tuple[float, SystemConfig]]:
         """Materialize (sweep value, config) pairs; invalid points fail fast."""
@@ -299,30 +284,18 @@ def sweep(spec: ExperimentSpec) -> list[RunRecord]:
 
     Each (value, baseline, seed) cell is an independent work unit with its own
     RNG stream seeded by base_seed + seed index, so matched seeds share
-    channel realizations across baselines and sweep values. With
-    ``n_workers > 1`` cells run on a bounded thread pool; the output order is
-    fixed by the final sort either way.
+    channel realizations across baselines and sweep values. Rows come back
+    sorted by (sweep value, baseline, seed).
     """
-    cells = [(value, cfg, baseline, idx)
-             for value, cfg in spec.configs()
-             for baseline in spec.baselines
-             for idx in range(spec.n_seeds)]
-
-    def run_cell(cell):
-        value, cfg, baseline, idx = cell
-        rng = np.random.default_rng(spec.base_seed + idx)
-        return _run(baseline, cfg, rng, sweep_var=spec.sweep_var,
-                    sweep_value=value, seed=spec.base_seed + idx,
+    records = [_run(baseline, cfg, np.random.default_rng(spec.base_seed + idx),
+                    sweep_var=spec.sweep_var, sweep_value=value,
+                    seed=spec.base_seed + idx,
                     static_power_dbm=spec.static_power_dbm,
                     element_power_dbm=spec.element_power_dbm,
                     measure_walltime=spec.measure_walltime)
-
-    if spec.n_workers == 1:
-        records = [run_cell(cell) for cell in cells]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=spec.n_workers) as pool:
-            records = list(pool.map(run_cell, cells))
+               for value, cfg in spec.configs()
+               for baseline in spec.baselines
+               for idx in range(spec.n_seeds)]
     records.sort(key=lambda r: (r.sweep_value, r.baseline, r.seed))
     return records
 
@@ -351,6 +324,16 @@ def write_records_csv(path, records: list[RunRecord]) -> None:
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
+
+def _write_report(out_path, rows: list[dict], fieldnames=None) -> None:
+    """Write report rows as a headed CSV (columns from the first row by default)."""
+    if out_path is None:
+        return
+    with open(out_path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames or list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+
 
 def theorem1_report(cfg: SystemConfig, seeds: int, out_path=None,
                     n_values: tuple[int, ...] = (16, 32, 64)) -> list[dict]:
@@ -381,11 +364,7 @@ def theorem1_report(cfg: SystemConfig, seeds: int, out_path=None,
                                      sigma_true_fnorm=true_norm,
                                      sigma_approx_fnorm=approx_norm,
                                      rel_gap=gap))
-    if out_path is not None:
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
+    _write_report(out_path, rows)
     return rows
 
 
@@ -406,11 +385,7 @@ def cdf_report(cfg: SystemConfig, seeds: int, baselines=("proposed", "b"),
         for i, rate in enumerate(finite):
             rows.append(dict(baseline=baseline, sum_rate_bps=rate,
                              cum_frac=(i + 1) / n))
-    if out_path is not None:
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["baseline", "sum_rate_bps", "cum_frac"])
-            writer.writeheader()
-            writer.writerows(rows)
+    _write_report(out_path, rows, ["baseline", "sum_rate_bps", "cum_frac"])
     return rows
 
 
@@ -433,11 +408,7 @@ def energy_report(cfg: SystemConfig, power_values, seeds: int,
                                  sum_rate_bps=rec.sum_rate_bps,
                                  energy_eff_bps_per_w=rec.energy_eff_bps_per_w,
                                  status=rec.status))
-    if out_path is not None:
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
+    _write_report(out_path, rows)
     return rows
 
 
@@ -462,9 +433,5 @@ def convergence_report(cfg: SystemConfig, seeds: int, out_path=None,
             rows.append(dict(kind="groups", seed=base_seed + idx, h_groups=h,
                              iter="", f_value="", step_size="", grad_norm="",
                              backtracks="", s1_iters=rec.s1_iters))
-    if out_path is not None:
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
+    _write_report(out_path, rows)
     return rows

@@ -1,6 +1,6 @@
 """Factor fully digital beamformers into constant-modulus RF and baseband parts.
 
-Alternates Riemannian descent on the vectorized RF matrix (the complex circle
+Alternates Riemannian descent on the RF matrix entries (the complex circle
 manifold, reusing the phase-optimizer's tangent projection and retraction)
 with the least-squares baseband update ``F_B = pinv(F_R) B``. The same
 :func:`factor` serves the transmit beamformer and every receive combiner.
@@ -27,25 +27,11 @@ from .phaseopt import retract, tangent_project
 __all__ = [
     "FactorSettings",
     "FactorResult",
-    "vectorize",
-    "devectorize",
     "solve_baseband",
     "rf_objective_grad",
     "factor",
     "normalize_power",
 ]
-
-
-def vectorize(m: np.ndarray) -> np.ndarray:
-    """Column-major flattening; exact inverse of :func:`devectorize`."""
-    return np.asarray(m, dtype=np.complex128).ravel(order="F").copy()
-
-
-def devectorize(x: np.ndarray, rows: int, cols: int) -> np.ndarray:
-    x = np.asarray(x, dtype=np.complex128)
-    if x.size != rows * cols:
-        raise ValueError(f"length {x.size} does not match {rows}x{cols}")
-    return x.reshape((rows, cols), order="F").copy()
 
 
 def solve_baseband(f_rf: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Dense complex matrix primitives: SVD, null-space bases, pseudo-inverse, Hadamard.
+"""Dense complex matrix primitives: SVD, null-space bases, pseudo-inverse.
 
 Thin, contract-enforcing wrappers around ``numpy.linalg``. The SVD is made
 deterministic across runs by a fixed per-column phase convention, which the
@@ -15,10 +15,8 @@ __all__ = [
     "SvdResult",
     "svd",
     "nullspace_basis",
-    "numerical_rank",
     "default_rank_tol",
     "pseudo_inverse",
-    "hadamard",
 ]
 
 
@@ -78,19 +76,6 @@ def svd(a) -> SvdResult:
     return SvdResult(u=u, s=s, vh=vh)
 
 
-def numerical_rank(a, rel_tol: float | None = None) -> int:
-    """Count of singular values above ``rel_tol * s_max``."""
-    a = _as_matrix(a)
-    if a.size == 0:
-        return 0
-    if rel_tol is None:
-        rel_tol = default_rank_tol(a.shape)
-    s = np.linalg.svd(a, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > rel_tol * s[0]))
-
-
 def nullspace_basis(a, rel_tol: float | None = None) -> np.ndarray:
     """Orthonormal basis of the numerical null space of ``a``.
 
@@ -118,12 +103,3 @@ def pseudo_inverse(a) -> np.ndarray:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     return np.linalg.pinv(a)
-
-
-def hadamard(a, b) -> np.ndarray:
-    """Element-wise product of two same-shape arrays."""
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a * b

@@ -24,7 +24,6 @@ __all__ = [
     "OptimizeSettings",
     "TraceRow",
     "OptimizeResult",
-    "OffdiagReport",
     "coupling_vectors",
     "sigma_approx",
     "objective_f",
@@ -32,7 +31,6 @@ __all__ = [
     "tangent_project",
     "retract",
     "optimize_phases",
-    "offdiag_diagnostic",
     "write_trace",
 ]
 
@@ -45,14 +43,14 @@ _CIRCLE_TOL = 4.0 * np.finfo(float).eps
 class UserCoupling:
     """Coupling data for one user.
 
-    ``c`` holds the pure steering products conj(a_dep,i) * a_arr,j for every
-    (user-side path i, BS-side path j) pair after gain-descending sorting, so
-    ``nu^H c[i, j]`` is the paper-style d_ij. ``diag_cols`` maps the diagonal
-    stream index i to its BS-side column (the group-blocked pairing).
-    Effective gains carry the channel scale prefactors and antenna gains.
+    Row i of ``c`` is the pure steering product conj(a_dep,i) * a_arr,j of
+    the user's i-th strongest path and its paired BS-side path
+    j = ``diag_cols[i]`` (the group-blocked pairing), so ``nu^H c[i]`` is the
+    paper-style d_ii. Effective gains carry the channel scale prefactors and
+    antenna gains.
     """
 
-    c: np.ndarray              # (L, Y, M)
+    c: np.ndarray              # (zeta, M)
     alpha_eff: np.ndarray      # (Y,) BS-side effective gains, |.| descending
     beta_eff: np.ndarray       # (L,) user-side effective gains, |.| descending
     diag_cols: np.ndarray      # (zeta,) BS-side column index per stream
@@ -66,32 +64,19 @@ class CouplingSet:
     bw_hz: float
 
     def diag_vector(self, k: int, i: int) -> np.ndarray:
-        uc = self.users[k]
-        return uc.c[i, uc.diag_cols[i]]
+        return self.users[k].c[i]
 
     def diag_gain(self, k: int, i: int) -> complex:
         uc = self.users[k]
         return uc.alpha_eff[uc.diag_cols[i]] * uc.beta_eff[i]
 
 
-def _group_of(groups, k: int) -> int:
-    for h, members in enumerate(groups):
-        if k in members:
-            return h
-    raise ValueError(f"user {k} not in any group")
-
-
-def coupling_vectors(chset: ChannelSet, cfg: SystemConfig, groups=None,
-                     pairing: str = "group_block") -> CouplingSet:
+def coupling_vectors(chset: ChannelSet, cfg: SystemConfig, groups=None) -> CouplingSet:
     """Build per-user coupling vectors and SINR scales from the path geometry.
 
-    ``pairing`` fixes which BS-side path the i-th diagonal stream couples to:
-    ``"group_block"`` (default) gives group h the sorted paths h*zeta+i, so
-    different groups align onto disjoint BS-side directions; ``"same_index"``
-    pairs i with i for every user.
+    Group h pairs its i-th diagonal stream with the sorted BS-side path
+    h*zeta+i, so different groups align onto disjoint BS-side directions.
     """
-    if pairing not in ("group_block", "same_index"):
-        raise ValueError("pairing must be 'group_block' or 'same_index'")
     groups = cfg.groups() if groups is None else groups
     validate_groups(groups, cfg.k_users)
     zeta = cfg.zeta
@@ -99,7 +84,7 @@ def coupling_vectors(chset: ChannelSet, cfg: SystemConfig, groups=None,
     if zeta > min(y, ell):
         raise ValueError(
             f"zeta={zeta} exceeds available paths (Y={y}, L={ell})")
-    if pairing == "group_block" and cfg.h_groups * zeta > y:
+    if cfg.h_groups * zeta > y:
         raise ValueError(
             f"group-blocked pairing needs Y >= H*zeta ({cfg.h_groups * zeta}), got Y={y}")
     bs = chset.bs_paths
@@ -108,24 +93,21 @@ def coupling_vectors(chset: ChannelSet, cfg: SystemConfig, groups=None,
     alpha_sorted = alpha[order_a]
     arr_vecs = np.stack([
         upa_response(bs.az_irs[j], bs.el_irs[j], cfg.f_y, cfg.f_z)
-        for j in order_a])
+        for j in order_a[:cfg.h_groups * zeta]])
+    group_of = {k: h for h, members in enumerate(groups) for k in members}
     users = []
     for k in range(cfg.k_users):
-        h = _group_of(groups, k)
+        h = group_of[k]
         up = chset.ue_paths[k]
         beta = cfg.g_rx_lin * math.sqrt(cfg.n_irs * cfg.n_ue / ell) * up.gains
         order_b = np.argsort(-np.abs(beta), kind="stable")
         beta_sorted = beta[order_b]
         dep_vecs = np.stack([
             upa_response(up.az_irs[i], up.el_irs[i], cfg.f_y, cfg.f_z)
-            for i in order_b])
-        c = np.conj(dep_vecs)[:, None, :] * arr_vecs[None, :, :]
-        if pairing == "group_block":
-            diag_cols = np.arange(h * zeta, h * zeta + zeta)
-        else:
-            diag_cols = np.arange(zeta)
-        gsize = len(groups[h])
-        scale = cfg.power_w / (gsize * cfg.h_groups * zeta * cfg.noise_w)
+            for i in order_b[:zeta]])
+        diag_cols = np.arange(h * zeta, h * zeta + zeta)
+        c = np.conj(dep_vecs) * arr_vecs[diag_cols]
+        scale = cfg.power_w / (len(groups[h]) * cfg.h_groups * zeta * cfg.noise_w)
         b = scale * np.abs(alpha_sorted[diag_cols] * beta_sorted[:zeta]) ** 2
         users.append(UserCoupling(c=c, alpha_eff=alpha_sorted,
                                   beta_eff=beta_sorted, diag_cols=diag_cols, b=b))
@@ -153,7 +135,7 @@ def _user_rate_bpshz(coupling: CouplingSet, nu: np.ndarray, k: int) -> float:
     uc = coupling.users[k]
     total = 0.0
     for i in range(coupling.zeta):
-        d = np.conj(nu) @ uc.c[i, uc.diag_cols[i]]
+        d = np.conj(nu) @ uc.c[i]
         total += math.log2(1.0 + uc.b[i] * abs(d) ** 2)
     return total
 
@@ -184,7 +166,7 @@ def euclidean_grad(coupling: CouplingSet, nu: np.ndarray, groups) -> np.ndarray:
     for k, _ in _bottlenecks(coupling, nu, groups):
         uc = coupling.users[k]
         for i in range(coupling.zeta):
-            c = uc.c[i, uc.diag_cols[i]]
+            c = uc.c[i]
             d = np.conj(nu) @ c
             grad -= coupling.bw_hz * (2.0 * uc.b[i] / LN2) * c * np.conj(d) \
                 / (1.0 + uc.b[i] * abs(d) ** 2)
@@ -237,10 +219,6 @@ class OptimizeResult:
     iterations: int
     trace: list[TraceRow] = field(default_factory=list)
     converged: bool = False
-
-    @property
-    def f_trace(self) -> np.ndarray:
-        return np.array([row.f_value for row in self.trace])
 
 
 def optimize_phases(coupling: CouplingSet, groups, nu0: np.ndarray,
@@ -309,31 +287,6 @@ def optimize_phases(coupling: CouplingSet, groups, nu0: np.ndarray,
             break
     return OptimizeResult(nu=nu, f_value=f_cur * w, iterations=len(trace),
                           trace=trace, converged=converged)
-
-
-@dataclass(frozen=True)
-class OffdiagReport:
-    """How non-diagonal the coupling matrix is at ``nu``; never enforced."""
-
-    max_offdiag: float
-    n_exceeding: int
-    per_user_max: np.ndarray
-
-
-def offdiag_diagnostic(coupling: CouplingSet, nu: np.ndarray,
-                       tau: float = 0.1) -> OffdiagReport:
-    per_user = np.zeros(len(coupling.users))
-    n_exceed = 0
-    for k, uc in enumerate(coupling.users):
-        d = np.abs(np.einsum("m,ijm->ij", np.conj(nu), uc.c))
-        mask = np.ones_like(d, dtype=bool)
-        for i in range(coupling.zeta):
-            mask[i, uc.diag_cols[i]] = False
-        off = d[mask]
-        per_user[k] = float(off.max()) if off.size else 0.0
-        n_exceed += int(np.count_nonzero(off > tau))
-    return OffdiagReport(max_offdiag=float(per_user.max()) if per_user.size else 0.0,
-                         n_exceeding=n_exceed, per_user_max=per_user)
 
 
 def write_trace(path, rows: list[TraceRow]) -> None:

@@ -17,22 +17,11 @@ __all__ = [
     "BeamformerSet",
     "RateReport",
     "ConstraintReport",
-    "groups_from_sizes",
     "validate_groups",
-    "stream_sinr",
     "user_rate",
     "sum_rate",
     "check_constraints",
 ]
-
-
-def groups_from_sizes(sizes) -> tuple[tuple[int, ...], ...]:
-    """Consecutive disjoint user-index blocks, one per group."""
-    out, start = [], 0
-    for size in sizes:
-        out.append(tuple(range(start, start + size)))
-        start += size
-    return tuple(out)
 
 
 def validate_groups(groups, k_users: int) -> None:
@@ -95,7 +84,6 @@ class RateReport:
     signal: np.ndarray          # (K, zeta) desired-signal power
     intra: np.ndarray           # (K, zeta) own-stream interference power
     inter: np.ndarray           # (K, zeta) other-group interference power
-    sinr_colored: np.ndarray    # diagnostic: noise scaled by combiner column norm
     user_rates: np.ndarray      # (K,) bit/s
     group_rates: np.ndarray     # (H,) min over members
     sum_rate: float
@@ -107,14 +95,7 @@ class RateReport:
         return np.maximum(self.intra, self.inter) / sig
 
 
-def _group_of(groups, user_k: int) -> int:
-    for h, members in enumerate(groups):
-        if user_k in members:
-            return h
-    raise ValueError(f"user {user_k} not in any group")
-
-
-def _stream_terms(gains_k: np.ndarray, group_h: int, zeta: int, n_groups: int):
+def _stream_terms(gains_k: np.ndarray, group_h: int, zeta: int):
     """Split the per-user gain matrix (zeta x H*zeta) into signal/I/J powers.
 
     Interference sums run over the explicit off-diagonal entries (not
@@ -130,22 +111,6 @@ def _stream_terms(gains_k: np.ndarray, group_h: int, zeta: int, n_groups: int):
     other[group_h * zeta:(group_h + 1) * zeta] = False
     inter = power[:, other].sum(axis=1)
     return signal, intra, inter
-
-
-def stream_sinr(bf: BeamformerSet, chset: ChannelSet, nu: np.ndarray,
-                cfg: SystemConfig, user_k: int, group_h: int, stream_i: int,
-                groups=None) -> tuple[float, float, float]:
-    """SINR of one stream of one user, with its I (own) and J (other-group) terms."""
-    groups = cfg.groups() if groups is None else groups
-    if not 0 <= group_h < len(groups) or user_k not in groups[group_h]:
-        raise ValueError(f"user {user_k} is not in group {group_h}")
-    if not 0 <= stream_i < cfg.zeta:
-        raise ValueError(f"stream index {stream_i} out of range")
-    h_eff = effective_channels(chset, nu, cfg)
-    gains = bf.combiner(user_k).conj().T @ h_eff[user_k] @ bf.tx_matrix()
-    signal, intra, inter = _stream_terms(gains, group_h, cfg.zeta, len(groups))
-    s, i_term, j_term = signal[stream_i], intra[stream_i], inter[stream_i]
-    return s / (i_term + j_term + cfg.noise_w), i_term, j_term
 
 
 def user_rate(sinrs: np.ndarray, bw_hz: float) -> float:
@@ -164,22 +129,16 @@ def sum_rate(bf: BeamformerSet, chset: ChannelSet, nu: np.ndarray,
     sig = np.zeros((k_users, zeta))
     intra = np.zeros((k_users, zeta))
     inter = np.zeros((k_users, zeta))
-    colored = np.zeros((k_users, zeta))
     for h, members in enumerate(groups):
         for k in members:
-            w = bf.combiner(k)
-            gains = w.conj().T @ h_eff[k] @ tx
-            s, i_t, j_t = _stream_terms(gains, h, zeta, len(groups))
-            sig[k], intra[k], inter[k] = s, i_t, j_t
-            w_norms = np.sum(np.abs(w) ** 2, axis=0)
-            colored[k] = s / (i_t + j_t + cfg.noise_w * w_norms)
+            gains = bf.combiner(k).conj().T @ h_eff[k] @ tx
+            sig[k], intra[k], inter[k] = _stream_terms(gains, h, zeta)
     sinr = sig / (intra + inter + cfg.noise_w)
     rates = np.array([user_rate(sinr[k], cfg.bw_hz) for k in range(k_users)])
     group_rates = np.array([min(rates[k] for k in members) for members in groups])
     return RateReport(sinr=sinr, signal=sig, intra=intra, inter=inter,
-                      sinr_colored=colored, user_rates=rates,
-                      group_rates=group_rates, sum_rate=float(group_rates.sum()),
-                      noise_w=cfg.noise_w)
+                      user_rates=rates, group_rates=group_rates,
+                      sum_rate=float(group_rates.sum()), noise_w=cfg.noise_w)
 
 
 @dataclass

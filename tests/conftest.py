@@ -1,7 +1,12 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from irs_multicast.harness import DESK_CONFIG, DESK_MULTIUSER_CONFIG
+from irs_multicast.channel import load_config
+from irs_multicast.harness import DESK_CONFIG
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 @pytest.fixture(scope="session")
@@ -11,7 +16,7 @@ def desk_cfg():
 
 @pytest.fixture(scope="session")
 def multiuser_cfg():
-    return DESK_MULTIUSER_CONFIG
+    return load_config(CONFIG_DIR / "desk_multiuser.json")
 
 
 def random_complex(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:

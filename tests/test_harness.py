@@ -9,6 +9,8 @@ from irs_multicast import channel as ch
 from irs_multicast import harness
 from irs_multicast.cli import main as cli_main
 
+from conftest import CONFIG_DIR
+
 
 def small_spec(**kw):
     base = dict(config=harness.DESK_CONFIG, sweep_var="power",
@@ -27,6 +29,10 @@ def test_spec_validation():
         small_spec(n_seeds=0)
     with pytest.raises(ch.ConfigError, match="sweep"):
         small_spec(sweep_var="frequency")
+
+
+def test_desk_preset_matches_config_file():
+    assert ch.load_config(CONFIG_DIR / "desk.json") == harness.DESK_CONFIG
 
 
 def test_default_sweep_values_filled():
@@ -68,14 +74,6 @@ def test_structural_sweeps_run(var):
     records = harness.sweep(spec)
     assert len(records) == len(harness.DEFAULT_SWEEP_VALUES[var])
     assert all(r.ok for r in records)
-
-
-def test_worker_pool_matches_sequential():
-    spec = small_spec(baselines=("c",), n_seeds=3)
-    sequential = harness.records_csv_text(harness.sweep(spec))
-    pooled = harness.records_csv_text(
-        harness.sweep(dataclasses.replace(spec, n_workers=4)))
-    assert pooled == sequential
 
 
 def test_run_proposed_deterministic(desk_cfg):
@@ -255,6 +253,16 @@ def test_cli_config_error_exit_code(tmp_path):
     worse = tmp_path / "worse.json"
     worse.write_text("{")
     assert cli_main(["--config", str(worse)]) == 1
+    assert cli_main(["--config", str(tmp_path / "missing.json")]) == 1
+    # values that used to yield an ok row with a meaningless rate, or a
+    # traceback from deep inside the run
+    for key, value in (("bw_hz", -1), ("n_bs", 16.5)):
+        doc = ch.config_to_dict(harness.DESK_CONFIG)
+        doc[key] = value
+        path = tmp_path / f"bad_{key}.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
+        assert not (tmp_path / "o.csv").exists()
 
 
 def test_cli_partial_failure_exit_code(tmp_path):
@@ -301,6 +309,28 @@ def test_cli_report_energy(tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0].startswith("baseline,power_dbm,seed")
     assert len(lines) == 3
+
+
+def test_cli_report_failure_is_labeled_not_raised(capsys):
+    # table2_faithful has Y = 7 < H*zeta = 8 BS-side paths, so the coupling
+    # construction inside the theorem1 report refuses it
+    code = cli_main(["--report", "theorem1", "--config",
+                     str(CONFIG_DIR / "table2_faithful.json")])
+    assert code == 2
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("report theorem1 failed: invalid (")
+    assert "Y >= H*zeta" in err and "Traceback" not in err
+    # its groups sweep reaches H = 3, which needs m_bs >= 12 > 8
+    code = cli_main(["--report", "convergence", "--seeds", "1", "--config",
+                     str(CONFIG_DIR / "table2_faithful.json")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(
+        "report convergence failed: invalid (RF chain bounds")
+    # bad arguments stay configuration errors
+    assert cli_main(["--report", "energy", "--seeds", "0"]) == 1
+    assert cli_main(["--report", "cdf", "--seeds", "1"]) == 1
+    assert cli_main(["--report", "cdf", "--seeds", "2", "--baselines", "zz"]) == 1
+    assert cli_main(["--report", "energy", "--sweep-values", "30,nan"]) == 1
 
 
 def test_cli_report_convergence(tmp_path):

@@ -22,24 +22,6 @@ def planted(rng, n, n_rf, cols):
     return x @ y
 
 
-def test_vectorize_round_trip():
-    m = random_complex(np.random.default_rng(0), 2, 3)
-    np.testing.assert_array_equal(hf.devectorize(hf.vectorize(m), 2, 3), m)
-    one = np.array([[2.0 + 1j]])
-    np.testing.assert_array_equal(hf.devectorize(hf.vectorize(one), 1, 1), one)
-
-
-def test_vectorize_column_major_order():
-    np.testing.assert_array_equal(hf.vectorize(np.eye(2)), [1.0, 0.0, 0.0, 1.0])
-    m = np.array([[1.0, 3.0], [2.0, 4.0]])
-    np.testing.assert_array_equal(hf.vectorize(m), [1.0, 2.0, 3.0, 4.0])
-
-
-def test_devectorize_length_mismatch():
-    with pytest.raises(ValueError, match="match"):
-        hf.devectorize(np.ones(5, dtype=complex), 2, 3)
-
-
 def test_solve_baseband_orthonormal_rf():
     rng = np.random.default_rng(1)
     q, _ = np.linalg.qr(random_complex(rng, 8, 4))

@@ -35,8 +35,9 @@ def random_digital_bf(cfg, rng):
     return sm.BeamformerSet(mode="digital", digital_b=b, digital_j=j)
 
 
-def test_groups_from_sizes():
-    assert sm.groups_from_sizes((2, 1, 3)) == ((0, 1), (2,), (3, 4, 5))
+def test_groups_from_sizes(desk_cfg):
+    cfg = dataclasses.replace(desk_cfg, k_users=6, h_groups=3, group_sizes=(2, 1, 3))
+    assert cfg.groups() == ((0, 1), (2,), (3, 4, 5))
 
 
 def test_validate_groups_rejects_overlap():
@@ -55,11 +56,11 @@ def test_single_group_single_stream_sinr_is_signal_over_noise(desk_cfg):
     chset = ch.generate_channels(cfg, rng)
     nu = ch.random_phase_vector(cfg.n_irs, rng)
     bf = random_digital_bf(cfg, rng)
-    sinr, i_t, j_t = sm.stream_sinr(bf, chset, nu, cfg, 0, 0, 0)
-    assert i_t == 0.0 and j_t == 0.0
+    rep = sm.sum_rate(bf, chset, nu, cfg)
+    assert rep.intra[0, 0] == 0.0 and rep.inter[0, 0] == 0.0
     h_eff = ch.effective_channels(chset, nu, cfg)[0]
     sig = abs(np.vdot(bf.digital_j[0][:, 0], h_eff @ bf.digital_b[:, 0])) ** 2
-    assert math.isclose(sinr, sig / cfg.noise_w, rel_tol=1e-12)
+    assert math.isclose(rep.sinr[0, 0], sig / cfg.noise_w, rel_tol=1e-12)
 
 
 def test_zero_tx_column_zero_sinr(desk_cfg):
@@ -68,8 +69,7 @@ def test_zero_tx_column_zero_sinr(desk_cfg):
     nu = ch.random_phase_vector(desk_cfg.n_irs, rng)
     bf = random_digital_bf(desk_cfg, rng)
     bf.digital_b[:, 0] = 0.0
-    sinr, _, _ = sm.stream_sinr(bf, chset, nu, desk_cfg, 0, 0, 0)
-    assert sinr == 0.0
+    assert sm.sum_rate(bf, chset, nu, desk_cfg).sinr[0, 0] == 0.0
 
 
 def test_stream_sinr_matches_naive_loops(multiuser_cfg):
@@ -80,10 +80,11 @@ def test_stream_sinr_matches_naive_loops(multiuser_cfg):
     groups = multiuser_cfg.groups()
     h_effs = ch.effective_channels(chset, nu, multiuser_cfg)
     combiners = [bf.combiner(k) for k in range(multiuser_cfg.k_users)]
+    rep = sm.sum_rate(bf, chset, nu, multiuser_cfg)
     for h, members in enumerate(groups):
         for k in members:
             for i in range(multiuser_cfg.zeta):
-                sinr, i_t, j_t = sm.stream_sinr(bf, chset, nu, multiuser_cfg, k, h, i)
+                sinr, i_t, j_t = rep.sinr[k, i], rep.intra[k, i], rep.inter[k, i]
                 sig, i_ref, j_ref = naive_stream_terms(
                     combiners, h_effs, bf.tx_matrix(), groups,
                     multiuser_cfg.zeta, k, h, i)
@@ -91,17 +92,6 @@ def test_stream_sinr_matches_naive_loops(multiuser_cfg):
                 assert math.isclose(j_t, j_ref, rel_tol=1e-10, abs_tol=1e-300)
                 ref = sig / (i_ref + j_ref + multiuser_cfg.noise_w)
                 assert math.isclose(sinr, ref, rel_tol=1e-10)
-
-
-def test_stream_sinr_index_errors(desk_cfg):
-    rng = np.random.default_rng(3)
-    chset = ch.generate_channels(desk_cfg, rng)
-    nu = ch.random_phase_vector(desk_cfg.n_irs, rng)
-    bf = random_digital_bf(desk_cfg, rng)
-    with pytest.raises(ValueError):
-        sm.stream_sinr(bf, chset, nu, desk_cfg, 0, 1, 0)  # user 0 not in group 1
-    with pytest.raises(ValueError):
-        sm.stream_sinr(bf, chset, nu, desk_cfg, 0, 0, desk_cfg.zeta)
 
 
 def test_user_rate_values():
@@ -222,19 +212,3 @@ def test_beamformer_mode_validation():
         sm.BeamformerSet(mode="nope")
     with pytest.raises(ValueError):
         sm.BeamformerSet(mode="digital")
-
-
-def test_colored_noise_diagnostic(desk_cfg):
-    # orthonormal combiner columns: the colored variant equals the bare one;
-    # inflating the combiner shrinks it (noise scales with the column norm)
-    from irs_multicast import bd
-
-    rng = np.random.default_rng(12)
-    chset = ch.generate_channels(desk_cfg, rng)
-    nu = ch.random_phase_vector(desk_cfg.n_irs, rng)
-    bf, _ = bd.build_beamformers(chset, desk_cfg.groups(), nu, desk_cfg)
-    rep = sm.sum_rate(bf, chset, nu, desk_cfg)
-    np.testing.assert_allclose(rep.sinr_colored, rep.sinr, rtol=1e-9)
-    bf.digital_j = [2.0 * j for j in bf.digital_j]
-    rep2 = sm.sum_rate(bf, chset, nu, desk_cfg)
-    assert np.all(rep2.sinr_colored < rep2.sinr)
