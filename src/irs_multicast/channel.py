@@ -197,16 +197,15 @@ def load_config(path) -> SystemConfig:
 # Array responses
 # ---------------------------------------------------------------------------
 
-def ula_response(angle_rad: float, n: int, d_over_lambda: float = D_OVER_LAMBDA) -> np.ndarray:
+def ula_response(angle_rad: float, n: int) -> np.ndarray:
     """Normalized ULA steering vector; element n' carries phase 2*pi*d/lambda*(n'-1)*sin(r)."""
     if n < 1:
         raise ValueError("ULA needs at least one antenna")
     idx = np.arange(n)
-    return np.exp(2j * np.pi * d_over_lambda * idx * np.sin(angle_rad)) / math.sqrt(n)
+    return np.exp(2j * np.pi * D_OVER_LAMBDA * idx * np.sin(angle_rad)) / math.sqrt(n)
 
 
-def upa_response(theta: float, eta: float, f_y: int, f_z: int,
-                 d_over_lambda: float = D_OVER_LAMBDA) -> np.ndarray:
+def upa_response(theta: float, eta: float, f_y: int, f_z: int) -> np.ndarray:
     """Normalized UPA steering vector.
 
     Element (f1, f2) carries phase
@@ -219,7 +218,7 @@ def upa_response(theta: float, eta: float, f_y: int, f_z: int,
     f1 = np.arange(f_y)[:, None]
     f2 = np.arange(f_z)[None, :]
     phase = f1 * (np.cos(eta) * np.sin(theta)) + f2 * np.sin(eta)
-    grid = np.exp(2j * np.pi * d_over_lambda * phase)
+    grid = np.exp(2j * np.pi * D_OVER_LAMBDA * phase)
     return grid.reshape(f_y * f_z) / math.sqrt(f_y * f_z)
 
 

@@ -10,7 +10,7 @@ import argparse
 import math
 import sys
 
-from . import harness, phaseopt as po
+from . import harness
 from .bd import BdInfeasibleError
 from .channel import ConfigError, load_config
 
@@ -59,37 +59,44 @@ def _run_report(args, cfg) -> int:
 
     Bad arguments raise ConfigError up front (exit 1). Once the report runs,
     a failure inside it, an infeasible internal sweep point included, exits 2
-    with one labeled stderr line.
+    with one labeled stderr line. So does a report with failed runs behind
+    its rows; its CSV is still written.
     """
-    min_seeds = 2 if args.report == "cdf" else 1
-    if args.seeds < min_seeds:
-        raise ConfigError(f"report {args.report} needs at least {min_seeds} seeds")
-    baselines = tuple(args.baselines.split(","))
-    unknown = sorted(set(baselines) - set(harness.BASELINES))
-    if unknown:
-        raise ConfigError(f"unknown baselines {unknown}")
-    values = _parse_values(args.sweep_values) or harness.DEFAULT_SWEEP_VALUES["power"]
+    if args.report == "cdf" and args.seeds < 2:
+        raise ConfigError("report cdf needs at least 2 seeds")
+    # the rules the report's sweeps apply: known baselines, at least one seed,
+    # strictly increasing power values
+    spec = harness.ExperimentSpec(sweep_var="power",
+                                  sweep_values=_parse_values(args.sweep_values),
+                                  baselines=tuple(args.baselines.split(",")),
+                                  n_seeds=args.seeds)
+    records = []
     try:
         if args.report == "theorem1":
-            harness.theorem1_report(cfg, seeds=args.seeds, out_path=args.out)
+            harness.theorem1_report(cfg, seeds=args.seeds, out_path=args.out,
+                                    base_seed=args.base_seed)
         elif args.report == "cdf":
-            harness.cdf_report(cfg, seeds=args.seeds, baselines=baselines,
-                               out_path=args.out, base_seed=args.base_seed)
+            _, records = harness.cdf_report(cfg, seeds=args.seeds, baselines=spec.baselines,
+                                            out_path=args.out, base_seed=args.base_seed)
         elif args.report == "energy":
-            harness.energy_report(cfg, values, seeds=args.seeds, baselines=baselines,
-                                  out_path=args.out,
-                                  static_power_dbm=args.static_power_dbm,
-                                  element_power_dbm=args.element_power_dbm,
-                                  base_seed=args.base_seed)
+            _, records = harness.energy_report(
+                cfg, spec.sweep_values, seeds=args.seeds, baselines=spec.baselines,
+                out_path=args.out, static_power_dbm=args.static_power_dbm,
+                element_power_dbm=args.element_power_dbm, base_seed=args.base_seed)
         elif args.report == "convergence":
-            harness.convergence_report(cfg, seeds=args.seeds, out_path=args.out,
-                                       base_seed=args.base_seed)
+            _, records = harness.convergence_report(cfg, seeds=args.seeds, out_path=args.out,
+                                                    base_seed=args.base_seed)
     except (ValueError, BdInfeasibleError) as exc:
         category = "bd-infeasible" if isinstance(exc, BdInfeasibleError) else "invalid"
         print(f"report {args.report} failed: {category} ({exc})", file=sys.stderr)
         return 2
     if args.out is None:
         print(f"report {args.report} computed (use --out to persist)", file=sys.stderr)
+    failed = [r for r in records if not r.ok]
+    if failed:
+        print(f"report {args.report}: {len(failed)} of {len(records)} runs failed "
+              f"({failed[0].status})", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -121,7 +128,7 @@ def main(argv=None) -> int:
     if args.trace:
         traced = next((r for r in records if r.trace), None)
         if traced is not None:
-            po.write_trace(args.trace, traced.trace)
+            harness.write_trace(args.trace, traced.trace)
     return 2 if any(not r.ok for r in records) else 0
 
 

@@ -35,6 +35,7 @@ __all__ = [
     "sweep",
     "write_records_csv",
     "records_csv_text",
+    "write_trace",
     "theorem1_report",
     "cdf_report",
     "energy_report",
@@ -322,7 +323,8 @@ def write_records_csv(path, records: list[RunRecord]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Reports
+# Reports. cdf, energy and convergence are views of sweep records: each
+# returns its rows and the records behind them, failed runs included.
 # ---------------------------------------------------------------------------
 
 def _write_report(out_path, rows: list[dict], fieldnames=None) -> None:
@@ -335,19 +337,33 @@ def _write_report(out_path, rows: list[dict], fieldnames=None) -> None:
         writer.writerows(rows)
 
 
+_TRACE_COLUMNS = ("iter", "f_value", "step_size", "grad_norm", "backtracks")
+
+
+def _trace_fields(row: po.TraceRow) -> dict:
+    return dict(zip(_TRACE_COLUMNS, dataclasses.astuple(row)))
+
+
+def write_trace(path, trace: list[po.TraceRow]) -> None:
+    """Write one optimizer trace as CSV, one row per accepted iteration."""
+    _write_report(path, [_trace_fields(t) for t in trace], _TRACE_COLUMNS)
+
+
 def theorem1_report(cfg: SystemConfig, seeds: int, out_path=None,
-                    n_values: tuple[int, ...] = (16, 32, 64)) -> list[dict]:
+                    n_values: tuple[int, ...] = (16, 32, 64),
+                    base_seed: int = 0) -> list[dict]:
     """Truncated-SVD fidelity: true projected singular norms vs the coupling
     approximation, per seed and antenna count, at the optimized phases.
 
-    Path draws do not depend on the antenna count, so each seed's geometry is
+    Seed index ``idx`` runs on ``base_seed + idx``, as in :func:`sweep`. Path
+    draws do not depend on the antenna count, so each seed's geometry is
     shared across the ``n_values`` (paired comparison).
     """
     rows = []
     for idx in range(seeds):
         for n in n_values:
             cfg_n = dataclasses.replace(cfg, n_bs=n, n_ue=n)
-            rng = np.random.default_rng(cfg.seed + idx)
+            rng = np.random.default_rng(base_seed + idx)
             chset = generate_channels(cfg_n, rng)
             nu0 = random_phase_vector(cfg_n.n_irs, rng)
             groups = cfg_n.groups()
@@ -360,7 +376,7 @@ def theorem1_report(cfg: SystemConfig, seeds: int, out_path=None,
                     true_norm = float(np.linalg.norm(decomp.groups[h].users[k].s1))
                     approx_norm = float(np.linalg.norm(approx[k]))
                     gap = abs(true_norm - approx_norm) / true_norm
-                    rows.append(dict(seed=cfg.seed + idx, n_antennas=n, user=k,
+                    rows.append(dict(seed=base_seed + idx, n_antennas=n, user=k,
                                      sigma_true_fnorm=true_norm,
                                      sigma_approx_fnorm=approx_norm,
                                      rel_gap=gap))
@@ -369,69 +385,57 @@ def theorem1_report(cfg: SystemConfig, seeds: int, out_path=None,
 
 
 def cdf_report(cfg: SystemConfig, seeds: int, baselines=("proposed", "b"),
-               out_path=None, base_seed: int = 0) -> list[dict]:
-    """Sorted empirical sum-rate samples with cumulative fractions per baseline."""
+               out_path=None, base_seed: int = 0) -> tuple[list[dict], list[RunRecord]]:
+    """Sorted empirical sum-rate samples (failed runs give none) with
+    cumulative fractions per baseline."""
     if seeds < 2:
         raise ConfigError("cdf needs at least two seeds")
+    records = sweep(ExperimentSpec(config=cfg, baselines=tuple(dict.fromkeys(baselines)),
+                                   n_seeds=seeds, base_seed=base_seed))
     rows = []
     for baseline in baselines:
-        rates = []
-        for idx in range(seeds):
-            rng = np.random.default_rng(base_seed + idx)
-            rec = _run(baseline, cfg, rng, seed=base_seed + idx)
-            rates.append(rec.sum_rate_bps if rec.ok else math.nan)
-        finite = sorted(r for r in rates if not math.isnan(r))
-        n = len(finite)
-        for i, rate in enumerate(finite):
-            rows.append(dict(baseline=baseline, sum_rate_bps=rate,
-                             cum_frac=(i + 1) / n))
+        rates = sorted(r.sum_rate_bps for r in records if r.baseline == baseline and r.ok)
+        rows += [dict(baseline=baseline, sum_rate_bps=rate, cum_frac=(i + 1) / len(rates))
+                 for i, rate in enumerate(rates)]
     _write_report(out_path, rows, ["baseline", "sum_rate_bps", "cum_frac"])
-    return rows
+    return rows, records
 
 
 def energy_report(cfg: SystemConfig, power_values, seeds: int,
                   baselines=("proposed", "b"), out_path=None,
                   static_power_dbm: float = 39.0, element_power_dbm: float = 10.0,
-                  base_seed: int = 0) -> list[dict]:
-    """Energy efficiency (rate over total consumed power) across a power sweep."""
-    rows = []
-    for p in power_values:
-        cfg_p = dataclasses.replace(cfg, power_dbm=float(p))
-        for baseline in baselines:
-            for idx in range(seeds):
-                rng = np.random.default_rng(base_seed + idx)
-                rec = _run(baseline, cfg_p, rng, seed=base_seed + idx,
-                           static_power_dbm=static_power_dbm,
-                           element_power_dbm=element_power_dbm)
-                rows.append(dict(baseline=baseline, power_dbm=float(p),
-                                 seed=base_seed + idx,
-                                 sum_rate_bps=rec.sum_rate_bps,
-                                 energy_eff_bps_per_w=rec.energy_eff_bps_per_w,
-                                 status=rec.status))
+                  base_seed: int = 0) -> tuple[list[dict], list[RunRecord]]:
+    """Energy efficiency (rate over total consumed power) across a power sweep.
+
+    ``power_values`` must increase strictly; rows follow them, then the
+    caller's baseline order, then the seed.
+    """
+    order = tuple(dict.fromkeys(baselines))
+    records = sweep(ExperimentSpec(config=cfg, sweep_var="power", sweep_values=power_values,
+                                   baselines=order, n_seeds=seeds, base_seed=base_seed,
+                                   static_power_dbm=static_power_dbm,
+                                   element_power_dbm=element_power_dbm))
+    records.sort(key=lambda r: (r.sweep_value, order.index(r.baseline), r.seed))
+    rows = [dict(baseline=r.baseline, power_dbm=r.sweep_value, seed=r.seed,
+                 sum_rate_bps=r.sum_rate_bps,
+                 energy_eff_bps_per_w=r.energy_eff_bps_per_w, status=r.status)
+            for r in records]
     _write_report(out_path, rows)
-    return rows
+    return rows, records
 
 
 def convergence_report(cfg: SystemConfig, seeds: int, out_path=None,
-                       h_values: tuple[int, ...] = (1, 2, 3),
-                       base_seed: int = 0) -> list[dict]:
-    """Optimizer traces (objective per iteration) and iteration counts vs groups."""
-    rows = []
-    for idx in range(seeds):
-        rng = np.random.default_rng(base_seed + idx)
-        rec = run_proposed(cfg, rng, seed=base_seed + idx)
-        for t in rec.trace:
-            rows.append(dict(kind="trace", seed=base_seed + idx, h_groups=cfg.h_groups,
-                             iter=t.iteration, f_value=t.f_value,
-                             step_size=t.step_size, grad_norm=t.grad_norm,
-                             backtracks=t.backtracks, s1_iters=""))
-    for h in h_values:
-        cfg_h = apply_sweep(cfg, "groups", h)
-        for idx in range(seeds):
-            rng = np.random.default_rng(base_seed + idx)
-            rec = run_proposed(cfg_h, rng, seed=base_seed + idx)
-            rows.append(dict(kind="groups", seed=base_seed + idx, h_groups=h,
-                             iter="", f_value="", step_size="", grad_norm="",
-                             backtracks="", s1_iters=rec.s1_iters))
+                       base_seed: int = 0) -> tuple[list[dict], list[RunRecord]]:
+    """Optimizer traces (objective per iteration) of the proposed scheme, and
+    its iteration counts over the default groups sweep (H = 1, 2, 3)."""
+    runs = sweep(ExperimentSpec(config=cfg, n_seeds=seeds, base_seed=base_seed))
+    by_groups = sweep(ExperimentSpec(config=cfg, sweep_var="groups", n_seeds=seeds,
+                                     base_seed=base_seed))
+    rows = [dict(kind="trace", seed=r.seed, h_groups=cfg.h_groups, **_trace_fields(t),
+                 s1_iters="")
+            for r in runs for t in r.trace]
+    rows += [dict(kind="groups", seed=r.seed, h_groups=int(r.sweep_value),
+                  **dict.fromkeys(_TRACE_COLUMNS, ""), s1_iters=r.s1_iters)
+             for r in by_groups]
     _write_report(out_path, rows)
-    return rows
+    return rows, runs + by_groups

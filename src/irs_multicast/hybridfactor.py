@@ -53,17 +53,20 @@ def _residual_grad(resid: np.ndarray, f_bb_h: np.ndarray) -> np.ndarray:
     return -2.0 * resid @ f_bb_h
 
 
+# Stopping rules of the alternation and Armijo line search of the RF descent.
+_TOL = 1e-6             # stop on relative residual change below this
+_FLOOR = 1e-9           # stop outright once the relative residual is this small
+_INNER_STEPS = 60
+_INNER_REL_DROP = 1e-11  # end a descent once a step gains less than this, relative
+_INITIAL_STEP = 1.0
+_SHRINK = 0.5
+_ARMIJO_C = 1e-4
+_MAX_BACKTRACKS = 60
+
+
 @dataclass(frozen=True)
 class FactorSettings:
     max_alternations: int = 100
-    tol: float = 1e-6           # stop on relative residual change below this
-    floor: float = 1e-9         # stop outright once the relative residual is this small
-    inner_steps: int = 60
-    inner_rel_drop: float = 1e-11
-    initial_step: float = 1.0
-    shrink: float = 0.5
-    armijo_c: float = 1e-4
-    max_backtracks: int = 60
     init_mode: str = "auto"     # "auto": two-phase split when chains allow; "phase_copy"
 
 
@@ -134,8 +137,8 @@ def _fro_norm(m: np.ndarray) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
-def _rf_descent(x: np.ndarray, f_bb: np.ndarray, b: np.ndarray, scale: float,
-                st: FactorSettings) -> np.ndarray:
+def _rf_descent(x: np.ndarray, f_bb: np.ndarray, b: np.ndarray,
+                scale: float) -> np.ndarray:
     """Armijo-safeguarded manifold descent on the RF entries, F_B fixed.
 
     Minimizes ``q(X) = ||B - X F_B||_F^2 / scale`` with ``scale = ||B||_F^2``.
@@ -153,8 +156,8 @@ def _rf_descent(x: np.ndarray, f_bb: np.ndarray, b: np.ndarray, scale: float,
     resid = b - x @ f_bb
     q_cur = _fro_norm(resid) ** 2 / scale
     x_prev = grad_prev = None
-    step_trial = st.initial_step
-    for _ in range(st.inner_steps):
+    step_trial = _INITIAL_STEP
+    for _ in range(_INNER_STEPS):
         grad = _residual_grad(resid, f_bb_h) / scale
         rgrad = tangent_project(grad, x)
         gnorm_sq = float((np.abs(rgrad) ** 2).sum())
@@ -166,19 +169,19 @@ def _rf_descent(x: np.ndarray, f_bb: np.ndarray, b: np.ndarray, scale: float,
             if denom > 1e-300:
                 step_trial = float((np.abs(s) ** 2).sum()) / denom
         step = step_trial
-        for _ in range(st.max_backtracks + 1):
+        for _ in range(_MAX_BACKTRACKS + 1):
             cand = retract(x - step * rgrad)
             cand_resid = b - cand @ f_bb
             q_cand = _fro_norm(cand_resid) ** 2 / scale
-            if q_cand <= q_cur - st.armijo_c * step * gnorm_sq:
+            if q_cand <= q_cur - _ARMIJO_C * step * gnorm_sq:
                 break
-            step *= st.shrink
+            step *= _SHRINK
         else:  # no trial step passed the Armijo test
             break
         x_prev, grad_prev = x, rgrad
         drop = q_cur - q_cand
         x, resid, q_cur = cand, cand_resid, q_cand
-        if drop < st.inner_rel_drop * max(q_cur, 1e-300):
+        if drop < _INNER_REL_DROP * max(q_cur, 1e-300):
             break
     return x
 
@@ -207,9 +210,9 @@ def factor(b: np.ndarray, n_rf: int, settings: FactorSettings | None = None,
     f_bb = solve_baseband(x, b)
     residuals = [_fro_norm(b - x @ f_bb) / b_norm]
     alternations = 0
-    if residuals[0] > st.floor:
+    if residuals[0] > _FLOOR:
         for alternations in range(1, st.max_alternations + 1):
-            x_new = _rf_descent(x, f_bb, b, scale, st)
+            x_new = _rf_descent(x, f_bb, b, scale)
             f_new = solve_baseband(x_new, b)
             res = _fro_norm(b - x_new @ f_new) / b_norm
             prev = residuals[-1]
@@ -219,7 +222,7 @@ def factor(b: np.ndarray, n_rf: int, settings: FactorSettings | None = None,
                 break
             x, f_bb = x_new, f_new
             residuals.append(res)
-            if res <= st.floor or prev - res <= st.tol * max(prev, 1e-300):
+            if res <= _FLOOR or prev - res <= _TOL * max(prev, 1e-300):
                 break
     return FactorResult(f_rf=x, f_bb=f_bb, residuals=residuals,
                         alternations=alternations)

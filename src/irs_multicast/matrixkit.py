@@ -76,21 +76,18 @@ def svd(a) -> SvdResult:
     return SvdResult(u=u, s=s, vh=vh)
 
 
-def nullspace_basis(a, rel_tol: float | None = None) -> np.ndarray:
+def nullspace_basis(a) -> np.ndarray:
     """Orthonormal basis of the numerical null space of ``a``.
 
     Columns span the right singular directions whose singular values fall
-    below ``rel_tol * s_max``. A matrix with zero rows constrains nothing and
-    yields the full identity basis.
+    below ``default_rank_tol(a.shape) * s_max``. A matrix with zero rows
+    constrains nothing and yields the full identity basis.
     """
     a = _as_matrix(a)
     n = a.shape[1]
     if a.shape[0] == 0:
         return np.eye(n, dtype=np.complex128)
-    if rel_tol is None:
-        rel_tol = default_rank_tol(a.shape)
-    elif rel_tol <= 0.0:
-        raise ValueError("rel_tol must be positive")
+    rel_tol = default_rank_tol(a.shape)
     _, s, vh = np.linalg.svd(a, full_matrices=True)
     smax = s[0] if s.size else 0.0
     rank = int(np.count_nonzero(s > rel_tol * smax)) if smax > 0.0 else 0

@@ -9,7 +9,6 @@ with Armijo backtracking and element-wise normalization as the retraction.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -21,7 +20,6 @@ from .signalmodel import validate_groups
 __all__ = [
     "UserCoupling",
     "CouplingSet",
-    "OptimizeSettings",
     "TraceRow",
     "OptimizeResult",
     "coupling_vectors",
@@ -31,12 +29,19 @@ __all__ = [
     "tangent_project",
     "retract",
     "optimize_phases",
-    "write_trace",
 ]
 
 LN2 = math.log(2.0)
 # Distance from the unit circle within which retract() leaves an entry as is.
 _CIRCLE_TOL = 4.0 * np.finfo(float).eps
+
+# Stopping rule and Armijo line search of the phase descent.
+_TOL = 1e-6             # stop on relative objective change below this
+_MAX_ITERS = 500
+_INITIAL_STEP = 1.0
+_SHRINK = 0.5
+_ARMIJO_C = 1e-4
+_MAX_BACKTRACKS = 30
 
 
 @dataclass(frozen=True)
@@ -202,16 +207,6 @@ class TraceRow:
     backtracks: int
 
 
-@dataclass(frozen=True)
-class OptimizeSettings:
-    tol: float = 1e-6
-    max_iters: int = 500
-    initial_step: float = 1.0
-    shrink: float = 0.5
-    armijo_c: float = 1e-4
-    max_backtracks: int = 30
-
-
 @dataclass
 class OptimizeResult:
     nu: np.ndarray
@@ -221,15 +216,13 @@ class OptimizeResult:
     converged: bool = False
 
 
-def optimize_phases(coupling: CouplingSet, groups, nu0: np.ndarray,
-                    settings: OptimizeSettings | None = None) -> OptimizeResult:
+def optimize_phases(coupling: CouplingSet, groups, nu0: np.ndarray) -> OptimizeResult:
     """Armijo-backtracked Riemannian descent from ``nu0``.
 
     The line search runs on the bandwidth-normalized objective so the unit
     initial step is meaningful; reported f values carry the bandwidth back.
     Returns the last accepted iterate; the f trace is non-increasing.
     """
-    st = settings or OptimizeSettings()
     nu = retract(np.asarray(nu0, dtype=np.complex128).copy())
     w = coupling.bw_hz
 
@@ -240,8 +233,8 @@ def optimize_phases(coupling: CouplingSet, groups, nu0: np.ndarray,
     trace: list[TraceRow] = []
     converged = False
     nu_prev = rgrad_prev = None
-    step_trial = st.initial_step
-    for iteration in range(1, st.max_iters + 1):
+    step_trial = _INITIAL_STEP
+    for iteration in range(1, _MAX_ITERS + 1):
         grad = euclidean_grad(coupling, nu, groups) / w
         rgrad = tangent_project(grad, nu)
         gnorm_sq = float(np.sum(np.abs(rgrad) ** 2))
@@ -263,14 +256,14 @@ def optimize_phases(coupling: CouplingSet, groups, nu0: np.ndarray,
         accepted = False
         f_new = f_cur
         backtracks = 0
-        for backtracks in range(st.max_backtracks + 1):
+        for backtracks in range(_MAX_BACKTRACKS + 1):
             cand = retract(nu - step * rgrad)
             f_cand = f_norm(cand)
-            if f_cand <= f_cur - st.armijo_c * step * gnorm_sq:
+            if f_cand <= f_cur - _ARMIJO_C * step * gnorm_sq:
                 accepted = True
                 f_new = f_cand
                 break
-            step *= st.shrink
+            step *= _SHRINK
         if not accepted:
             # No descent within line-search resolution: numerically stationary.
             converged = True
@@ -282,18 +275,9 @@ def optimize_phases(coupling: CouplingSet, groups, nu0: np.ndarray,
                               backtracks=backtracks))
         rel_change = abs(f_new - f_cur) / max(abs(f_cur), 1e-300)
         f_cur = f_new
-        if rel_change < st.tol:
+        if rel_change < _TOL:
             converged = True
             break
     return OptimizeResult(nu=nu, f_value=f_cur * w, iterations=len(trace),
                           trace=trace, converged=converged)
 
-
-def write_trace(path, rows: list[TraceRow]) -> None:
-    """Dump an optimizer trace as CSV (iter, f_value, step_size, grad_norm, backtracks)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "f_value", "step_size", "grad_norm", "backtracks"])
-        for row in rows:
-            writer.writerow([row.iteration, repr(row.f_value), repr(row.step_size),
-                             repr(row.grad_norm), row.backtracks])

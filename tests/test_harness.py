@@ -180,9 +180,10 @@ def test_theorem1_report_structure(tmp_path, desk_cfg):
 
 
 def test_cdf_report(tmp_path, desk_cfg):
-    rows = harness.cdf_report(desk_cfg, seeds=3, baselines=("b",),
-                              out_path=tmp_path / "cdf.csv")
+    rows, records = harness.cdf_report(desk_cfg, seeds=3, baselines=("b",),
+                                       out_path=tmp_path / "cdf.csv")
     assert len(rows) == 3
+    assert [(r.baseline, r.seed) for r in records] == [("b", 0), ("b", 1), ("b", 2)]
     assert rows[-1]["cum_frac"] == 1.0
     assert rows[0]["sum_rate_bps"] <= rows[-1]["sum_rate_bps"]
     with pytest.raises(ch.ConfigError):
@@ -192,8 +193,8 @@ def test_cdf_report(tmp_path, desk_cfg):
 def test_energy_report_rises_then_falls(desk_cfg):
     # figure-9 shape: static power dominates at low P (efficiency grows with
     # the rate), transmit power dominates at high P (efficiency decays)
-    rows = harness.energy_report(desk_cfg, (20.0, 40.0, 50.0), seeds=4,
-                                 baselines=("proposed",))
+    rows, _ = harness.energy_report(desk_cfg, (20.0, 40.0, 50.0), seeds=4,
+                                    baselines=("proposed",))
     eff = {}
     for row in rows:
         eff.setdefault(row["power_dbm"], []).append(row["energy_eff_bps_per_w"])
@@ -203,8 +204,17 @@ def test_energy_report_rises_then_falls(desk_cfg):
     assert means[40.0] > means[50.0]
 
 
+def test_energy_report_keeps_caller_baseline_order(desk_cfg):
+    # sweep sorts its records by baseline name; the report keeps the
+    # caller's order, here the default one
+    rows, records = harness.energy_report(desk_cfg, (40.0, 50.0), seeds=2)
+    assert [(r["power_dbm"], r["baseline"], r["seed"]) for r in rows] == [
+        (p, b, s) for p in (40.0, 50.0) for b in ("proposed", "b") for s in (0, 1)]
+    assert all(r.ok for r in records)
+
+
 def test_cdf_proposed_dominates_random_phases(desk_cfg):
-    rows = harness.cdf_report(desk_cfg, seeds=50, baselines=("proposed", "b"))
+    rows, _ = harness.cdf_report(desk_cfg, seeds=50, baselines=("proposed", "b"))
     assert sum(1 for r in rows if r["baseline"] == "proposed") == 50
     prop = np.array([r["sum_rate_bps"] for r in rows if r["baseline"] == "proposed"])
     rand = np.array([r["sum_rate_bps"] for r in rows if r["baseline"] == "b"])
@@ -213,8 +223,9 @@ def test_cdf_proposed_dominates_random_phases(desk_cfg):
 
 
 def test_convergence_report(tmp_path, desk_cfg):
-    rows = harness.convergence_report(desk_cfg, seeds=4, h_values=(1, 2, 3),
-                                      out_path=tmp_path / "conv.csv")
+    rows, records = harness.convergence_report(desk_cfg, seeds=4,
+                                               out_path=tmp_path / "conv.csv")
+    assert len(records) == 4 + 3 * 4 and all(r.ok for r in records)
     kinds = {row["kind"] for row in rows}
     assert kinds == {"trace", "groups"}
     trace_rows = [r for r in rows if r["kind"] == "trace"]
@@ -287,10 +298,16 @@ def test_cli_trace_dump(tmp_path):
 
 
 def test_cli_report_theorem1(tmp_path):
-    out = tmp_path / "t1.csv"
-    code = cli_main(["--report", "theorem1", "--seeds", "1", "--out", str(out)])
-    assert code == 0
-    assert out.exists()
+    # seeded from --base-seed like every other entry point
+    text = {}
+    for base in (0, 5):
+        out = tmp_path / f"t1_{base}.csv"
+        code = cli_main(["--report", "theorem1", "--seeds", "1",
+                         "--base-seed", str(base), "--out", str(out)])
+        assert code == 0
+        text[base] = out.read_text()
+        assert {line.split(",")[0] for line in text[base].splitlines()[1:]} == {str(base)}
+    assert text[0] != text[5]
 
 
 def test_cli_report_cdf(tmp_path):
@@ -331,6 +348,23 @@ def test_cli_report_failure_is_labeled_not_raised(capsys):
     assert cli_main(["--report", "cdf", "--seeds", "1"]) == 1
     assert cli_main(["--report", "cdf", "--seeds", "2", "--baselines", "zz"]) == 1
     assert cli_main(["--report", "energy", "--sweep-values", "30,nan"]) == 1
+    assert cli_main(["--report", "energy", "--sweep-values", "50,20"]) == 1
+
+
+def test_cli_report_exit_code_counts_failed_runs(tmp_path, capsys):
+    # every run on table2_faithful fails (Y = 7 < H*zeta = 8); the report
+    # still writes its CSV, and says so in its exit code and one stderr line
+    table2 = str(CONFIG_DIR / "table2_faithful.json")
+    for report, n_runs, n_lines in (("energy", 8, 1 + 8), ("cdf", 2, 1)):
+        out = tmp_path / f"{report}.csv"
+        code = cli_main(["--report", report, "--config", table2, "--seeds", "2",
+                         "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"report {report}: {n_runs} of {n_runs} runs failed "
+                              "(failed:invalid (group-blocked pairing")
+        assert err.count("\n") == 1
+        assert len(out.read_text().splitlines()) == n_lines
 
 
 def test_cli_report_convergence(tmp_path):

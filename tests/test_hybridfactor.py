@@ -103,7 +103,8 @@ def _reference_factor(b, n_rf, st, rng):
     """The alternation as first written, kept as the oracle for ``factor``.
 
     Every Armijo trial takes ``np.linalg.norm`` of a fresh residual and every
-    step calls ``rf_objective_grad``. Also returns the number of backtracks.
+    step calls ``rf_objective_grad``. The stopping and line-search constants
+    are spelled out. Also returns the number of backtracks.
     """
     b = np.asarray(b, dtype=np.complex128)
     b_norm = float(np.linalg.norm(b, "fro"))
@@ -121,8 +122,8 @@ def _reference_factor(b, n_rf, st, rng):
 
         q_cur = q(x)
         x_prev = grad_prev = None
-        step_trial = st.initial_step
-        for _ in range(st.inner_steps):
+        step_trial = 1.0
+        for _ in range(60):
             grad = hf.rf_objective_grad(x, f_bb, b) / scale
             rgrad = po.tangent_project(grad, x)
             gnorm_sq = float(np.sum(np.abs(rgrad) ** 2))
@@ -136,25 +137,25 @@ def _reference_factor(b, n_rf, st, rng):
                     step_trial = float(np.sum(np.abs(s) ** 2)) / denom
             step = step_trial
             accepted = False
-            for _ in range(st.max_backtracks + 1):
+            for _ in range(60 + 1):
                 cand = po.retract(x - step * rgrad)
                 q_cand = q(cand)
-                if q_cand <= q_cur - st.armijo_c * step * gnorm_sq:
+                if q_cand <= q_cur - 1e-4 * step * gnorm_sq:
                     accepted = True
                     break
-                step *= st.shrink
+                step *= 0.5
                 backtracks += 1
             if not accepted:
                 break
             x_prev, grad_prev = x, rgrad
             drop = q_cur - q_cand
             x, q_cur = cand, q_cand
-            if drop < st.inner_rel_drop * max(q_cur, 1e-300):
+            if drop < 1e-11 * max(q_cur, 1e-300):
                 break
         return x
 
     alternations = 0
-    if residuals[0] > st.floor:
+    if residuals[0] > 1e-9:
         for alternations in range(1, st.max_alternations + 1):
             x_new = descent(x, f_bb)
             f_new = hf.solve_baseband(x_new, b)
@@ -165,7 +166,7 @@ def _reference_factor(b, n_rf, st, rng):
                 break
             x, f_bb = x_new, f_new
             residuals.append(res)
-            if res <= st.floor or prev - res <= st.tol * max(prev, 1e-300):
+            if res <= 1e-9 or prev - res <= 1e-6 * max(prev, 1e-300):
                 break
     return hf.FactorResult(f_rf=x, f_bb=f_bb, residuals=residuals,
                            alternations=alternations), backtracks

@@ -67,7 +67,7 @@ def test_svd_reconstruction_property(rows, cols, seed):
 
 
 def test_nullspace_axis_aligned():
-    v0 = mk.nullspace_basis(np.array([[1.0, 0.0], [0.0, 0.0]]), rel_tol=1e-10)
+    v0 = mk.nullspace_basis(np.array([[1.0, 0.0], [0.0, 0.0]]))
     assert v0.shape == (2, 1)
     assert abs(abs(v0[1, 0]) - 1.0) < 1e-12
     assert abs(v0[0, 0]) < 1e-12
@@ -96,11 +96,6 @@ def test_nullspace_rank_nullity_property(rank, cols, seed):
     v0 = mk.nullspace_basis(a)
     assert rank + v0.shape[1] == cols
     assert np.allclose(v0.conj().T @ v0, np.eye(v0.shape[1]), atol=1e-10)
-
-
-def test_nullspace_bad_tolerance():
-    with pytest.raises(ValueError):
-        mk.nullspace_basis(np.eye(2), rel_tol=0.0)
 
 
 def test_pinv_identity():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from irs_multicast import channel as ch
+from irs_multicast import harness
 from irs_multicast import phaseopt as po
 
 
@@ -306,7 +307,7 @@ def test_optimizer_writes_trace_csv(tmp_path, desk_cfg):
     _, cs, rng = make_coupling(desk_cfg, 37)
     res = po.optimize_phases(cs, desk_cfg.groups(), unit_phases(desk_cfg.n_irs, rng))
     path = tmp_path / "trace.csv"
-    po.write_trace(path, res.trace)
+    harness.write_trace(path, res.trace)
     lines = path.read_text().splitlines()
     assert lines[0] == "iter,f_value,step_size,grad_norm,backtracks"
     assert len(lines) == len(res.trace) + 1
