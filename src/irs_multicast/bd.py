@@ -18,8 +18,6 @@ from .signalmodel import BeamformerSet, validate_groups
 
 __all__ = [
     "BdInfeasibleError",
-    "UserFactors",
-    "GroupFactors",
     "BdDecomposition",
     "stack_other_groups",
     "null_projector",
@@ -34,25 +32,17 @@ class BdInfeasibleError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class UserFactors:
-    """Leading SVD factors of H_k V0 for one user: U1 (N_U x zeta), s1 (zeta,), V1 (n x zeta)."""
-
-    u1: np.ndarray
-    s1: np.ndarray
-    v1: np.ndarray
-
-
-@dataclass(frozen=True)
-class GroupFactors:
-    v0: np.ndarray                      # null basis of the stacked other-group channels
-    users: dict[int, UserFactors]       # keyed by global user index
-
-
-@dataclass(frozen=True)
 class BdDecomposition:
-    groups: tuple[GroupFactors, ...]
-    p_stream: float                     # per-stream power P/(H*zeta)
-    power_prescale: float               # ||B||_F^2 / P before the exact rescale
+    """Per-group null bases V0 and each user's leading SVD factors of H_k V0.
+
+    User k's factors live in its group's null basis: U1 (N_U x zeta), the
+    singular values ``s1[k]`` and V1 (n_h x zeta).
+    """
+
+    v0: tuple[np.ndarray, ...]          # per group: null basis of the other groups' channels
+    u1: tuple[np.ndarray, ...]          # per user
+    s1: np.ndarray                      # (K, zeta)
+    v1: tuple[np.ndarray, ...]          # per user
 
 
 def stack_other_groups(h_eff: list[np.ndarray], groups, h: int) -> np.ndarray:
@@ -87,14 +77,15 @@ def decompose(h_eff: list[np.ndarray], groups, cfg: SystemConfig) -> BdDecomposi
     """
     validate_groups(groups, cfg.k_users)
     zeta = cfg.zeta
-    out = []
+    v0s = []
+    u1, v1 = [None] * cfg.k_users, [None] * cfg.k_users
+    s1 = np.empty((cfg.k_users, zeta))
     for h, members in enumerate(groups):
         h_tilde = stack_other_groups(h_eff, groups, h)
         v0 = null_projector(h_tilde, cfg.n_bs)
         if v0.shape[1] < zeta:
             raise BdInfeasibleError(
                 f"group {h}: null space dimension {v0.shape[1]} < zeta={zeta}")
-        users = {}
         for k in members:
             proj = h_eff[k] @ v0
             res = mk.svd(proj)
@@ -108,43 +99,33 @@ def decompose(h_eff: list[np.ndarray], groups, cfg: SystemConfig) -> BdDecomposi
                 raise BdInfeasibleError(
                     f"user {k}: projected channel rank below zeta={zeta}"
                     " (effective channel collapses in the other groups' null space)")
-            users[k] = UserFactors(u1=res.u[:, :zeta], s1=res.s[:zeta],
-                                   v1=res.vh[:zeta, :].conj().T)
-        out.append(GroupFactors(v0=v0, users=users))
-    p_stream = cfg.power_w / (cfg.h_groups * zeta)
-    return BdDecomposition(groups=tuple(out), p_stream=p_stream, power_prescale=1.0)
+            u1[k], s1[k], v1[k] = res.u[:, :zeta], res.s[:zeta], res.vh[:zeta, :].conj().T
+        v0s.append(v0)
+    return BdDecomposition(v0=tuple(v0s), u1=tuple(u1), s1=s1, v1=tuple(v1))
 
 
 def build_beamformers(chset: ChannelSet, groups, nu: np.ndarray,
                       cfg: SystemConfig) -> tuple[BeamformerSet, BdDecomposition]:
     """Construct the fully digital Lemma-1 beamformers at phase vector ``nu``.
 
-    Each group's block sums the V factors of its own members. The composed
-    transmit matrix is rescaled to meet the power budget exactly; the
-    pre-rescale ratio is recorded on the returned decomposition.
+    Each group's block sums the V factors of its own members, at the
+    per-stream power P/(H*zeta). The composed transmit matrix is then rescaled
+    to meet the power budget exactly.
     """
     h_eff = effective_channels(chset, nu, cfg)
     decomp = decompose(h_eff, groups, cfg)
+    p_stream = cfg.power_w / (cfg.h_groups * cfg.zeta)
     blocks = []
     for h, members in enumerate(groups):
-        gf = decomp.groups[h]
-        v_sum_mat = sum(gf.users[k].v1 for k in members)
-        b_h = gf.v0 @ (v_sum_mat / np.sqrt(len(members))) * np.sqrt(decomp.p_stream)
+        v_sum_mat = sum(decomp.v1[k] for k in members)
+        b_h = decomp.v0[h] @ (v_sum_mat / np.sqrt(len(members))) * np.sqrt(p_stream)
         blocks.append(b_h)
     b = np.hstack(blocks)
     realized = float(np.linalg.norm(b, "fro") ** 2)
     if realized == 0.0:
         raise BdInfeasibleError("degenerate geometry: zero transmit beamformer")
-    prescale = realized / cfg.power_w
     b = b * np.sqrt(cfg.power_w / realized)
-    j = [None] * cfg.k_users  # groups cover every user (checked in decompose)
-    for h, members in enumerate(groups):
-        for k in members:
-            j[k] = decomp.groups[h].users[k].u1
-    bf = BeamformerSet(mode="digital", digital_b=b, digital_j=j)
-    decomp = BdDecomposition(groups=decomp.groups, p_stream=decomp.p_stream,
-                             power_prescale=prescale)
-    return bf, decomp
+    return BeamformerSet(tx=b, combiners=list(decomp.u1)), decomp
 
 
 def bd_rate_closed_form(decomp: BdDecomposition, groups, cfg: SystemConfig) -> np.ndarray:
@@ -154,9 +135,8 @@ def bd_rate_closed_form(decomp: BdDecomposition, groups, cfg: SystemConfig) -> n
     sum of scalar logs.
     """
     rates = np.zeros(cfg.k_users)
-    for h, members in enumerate(groups):
+    for members in groups:
         scale = cfg.power_w / (len(members) * cfg.h_groups * cfg.zeta * cfg.noise_w)
         for k in members:
-            s1 = decomp.groups[h].users[k].s1
-            rates[k] = cfg.bw_hz * np.sum(np.log2(1.0 + scale * s1 ** 2))
+            rates[k] = cfg.bw_hz * np.sum(np.log2(1.0 + scale * decomp.s1[k] ** 2))
     return rates

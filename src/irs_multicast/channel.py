@@ -49,6 +49,10 @@ _COUNT_FIELDS = ("n_bs", "n_ue", "m_bs", "m_ue", "n_irs", "f_y", "f_z", "k_users
 _REAL_FIELDS = ("power_dbm", "noise_dbm", "bw_hz", "g_tx_dbi", "g_rx_dbi", "bs_pos",
                 "irs_pos", "user_center", "user_radius", "los_pathloss_db",
                 "nlos_backoff_db")
+# dB fields and the linear value each converts to, which must be finite and
+# non-zero.
+_DB_FIELDS = {"power_dbm": "power_w", "noise_dbm": "noise_w",
+              "g_tx_dbi": "g_tx_lin", "g_rx_dbi": "g_rx_lin"}
 
 
 def _integer(name: str, value) -> int:
@@ -104,6 +108,14 @@ class SystemConfig:
         for name in _REAL_FIELDS:
             if not np.all(np.isfinite(getattr(self, name))):
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        for name, linear in _DB_FIELDS.items():
+            try:
+                value = getattr(self, linear)
+            except OverflowError:
+                value = math.inf
+            if not 0.0 < value < math.inf:
+                raise ConfigError(f"{name}={getattr(self, name)} gives a linear value that "
+                                  "overflows or is 0")
         if self.bw_hz <= 0:
             raise ConfigError(f"bw_hz must be positive, got {self.bw_hz}")
         object.__setattr__(self, "seed", _integer("seed", self.seed))

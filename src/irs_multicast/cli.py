@@ -35,8 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace", help="per-iteration phase-optimizer trace CSV")
     parser.add_argument("--report", choices=REPORTS,
                         help="emit a named report instead of a sweep")
-    parser.add_argument("--static-power-dbm", type=float, default=39.0)
-    parser.add_argument("--element-power-dbm", type=float, default=10.0)
     parser.add_argument("--timing", action="store_true",
                         help="record wall-clock ms per run (breaks byte determinism)")
     return parser
@@ -81,8 +79,7 @@ def _run_report(args, cfg) -> int:
         elif args.report == "energy":
             _, records = harness.energy_report(
                 cfg, spec.sweep_values, seeds=args.seeds, baselines=spec.baselines,
-                out_path=args.out, static_power_dbm=args.static_power_dbm,
-                element_power_dbm=args.element_power_dbm, base_seed=args.base_seed)
+                out_path=args.out, base_seed=args.base_seed)
         elif args.report == "convergence":
             _, records = harness.convergence_report(cfg, seeds=args.seeds, out_path=args.out,
                                                     base_seed=args.base_seed)
@@ -114,8 +111,6 @@ def main(argv=None) -> int:
             baselines=tuple(args.baselines.split(",")),
             n_seeds=args.seeds,
             base_seed=args.base_seed,
-            static_power_dbm=args.static_power_dbm,
-            element_power_dbm=args.element_power_dbm,
             measure_walltime=args.timing)
         records = harness.sweep(spec)
     except ConfigError as exc:

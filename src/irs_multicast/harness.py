@@ -83,8 +83,6 @@ class ExperimentSpec:
     baselines: tuple[str, ...] = ("proposed",)
     n_seeds: int = 1
     base_seed: int = 0
-    static_power_dbm: float = 39.0
-    element_power_dbm: float = 10.0
     measure_walltime: bool = False
 
     def __post_init__(self):
@@ -100,6 +98,8 @@ class ExperimentSpec:
         for b in self.baselines:
             if b not in BASELINES:
                 raise ConfigError(f"unknown baseline {b!r}")
+        if len(set(self.baselines)) != len(self.baselines):
+            raise ConfigError(f"repeated baseline in {','.join(self.baselines)}")
         if self.n_seeds < 1:
             raise ConfigError("need at least one seed")
 
@@ -152,28 +152,33 @@ class RunRecord:
         return self.status.startswith("ok")
 
 
-def _energy_efficiency(sum_rate_bps: float, cfg: SystemConfig,
-                       static_power_dbm: float, element_power_dbm: float) -> float:
+# Consumed power besides the transmit power, for the energy efficiency: the
+# static circuit power and the power of each IRS element.
+_STATIC_POWER_DBM = 39.0
+_ELEMENT_POWER_DBM = 10.0
+
+
+def _energy_efficiency(sum_rate_bps: float, cfg: SystemConfig) -> float:
     total_w = (cfg.power_w
-               + 10.0 ** ((static_power_dbm - 30.0) / 10.0)
-               + cfg.n_irs * 10.0 ** ((element_power_dbm - 30.0) / 10.0))
+               + 10.0 ** ((_STATIC_POWER_DBM - 30.0) / 10.0)
+               + cfg.n_irs * 10.0 ** ((_ELEMENT_POWER_DBM - 30.0) / 10.0))
     return sum_rate_bps / total_w
 
 
 def _hybridize(bf_digital: sm.BeamformerSet, cfg: SystemConfig,
                rng: np.random.Generator) -> tuple[sm.BeamformerSet, int]:
-    """Factor a digital set into RF/baseband parts; returns max alternation count."""
-    tx = hf.factor(bf_digital.digital_b, cfg.m_bs, rng=rng)
+    """Factor a digital set into RF/baseband parts and compose F_R F_B and each
+    W_R W_B once; returns the hybrid set and the max alternation count."""
+    tx = hf.factor(bf_digital.tx, cfg.m_bs, rng=rng)
     f_bb = hf.normalize_power(tx.f_rf, tx.f_bb, cfg.power_w)
-    w_rf, w_bb = [], []
+    rf, combiners = [tx.f_rf], []
     s2 = tx.alternations
-    for k in range(cfg.k_users):
-        rx = hf.factor(bf_digital.digital_j[k], cfg.m_ue, rng=rng)
-        w_rf.append(rx.f_rf)
-        w_bb.append(rx.f_bb)
+    for w in bf_digital.combiners:
+        rx = hf.factor(w, cfg.m_ue, rng=rng)
+        rf.append(rx.f_rf)
+        combiners.append(rx.f_rf @ rx.f_bb)
         s2 = max(s2, rx.alternations)
-    return sm.BeamformerSet(mode="hybrid", f_rf=tx.f_rf, f_bb=f_bb,
-                            w_rf=w_rf, w_bb=w_bb), s2
+    return sm.BeamformerSet(tx=tx.f_rf @ f_bb, combiners=combiners, rf=tuple(rf)), s2
 
 
 def _surrogate_beamformers(chset: ChannelSet, groups, nu: np.ndarray,
@@ -201,7 +206,7 @@ def _surrogate_beamformers(chset: ChannelSet, groups, nu: np.ndarray,
     if realized == 0.0:
         raise ValueError("zero surrogate beamformer cannot be power-normalized")
     b = b * math.sqrt(cfg.power_w / realized)
-    return sm.BeamformerSet(mode="digital", digital_b=b, digital_j=j)
+    return sm.BeamformerSet(tx=b, combiners=j)
 
 
 def _sanitize_status(status: str) -> str:
@@ -217,7 +222,6 @@ def _finish(record_args: dict, t0: float, measure: bool) -> RunRecord:
 
 def _run(baseline: str, cfg: SystemConfig, rng: np.random.Generator,
          sweep_var: str = "none", sweep_value: float = 0.0, seed: int = 0,
-         static_power_dbm: float = 39.0, element_power_dbm: float = 10.0,
          measure_walltime: bool = False) -> RunRecord:
     t0 = time.perf_counter()
     groups = cfg.groups()
@@ -254,8 +258,7 @@ def _run(baseline: str, cfg: SystemConfig, rng: np.random.Generator,
         args.update(sum_rate_bps=report.sum_rate,
                     group_rates=tuple(report.group_rates),
                     s1_iters=s1, s2_iters=s2,
-                    energy_eff_bps_per_w=_energy_efficiency(
-                        report.sum_rate, cfg, static_power_dbm, element_power_dbm))
+                    energy_eff_bps_per_w=_energy_efficiency(report.sum_rate, cfg))
         rec = _finish(args, t0, measure_walltime)
         rec.report = report
         rec.trace = trace
@@ -291,8 +294,6 @@ def sweep(spec: ExperimentSpec) -> list[RunRecord]:
     records = [_run(baseline, cfg, np.random.default_rng(spec.base_seed + idx),
                     sweep_var=spec.sweep_var, sweep_value=value,
                     seed=spec.base_seed + idx,
-                    static_power_dbm=spec.static_power_dbm,
-                    element_power_dbm=spec.element_power_dbm,
                     measure_walltime=spec.measure_walltime)
                for value, cfg in spec.configs()
                for baseline in spec.baselines
@@ -371,15 +372,14 @@ def theorem1_report(cfg: SystemConfig, seeds: int, out_path=None,
             nu = po.optimize_phases(coupling, groups, nu0).nu
             decomp = bd.decompose(effective_channels(chset, nu, cfg_n), groups, cfg_n)
             approx = po.sigma_approx(coupling, nu)
-            for h, members in enumerate(groups):
-                for k in members:
-                    true_norm = float(np.linalg.norm(decomp.groups[h].users[k].s1))
-                    approx_norm = float(np.linalg.norm(approx[k]))
-                    gap = abs(true_norm - approx_norm) / true_norm
-                    rows.append(dict(seed=base_seed + idx, n_antennas=n, user=k,
-                                     sigma_true_fnorm=true_norm,
-                                     sigma_approx_fnorm=approx_norm,
-                                     rel_gap=gap))
+            for k in range(cfg_n.k_users):
+                true_norm = float(np.linalg.norm(decomp.s1[k]))
+                approx_norm = float(np.linalg.norm(approx[k]))
+                gap = abs(true_norm - approx_norm) / true_norm
+                rows.append(dict(seed=base_seed + idx, n_antennas=n, user=k,
+                                 sigma_true_fnorm=true_norm,
+                                 sigma_approx_fnorm=approx_norm,
+                                 rel_gap=gap))
     _write_report(out_path, rows)
     return rows
 
@@ -390,7 +390,7 @@ def cdf_report(cfg: SystemConfig, seeds: int, baselines=("proposed", "b"),
     cumulative fractions per baseline."""
     if seeds < 2:
         raise ConfigError("cdf needs at least two seeds")
-    records = sweep(ExperimentSpec(config=cfg, baselines=tuple(dict.fromkeys(baselines)),
+    records = sweep(ExperimentSpec(config=cfg, baselines=tuple(baselines),
                                    n_seeds=seeds, base_seed=base_seed))
     rows = []
     for baseline in baselines:
@@ -403,18 +403,15 @@ def cdf_report(cfg: SystemConfig, seeds: int, baselines=("proposed", "b"),
 
 def energy_report(cfg: SystemConfig, power_values, seeds: int,
                   baselines=("proposed", "b"), out_path=None,
-                  static_power_dbm: float = 39.0, element_power_dbm: float = 10.0,
                   base_seed: int = 0) -> tuple[list[dict], list[RunRecord]]:
     """Energy efficiency (rate over total consumed power) across a power sweep.
 
     ``power_values`` must increase strictly; rows follow them, then the
     caller's baseline order, then the seed.
     """
-    order = tuple(dict.fromkeys(baselines))
+    order = tuple(baselines)
     records = sweep(ExperimentSpec(config=cfg, sweep_var="power", sweep_values=power_values,
-                                   baselines=order, n_seeds=seeds, base_seed=base_seed,
-                                   static_power_dbm=static_power_dbm,
-                                   element_power_dbm=element_power_dbm))
+                                   baselines=order, n_seeds=seeds, base_seed=base_seed))
     records.sort(key=lambda r: (r.sweep_value, order.index(r.baseline), r.seed))
     rows = [dict(baseline=r.baseline, power_dbm=r.sweep_value, seed=r.seed,
                  sum_rate_bps=r.sum_rate_bps,

@@ -18,7 +18,6 @@ from .channel import ChannelSet, SystemConfig, upa_response
 from .signalmodel import validate_groups
 
 __all__ = [
-    "UserCoupling",
     "CouplingSet",
     "TraceRow",
     "OptimizeResult",
@@ -45,39 +44,26 @@ _MAX_BACKTRACKS = 30
 
 
 @dataclass(frozen=True)
-class UserCoupling:
-    """Coupling data for one user.
+class CouplingSet:
+    """Coupling data of every user, stacked so that row k belongs to user k.
 
-    Row i of ``c`` is the pure steering product conj(a_dep,i) * a_arr,j of
-    the user's i-th strongest path and its paired BS-side path
-    j = ``diag_cols[i]`` (the group-blocked pairing), so ``nu^H c[i]`` is the
-    paper-style d_ii. Effective gains carry the channel scale prefactors and
-    antenna gains.
+    ``c[k, i]`` is the pure steering product conj(a_dep,i) * a_arr,j of user
+    k's i-th strongest path and its paired BS-side path j = ``diag_cols[k, i]``
+    (the group-blocked pairing), so ``nu^H c[k, i]`` is the paper-style d_ii.
+    Effective gains carry the channel scale prefactors and antenna gains.
     """
 
-    c: np.ndarray              # (zeta, M)
+    c: np.ndarray              # (K, zeta, M)
+    b: np.ndarray              # (K, zeta) SINR scale factors
     alpha_eff: np.ndarray      # (Y,) BS-side effective gains, |.| descending
-    beta_eff: np.ndarray       # (L,) user-side effective gains, |.| descending
-    diag_cols: np.ndarray      # (zeta,) BS-side column index per stream
-    b: np.ndarray              # (zeta,) SINR scale factors
-
-
-@dataclass(frozen=True)
-class CouplingSet:
-    users: tuple[UserCoupling, ...]
+    beta_eff: np.ndarray       # (K, L) user-side effective gains, |.| descending
+    diag_cols: np.ndarray      # (K, zeta) BS-side column index per stream
     zeta: int
     bw_hz: float
 
-    def diag_vector(self, k: int, i: int) -> np.ndarray:
-        return self.users[k].c[i]
-
-    def diag_gain(self, k: int, i: int) -> complex:
-        uc = self.users[k]
-        return uc.alpha_eff[uc.diag_cols[i]] * uc.beta_eff[i]
-
 
 def coupling_vectors(chset: ChannelSet, cfg: SystemConfig, groups=None) -> CouplingSet:
-    """Build per-user coupling vectors and SINR scales from the path geometry.
+    """Build the stacked coupling vectors and SINR scales from the path geometry.
 
     Group h pairs its i-th diagonal stream with the sorted BS-side path
     h*zeta+i, so different groups align onto disjoint BS-side directions.
@@ -100,7 +86,7 @@ def coupling_vectors(chset: ChannelSet, cfg: SystemConfig, groups=None) -> Coupl
         upa_response(bs.az_irs[j], bs.el_irs[j], cfg.f_y, cfg.f_z)
         for j in order_a[:cfg.h_groups * zeta]])
     group_of = {k: h for h, members in enumerate(groups) for k in members}
-    users = []
+    c, b, beta_eff, diag_cols = [], [], [], []
     for k in range(cfg.k_users):
         h = group_of[k]
         up = chset.ue_paths[k]
@@ -110,38 +96,39 @@ def coupling_vectors(chset: ChannelSet, cfg: SystemConfig, groups=None) -> Coupl
         dep_vecs = np.stack([
             upa_response(up.az_irs[i], up.el_irs[i], cfg.f_y, cfg.f_z)
             for i in order_b[:zeta]])
-        diag_cols = np.arange(h * zeta, h * zeta + zeta)
-        c = np.conj(dep_vecs) * arr_vecs[diag_cols]
+        cols = np.arange(h * zeta, h * zeta + zeta)
+        c.append(np.conj(dep_vecs) * arr_vecs[cols])
         scale = cfg.power_w / (len(groups[h]) * cfg.h_groups * zeta * cfg.noise_w)
-        b = scale * np.abs(alpha_sorted[diag_cols] * beta_sorted[:zeta]) ** 2
-        users.append(UserCoupling(c=c, alpha_eff=alpha_sorted,
-                                  beta_eff=beta_sorted, diag_cols=diag_cols, b=b))
-    return CouplingSet(users=tuple(users), zeta=zeta, bw_hz=cfg.bw_hz)
+        b.append(scale * np.abs(alpha_sorted[cols] * beta_sorted[:zeta]) ** 2)
+        beta_eff.append(beta_sorted)
+        diag_cols.append(cols)
+    return CouplingSet(c=np.stack(c), b=np.stack(b), alpha_eff=alpha_sorted,
+                       beta_eff=np.stack(beta_eff), diag_cols=np.stack(diag_cols),
+                       zeta=zeta, bw_hz=cfg.bw_hz)
 
 
-def sigma_approx(coupling: CouplingSet, nu: np.ndarray) -> list[np.ndarray]:
-    """Per-user diagonal approximation of the projected singular values.
+def sigma_approx(coupling: CouplingSet, nu: np.ndarray) -> np.ndarray:
+    """Diagonal approximation of the projected singular values, (K, zeta).
 
-    Entry i is ``alpha_i beta_i nu^H c^ii`` for the paired paths; its modulus
-    approximates the i-th entry of the projected channel's singular spectrum.
+    Entry (k, i) is ``alpha_i beta_i nu^H c^ii`` for user k's paired paths; its
+    modulus approximates the i-th entry of the projected channel's singular
+    spectrum.
     """
-    out = []
-    for k in range(len(coupling.users)):
-        d = np.empty(coupling.zeta, dtype=np.complex128)
+    d = np.empty(coupling.b.shape, dtype=np.complex128)
+    for k, ck in enumerate(coupling.c):
         for i in range(coupling.zeta):
-            c = coupling.diag_vector(k, i)
-            d[i] = coupling.diag_gain(k, i) * (np.conj(nu) @ c)
-        out.append(d)
-    return out
+            gain = coupling.alpha_eff[coupling.diag_cols[k, i]] * coupling.beta_eff[k, i]
+            d[k, i] = gain * (np.conj(nu) @ ck[i])
+    return d
 
 
 def _user_rate_bpshz(coupling: CouplingSet, nu: np.ndarray, k: int) -> float:
     """Approximate rate of user k in bit/s/Hz (bandwidth-normalized)."""
-    uc = coupling.users[k]
+    c, b = coupling.c[k], coupling.b[k]
     total = 0.0
     for i in range(coupling.zeta):
-        d = np.conj(nu) @ uc.c[i]
-        total += math.log2(1.0 + uc.b[i] * abs(d) ** 2)
+        d = np.conj(nu) @ c[i]
+        total += math.log2(1.0 + b[i] * abs(d) ** 2)
     return total
 
 
@@ -169,12 +156,12 @@ def euclidean_grad(coupling: CouplingSet, nu: np.ndarray, groups) -> np.ndarray:
     """
     grad = np.zeros_like(nu)
     for k, _ in _bottlenecks(coupling, nu, groups):
-        uc = coupling.users[k]
+        b = coupling.b[k]
         for i in range(coupling.zeta):
-            c = uc.c[i]
+            c = coupling.c[k, i]
             d = np.conj(nu) @ c
-            grad -= coupling.bw_hz * (2.0 * uc.b[i] / LN2) * c * np.conj(d) \
-                / (1.0 + uc.b[i] * abs(d) ** 2)
+            grad -= coupling.bw_hz * (2.0 * b[i] / LN2) * c * np.conj(d) \
+                / (1.0 + b[i] * abs(d) ** 2)
     return grad
 
 

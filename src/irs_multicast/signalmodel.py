@@ -41,39 +41,17 @@ def validate_groups(groups, k_users: int) -> None:
 
 @dataclass
 class BeamformerSet:
-    """Transmit/receive beamformers, either fully digital or hybrid.
+    """Composed transmit/receive beamformers and their constant-modulus factors.
 
-    Hybrid mode composes ``f_rf @ f_bb`` at the BS (N_B x H*zeta) and
-    ``w_rf[k] @ w_bb[k]`` per user (N_U x zeta); digital mode uses
-    ``digital_b`` and ``digital_j[k]`` of the same composed shapes.
+    ``tx`` is the N_B x H*zeta transmit matrix (F_R F_B when hybrid) and
+    ``combiners[k]`` user k's N_U x zeta combiner (W_R,k W_B,k when hybrid).
+    ``rf`` holds the analog factors the unit-modulus constraint applies to;
+    it is empty for a fully digital set.
     """
 
-    mode: str
-    f_rf: np.ndarray | None = None
-    f_bb: np.ndarray | None = None
-    w_rf: list[np.ndarray] | None = None
-    w_bb: list[np.ndarray] | None = None
-    digital_b: np.ndarray | None = None
-    digital_j: list[np.ndarray] | None = None
-
-    def __post_init__(self):
-        if self.mode not in ("digital", "hybrid"):
-            raise ValueError(f"unknown beamformer mode {self.mode!r}")
-        if self.mode == "digital" and (self.digital_b is None or self.digital_j is None):
-            raise ValueError("digital mode needs digital_b and digital_j")
-        if self.mode == "hybrid" and any(
-                x is None for x in (self.f_rf, self.f_bb, self.w_rf, self.w_bb)):
-            raise ValueError("hybrid mode needs f_rf, f_bb, w_rf, w_bb")
-
-    def tx_matrix(self) -> np.ndarray:
-        if self.mode == "hybrid":
-            return self.f_rf @ self.f_bb
-        return self.digital_b
-
-    def combiner(self, k: int) -> np.ndarray:
-        if self.mode == "hybrid":
-            return self.w_rf[k] @ self.w_bb[k]
-        return self.digital_j[k]
+    tx: np.ndarray
+    combiners: list[np.ndarray]
+    rf: tuple[np.ndarray, ...] = ()
 
 
 @dataclass
@@ -124,14 +102,13 @@ def sum_rate(bf: BeamformerSet, chset: ChannelSet, nu: np.ndarray,
     groups = cfg.groups() if groups is None else groups
     validate_groups(groups, cfg.k_users)
     h_eff = effective_channels(chset, nu, cfg)
-    tx = bf.tx_matrix()
     k_users, zeta = cfg.k_users, cfg.zeta
     sig = np.zeros((k_users, zeta))
     intra = np.zeros((k_users, zeta))
     inter = np.zeros((k_users, zeta))
     for h, members in enumerate(groups):
         for k in members:
-            gains = bf.combiner(k).conj().T @ h_eff[k] @ tx
+            gains = bf.combiners[k].conj().T @ h_eff[k] @ bf.tx
             sig[k], intra[k], inter[k] = _stream_terms(gains, h, zeta)
     sinr = sig / (intra + inter + cfg.noise_w)
     rates = np.array([user_rate(sinr[k], cfg.bw_hz) for k in range(k_users)])
@@ -141,29 +118,30 @@ def sum_rate(bf: BeamformerSet, chset: ChannelSet, nu: np.ndarray,
                       sum_rate=float(group_rates.sum()), noise_w=cfg.noise_w)
 
 
+# Tolerances of ConstraintReport.ok().
+_RF_TOL = 1e-9
+_POWER_TOL = 1e-6
+_PHASE_TOL = 1e-12
+
+
 @dataclass
 class ConstraintReport:
     """Deviations from the problem constraints; purely diagnostic."""
 
-    rf_modulus_dev: float       # max | |entry| - 1 | over RF matrices (hybrid only)
+    rf_modulus_dev: float       # max | |entry| - 1 | over the RF factors, 0 if none
     power_ratio: float          # ||tx||_F^2 / P
     phase_modulus_dev: float    # max | |nu_m| - 1 |, 0 if no nu given
 
-    def ok(self, rf_tol: float = 1e-9, power_tol: float = 1e-6,
-           phase_tol: float = 1e-12) -> bool:
-        return (self.rf_modulus_dev <= rf_tol
-                and self.power_ratio <= 1.0 + power_tol
-                and self.phase_modulus_dev <= phase_tol)
+    def ok(self) -> bool:
+        return (self.rf_modulus_dev <= _RF_TOL
+                and self.power_ratio <= 1.0 + _POWER_TOL
+                and self.phase_modulus_dev <= _PHASE_TOL)
 
 
 def check_constraints(bf: BeamformerSet, cfg: SystemConfig,
                       nu: np.ndarray | None = None) -> ConstraintReport:
-    rf_dev = 0.0
-    if bf.mode == "hybrid":
-        devs = [np.max(np.abs(np.abs(bf.f_rf) - 1.0))]
-        devs += [np.max(np.abs(np.abs(w) - 1.0)) for w in bf.w_rf]
-        rf_dev = float(max(devs))
-    power_ratio = float(np.linalg.norm(bf.tx_matrix(), "fro") ** 2 / cfg.power_w)
+    rf_dev = float(max((np.max(np.abs(np.abs(r) - 1.0)) for r in bf.rf), default=0.0))
+    power_ratio = float(np.linalg.norm(bf.tx, "fro") ** 2 / cfg.power_w)
     phase_dev = 0.0
     if nu is not None:
         phase_dev = float(np.max(np.abs(np.abs(nu) - 1.0)))

@@ -80,6 +80,11 @@ def test_config_validation(desk_cfg):
                        ("g_tx_dbi", -math.inf), ("bs_pos", (2.0, math.nan, 10.0))):
         with pytest.raises(ch.ConfigError, match=f"{field} must be finite"):
             dataclasses.replace(desk_cfg, **{field: bad})
+    # dB fields whose linear value overflows or underflows to 0
+    for field, bad in (("power_dbm", 4000.0), ("noise_dbm", 4000.0), ("g_tx_dbi", 8000.0),
+                       ("noise_dbm", -4000.0), ("power_dbm", -4000.0), ("g_rx_dbi", -8000.0)):
+        with pytest.raises(ch.ConfigError, match=f"{field}=.* overflows or is 0"):
+            dataclasses.replace(desk_cfg, **{field: bad})
     for bw in (-1.0, 0.0):
         with pytest.raises(ch.ConfigError, match="bw_hz must be positive"):
             dataclasses.replace(desk_cfg, bw_hz=bw)

@@ -25,6 +25,8 @@ def test_spec_validation():
         small_spec(sweep_values=(50.0, 40.0))
     with pytest.raises(ch.ConfigError, match="baseline"):
         small_spec(baselines=("proposed", "zz"))
+    with pytest.raises(ch.ConfigError, match="repeated baseline"):
+        small_spec(baselines=("c", "proposed", "c"))
     with pytest.raises(ch.ConfigError, match="seed"):
         small_spec(n_seeds=0)
     with pytest.raises(ch.ConfigError, match="sweep"):
@@ -137,11 +139,17 @@ def test_surrogate_zero_beamformer_rejected(multiuser_cfg, monkeypatch):
 
 
 @pytest.mark.parametrize("baseline", ["d", "e"])
-def test_surrogate_zero_power_yields_failure_record(desk_cfg, baseline):
-    cfg = dataclasses.replace(desk_cfg, power_dbm=-4000.0)  # power_w underflows to 0
-    rec = harness.run_baseline(baseline, cfg, np.random.default_rng(0), seed=0)
-    assert rec.status.startswith("failed:invalid")
-    assert rec.sum_rate_bps == 0.0
+def test_surrogate_zero_power_yields_failure_record(tmp_path, desk_cfg, baseline):
+    # power_w underflows to 0 at power_dbm=-4000; the config boundary refuses
+    # that before any run, so a zero surrogate is reached only through
+    # cancelling channels (test_surrogate_zero_beamformer_rejected)
+    doc = ch.config_to_dict(desk_cfg)
+    doc["power_dbm"] = -4000.0
+    path = tmp_path / "zero_power.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o.csv"
+    assert cli_main(["--config", str(path), "--baselines", baseline, "--out", str(out)]) == 1
+    assert not out.exists()
 
 
 def test_unknown_baseline_rejected(desk_cfg):
@@ -159,11 +167,11 @@ def test_infeasible_config_yields_failure_record():
 
 
 def test_energy_efficiency_formula(desk_cfg):
-    eff = harness._energy_efficiency(1e9, desk_cfg, -math.inf, -math.inf)
-    assert math.isclose(eff, 1e9 / desk_cfg.power_w)
-    # static terms shrink efficiency
-    eff2 = harness._energy_efficiency(1e9, desk_cfg, 39.0, 10.0)
-    assert eff2 < eff
+    # 39 dBm static power plus 10 dBm per IRS element besides the transmit power
+    eff = harness._energy_efficiency(1e9, desk_cfg)
+    total_w = desk_cfg.power_w + 10.0 ** 0.9 + desk_cfg.n_irs * 10.0 ** -2.0
+    assert math.isclose(eff, 1e9 / total_w, rel_tol=1e-12)
+    assert eff < 1e9 / desk_cfg.power_w
 
 
 def test_theorem1_report_structure(tmp_path, desk_cfg):
@@ -267,13 +275,18 @@ def test_cli_config_error_exit_code(tmp_path):
     assert cli_main(["--config", str(tmp_path / "missing.json")]) == 1
     # values that used to yield an ok row with a meaningless rate, or a
     # traceback from deep inside the run
-    for key, value in (("bw_hz", -1), ("n_bs", 16.5)):
+    for key, value in (("bw_hz", -1), ("n_bs", 16.5), ("power_dbm", 4000),
+                       ("noise_dbm", 4000), ("g_tx_dbi", 8000), ("noise_dbm", -4000),
+                       ("power_dbm", -4000)):
         doc = ch.config_to_dict(harness.DESK_CONFIG)
         doc[key] = value
         path = tmp_path / f"bad_{key}.json"
         path.write_text(json.dumps(doc))
         assert cli_main(["--config", str(path), "--out", str(tmp_path / "o.csv")]) == 1
         assert not (tmp_path / "o.csv").exists()
+    # a repeated baseline ran the same cell twice
+    assert cli_main(["--baselines", "c,c", "--out", str(tmp_path / "o.csv")]) == 1
+    assert not (tmp_path / "o.csv").exists()
 
 
 def test_cli_partial_failure_exit_code(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 from irs_multicast import bd
 from irs_multicast import channel as ch
+from irs_multicast import harness
 from irs_multicast import hybridfactor as hf
 from irs_multicast import phaseopt as po
 from irs_multicast import signalmodel as sm
@@ -275,15 +276,8 @@ def test_hybrid_reproduces_digital_rate(desk_cfg):
     chset = ch.generate_channels(desk_cfg, rng)
     nu = ch.random_phase_vector(desk_cfg.n_irs, rng)
     bf, _ = bd.build_beamformers(chset, desk_cfg.groups(), nu, desk_cfg)
-    tx = hf.factor(bf.digital_b, desk_cfg.m_bs, rng=rng)
-    f_bb = hf.normalize_power(tx.f_rf, tx.f_bb, desk_cfg.power_w)
-    w_rf, w_bb = [], []
-    for k in range(desk_cfg.k_users):
-        rx = hf.factor(bf.digital_j[k], desk_cfg.m_ue, rng=rng)
-        w_rf.append(rx.f_rf)
-        w_bb.append(rx.f_bb)
-    hybrid = sm.BeamformerSet(mode="hybrid", f_rf=tx.f_rf, f_bb=f_bb,
-                              w_rf=w_rf, w_bb=w_bb)
+    hybrid, _ = harness._hybridize(bf, desk_cfg, rng)
+    assert len(hybrid.rf) == 1 + desk_cfg.k_users
     digital_rate = sm.sum_rate(bf, chset, nu, desk_cfg).sum_rate
     hybrid_rate = sm.sum_rate(hybrid, chset, nu, desk_cfg).sum_rate
     assert abs(hybrid_rate - digital_rate) / digital_rate < 0.05

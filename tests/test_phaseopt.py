@@ -47,21 +47,20 @@ def test_coupling_identity_with_reflection_matrix(desk_cfg):
     chset, cs, rng = make_coupling(desk_cfg, 0)
     nu = unit_phases(desk_cfg.n_irs, rng)
     phi = np.diag(np.conj(nu))
-    for k, uc in enumerate(cs.users):
+    for k, ck in enumerate(cs.c):
         dep, arr = sorted_steering(desk_cfg, chset, k)
-        for i, j in enumerate(uc.diag_cols):
+        for i, j in enumerate(cs.diag_cols[k]):
             direct = dep[i].conj() @ phi @ arr[j]
-            assert abs(direct - np.conj(nu) @ uc.c[i]) < 1e-12
+            assert abs(direct - np.conj(nu) @ ck[i]) < 1e-12
 
 
 def test_coupling_rows_are_paired_steering_products(multiuser_cfg):
     chset, cs, _ = make_coupling(multiuser_cfg, 3)
-    for k, uc in enumerate(cs.users):
-        assert uc.c.shape == (multiuser_cfg.zeta, multiuser_cfg.n_irs)
+    assert cs.c.shape == (multiuser_cfg.k_users, multiuser_cfg.zeta, multiuser_cfg.n_irs)
+    for k in range(multiuser_cfg.k_users):
         dep, arr = sorted_steering(multiuser_cfg, chset, k)
-        for i, j in enumerate(uc.diag_cols):
-            np.testing.assert_array_equal(uc.c[i], np.conj(dep[i]) * arr[j])
-            np.testing.assert_array_equal(cs.diag_vector(k, i), uc.c[i])
+        for i, j in enumerate(cs.diag_cols[k]):
+            np.testing.assert_array_equal(cs.c[k, i], np.conj(dep[i]) * arr[j])
 
 
 def test_coupling_zero_angles_constant_vector(desk_cfg):
@@ -75,14 +74,13 @@ def test_coupling_entry_magnitudes(desk_cfg):
     # every entry of a paired steering product has modulus 1/M
     _, cs, _ = make_coupling(desk_cfg, 1)
     m = desk_cfg.n_irs
-    for uc in cs.users:
-        np.testing.assert_allclose(np.abs(uc.c), 1.0 / m, rtol=1e-12)
+    np.testing.assert_allclose(np.abs(cs.c), 1.0 / m, rtol=1e-12)
 
 
 def test_coupling_outer_products_rank_one_psd(desk_cfg):
     _, cs, rng = make_coupling(desk_cfg, 42)
     for i in range(cs.zeta):
-        c = cs.diag_vector(0, i)
+        c = cs.c[0, i]
         cc = np.outer(c, c.conj())
         np.testing.assert_allclose(cc, cc.conj().T, atol=1e-15)
         eigs = np.linalg.eigvalsh(cc)
@@ -96,19 +94,17 @@ def test_coupling_outer_products_rank_one_psd(desk_cfg):
 def test_coupling_group_blocked_pairing(multiuser_cfg):
     _, cs, _ = make_coupling(multiuser_cfg, 2)
     zeta = multiuser_cfg.zeta
-    for k, uc in enumerate(cs.users):
+    for k, cols in enumerate(cs.diag_cols):
         h = 0 if k in multiuser_cfg.groups()[0] else 1
-        np.testing.assert_array_equal(uc.diag_cols, np.arange(h * zeta, (h + 1) * zeta))
+        np.testing.assert_array_equal(cols, np.arange(h * zeta, (h + 1) * zeta))
 
 
 def test_coupling_b_nonnegative_and_gain_sorted(desk_cfg):
     _, cs, _ = make_coupling(desk_cfg, 4)
-    for uc in cs.users:
-        assert np.all(uc.b >= 0)
-        mags_a = np.abs(uc.alpha_eff)
-        mags_b = np.abs(uc.beta_eff)
-        assert np.all(np.diff(mags_a) <= 1e-12)
-        assert np.all(np.diff(mags_b) <= 1e-12)
+    assert cs.b.shape == (desk_cfg.k_users, desk_cfg.zeta) and np.all(cs.b >= 0)
+    assert cs.beta_eff.shape == (desk_cfg.k_users, desk_cfg.paths_l)
+    assert np.all(np.diff(np.abs(cs.alpha_eff)) <= 1e-12)
+    assert np.all(np.diff(np.abs(cs.beta_eff), axis=1) <= 1e-12)
 
 
 def test_coupling_too_few_paths_rejected(desk_cfg):
@@ -132,8 +128,8 @@ def test_coupling_blocked_needs_enough_bs_paths(desk_cfg):
 def test_sigma_approx_alignment_extremes(desk_cfg):
     cfg = single_user_cfg(desk_cfg)
     _, cs, _ = make_coupling(cfg, 7)
-    c = cs.diag_vector(0, 0)
-    gain = abs(cs.diag_gain(0, 0))
+    c = cs.c[0, 0]
+    gain = abs(cs.alpha_eff[cs.diag_cols[0, 0]] * cs.beta_eff[0, 0])
     nu_aligned = np.exp(1j * np.angle(c))
     d = po.sigma_approx(cs, nu_aligned)[0]
     assert math.isclose(abs(d[0]), gain * np.sum(np.abs(c)), rel_tol=1e-12)
@@ -146,7 +142,7 @@ def test_sigma_approx_alignment_extremes(desk_cfg):
 def test_objective_zero_when_orthogonal(desk_cfg):
     cfg = single_user_cfg(desk_cfg)
     _, cs, _ = make_coupling(cfg, 8)
-    c = cs.diag_vector(0, 0)
+    c = cs.c[0, 0]
     signs = np.where(np.arange(c.size) % 2 == 0, 1.0, -1.0)
     nu = signs * np.exp(1j * np.angle(c))
     assert abs(po.objective_f(cs, nu, cfg.groups())) < 1e-6
@@ -156,8 +152,8 @@ def test_objective_single_term_formula(desk_cfg):
     cfg = single_user_cfg(desk_cfg)
     _, cs, rng = make_coupling(cfg, 9)
     nu = unit_phases(cfg.n_irs, rng)
-    d = np.conj(nu) @ cs.diag_vector(0, 0)
-    expected = -cfg.bw_hz * math.log2(1.0 + cs.users[0].b[0] * abs(d) ** 2)
+    d = np.conj(nu) @ cs.c[0, 0]
+    expected = -cfg.bw_hz * math.log2(1.0 + cs.b[0, 0] * abs(d) ** 2)
     assert math.isclose(po.objective_f(cs, nu, cfg.groups()), expected, rel_tol=1e-12)
 
 
@@ -197,12 +193,10 @@ def test_gradient_uses_bottleneck_user(multiuser_cfg):
     picks = po._bottlenecks(cs, nu, groups)
     manual = np.zeros_like(nu)
     for k, _ in picks:
-        uc = cs.users[k]
         for i in range(cs.zeta):
-            c = uc.c[i]
+            c, b = cs.c[k, i], cs.b[k, i]
             d = np.conj(nu) @ c
-            manual -= cs.bw_hz * (2 * uc.b[i] / math.log(2)) * c * np.conj(d) \
-                / (1 + uc.b[i] * abs(d) ** 2)
+            manual -= cs.bw_hz * (2 * b / math.log(2)) * c * np.conj(d) / (1 + b * abs(d) ** 2)
     np.testing.assert_allclose(grad, manual, rtol=1e-12)
 
 
@@ -260,7 +254,7 @@ def test_optimizer_stationary_start_takes_no_steps(desk_cfg):
     _, cs, _ = make_coupling(cfg, 30)
     # the phase-aligned point maximizes |nu^H c|: the Riemannian gradient
     # vanishes there and the optimizer must return immediately
-    nu_star = po.retract(np.exp(1j * np.angle(cs.diag_vector(0, 0))))
+    nu_star = po.retract(np.exp(1j * np.angle(cs.c[0, 0])))
     res = po.optimize_phases(cs, cfg.groups(), nu_star)
     assert res.iterations == 0
     assert res.converged
@@ -273,7 +267,7 @@ def test_optimizer_reaches_alignment_optimum(desk_cfg):
         _, cs, rng = make_coupling(cfg, 31 + seed)
         nu0 = unit_phases(cfg.n_irs, rng)
         res = po.optimize_phases(cs, cfg.groups(), nu0)
-        c = cs.diag_vector(0, 0)
+        c = cs.c[0, 0]
         achieved = abs(np.conj(res.nu) @ c)
         assert achieved >= 0.99 * np.sum(np.abs(c))
 
@@ -323,13 +317,12 @@ def test_offdiag_small_relative_to_diagonal_after_optimization(desk_cfg):
         nu0 = unit_phases(desk_cfg.n_irs, rng)
         res = po.optimize_phases(cs, desk_cfg.groups(), nu0)
         off = 0.0
-        for k, uc in enumerate(cs.users):
+        for k, cols in enumerate(cs.diag_cols):
             dep, arr = sorted_steering(desk_cfg, chset, k)
             d = np.abs((np.conj(dep) * np.conj(res.nu)) @ np.transpose(arr))
-            d[np.arange(cs.zeta), uc.diag_cols] = 0.0
+            d[np.arange(cs.zeta), cols] = 0.0
             off = max(off, float(d.max()))
         off_mags.append(off)
-        d = po.sigma_approx(cs, res.nu)
-        diag_mags.append(max(abs(dk[0]) / abs(cs.diag_gain(k, 0))
-                             for k, dk in enumerate(d)))
+        gain = cs.alpha_eff[cs.diag_cols[:, 0]] * cs.beta_eff[:, 0]
+        diag_mags.append(np.max(np.abs(po.sigma_approx(cs, res.nu)[:, 0] / gain)))
     assert np.mean(off_mags) < np.mean(diag_mags)

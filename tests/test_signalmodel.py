@@ -32,7 +32,7 @@ def random_digital_bf(cfg, rng):
     b = random_complex(rng, cfg.n_bs, cfg.h_groups * cfg.zeta)
     b *= math.sqrt(cfg.power_w) / np.linalg.norm(b)
     j = [random_complex(rng, cfg.n_ue, cfg.zeta) for _ in range(cfg.k_users)]
-    return sm.BeamformerSet(mode="digital", digital_b=b, digital_j=j)
+    return sm.BeamformerSet(tx=b, combiners=j)
 
 
 def test_groups_from_sizes(desk_cfg):
@@ -59,7 +59,7 @@ def test_single_group_single_stream_sinr_is_signal_over_noise(desk_cfg):
     rep = sm.sum_rate(bf, chset, nu, cfg)
     assert rep.intra[0, 0] == 0.0 and rep.inter[0, 0] == 0.0
     h_eff = ch.effective_channels(chset, nu, cfg)[0]
-    sig = abs(np.vdot(bf.digital_j[0][:, 0], h_eff @ bf.digital_b[:, 0])) ** 2
+    sig = abs(np.vdot(bf.combiners[0][:, 0], h_eff @ bf.tx[:, 0])) ** 2
     assert math.isclose(rep.sinr[0, 0], sig / cfg.noise_w, rel_tol=1e-12)
 
 
@@ -68,7 +68,7 @@ def test_zero_tx_column_zero_sinr(desk_cfg):
     chset = ch.generate_channels(desk_cfg, rng)
     nu = ch.random_phase_vector(desk_cfg.n_irs, rng)
     bf = random_digital_bf(desk_cfg, rng)
-    bf.digital_b[:, 0] = 0.0
+    bf.tx[:, 0] = 0.0
     assert sm.sum_rate(bf, chset, nu, desk_cfg).sinr[0, 0] == 0.0
 
 
@@ -79,14 +79,13 @@ def test_stream_sinr_matches_naive_loops(multiuser_cfg):
     bf = random_digital_bf(multiuser_cfg, rng)
     groups = multiuser_cfg.groups()
     h_effs = ch.effective_channels(chset, nu, multiuser_cfg)
-    combiners = [bf.combiner(k) for k in range(multiuser_cfg.k_users)]
     rep = sm.sum_rate(bf, chset, nu, multiuser_cfg)
     for h, members in enumerate(groups):
         for k in members:
             for i in range(multiuser_cfg.zeta):
                 sinr, i_t, j_t = rep.sinr[k, i], rep.intra[k, i], rep.inter[k, i]
                 sig, i_ref, j_ref = naive_stream_terms(
-                    combiners, h_effs, bf.tx_matrix(), groups,
+                    bf.combiners, h_effs, bf.tx, groups,
                     multiuser_cfg.zeta, k, h, i)
                 assert math.isclose(i_t, i_ref, rel_tol=1e-10, abs_tol=1e-300)
                 assert math.isclose(j_t, j_ref, rel_tol=1e-10, abs_tol=1e-300)
@@ -119,7 +118,7 @@ def test_sum_rate_duplicate_users_min_of_equals(multiuser_cfg):
     chset = dataclasses.replace(chset, h_irs_ue=tuple(h_ue))
     nu = ch.random_phase_vector(multiuser_cfg.n_irs, rng)
     bf = random_digital_bf(multiuser_cfg, rng)
-    bf.digital_j[1] = bf.digital_j[0]
+    bf.combiners[1] = bf.combiners[0]
     rep = sm.sum_rate(bf, chset, nu, multiuser_cfg)
     assert math.isclose(rep.group_rates[0], rep.user_rates[0], rel_tol=1e-12)
     assert math.isclose(rep.user_rates[0], rep.user_rates[1], rel_tol=1e-12)
@@ -133,7 +132,6 @@ def test_sum_rate_matches_naive_decomposition(multiuser_cfg):
     groups = multiuser_cfg.groups()
     rep = sm.sum_rate(bf, chset, nu, multiuser_cfg)
     h_effs = ch.effective_channels(chset, nu, multiuser_cfg)
-    combiners = [bf.combiner(k) for k in range(multiuser_cfg.k_users)]
     expected_group = []
     for h, members in enumerate(groups):
         rates = []
@@ -141,7 +139,7 @@ def test_sum_rate_matches_naive_decomposition(multiuser_cfg):
             total = 0.0
             for i in range(multiuser_cfg.zeta):
                 sig, i_t, j_t = naive_stream_terms(
-                    combiners, h_effs, bf.tx_matrix(), groups,
+                    bf.combiners, h_effs, bf.tx, groups,
                     multiuser_cfg.zeta, k, h, i)
                 total += math.log2(1 + sig / (i_t + j_t + multiuser_cfg.noise_w))
             rates.append(multiuser_cfg.bw_hz * total)
@@ -165,7 +163,7 @@ def test_zeroing_interferers_increases_sinr(multiuser_cfg):
     nu = ch.random_phase_vector(multiuser_cfg.n_irs, rng)
     bf = random_digital_bf(multiuser_cfg, rng)
     rep = sm.sum_rate(bf, chset, nu, multiuser_cfg)
-    bf.digital_b[:, multiuser_cfg.zeta:] = 0.0  # silence group 1
+    bf.tx[:, multiuser_cfg.zeta:] = 0.0  # silence group 1
     rep2 = sm.sum_rate(bf, chset, nu, multiuser_cfg)
     assert np.all(rep2.sinr[0] > rep.sinr[0])
 
@@ -184,7 +182,7 @@ def test_check_constraints_power_scaling(desk_cfg):
     rng = np.random.default_rng(10)
     bf = random_digital_bf(desk_cfg, rng)
     ratio = sm.check_constraints(bf, desk_cfg).power_ratio
-    bf.digital_b *= 2.0
+    bf.tx *= 2.0
     assert math.isclose(sm.check_constraints(bf, desk_cfg).power_ratio,
                         4.0 * ratio, rel_tol=1e-12)
 
@@ -198,17 +196,16 @@ def test_check_constraints_compliant_hybrid(desk_cfg):
             for _ in range(desk_cfg.k_users)]
     w_bb = [random_complex(rng, desk_cfg.m_ue, desk_cfg.zeta)
             for _ in range(desk_cfg.k_users)]
-    bf = sm.BeamformerSet(mode="hybrid", f_rf=f_rf, f_bb=f_bb, w_rf=w_rf, w_bb=w_bb)
+    bf = sm.BeamformerSet(tx=f_rf @ f_bb, combiners=[w @ b for w, b in zip(w_rf, w_bb)],
+                          rf=(f_rf, *w_rf))
     nu = ch.random_phase_vector(desk_cfg.n_irs, rng)
     rep = sm.check_constraints(bf, desk_cfg, nu)
     assert rep.rf_modulus_dev < 1e-9
     assert rep.power_ratio <= 1.0 + 1e-6
     assert rep.phase_modulus_dev < 1e-12
     assert rep.ok()
-
-
-def test_beamformer_mode_validation():
-    with pytest.raises(ValueError):
-        sm.BeamformerSet(mode="nope")
-    with pytest.raises(ValueError):
-        sm.BeamformerSet(mode="digital")
+    # one user's W_R entry off the unit circle violates the constraint
+    w_rf[1][2, 0] *= 1.5
+    rep = sm.check_constraints(bf, desk_cfg, nu)
+    assert math.isclose(rep.rf_modulus_dev, 0.5, rel_tol=1e-12)
+    assert not rep.ok()
