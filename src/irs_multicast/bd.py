@@ -36,10 +36,11 @@ class BdDecomposition:
     """Per-group null bases V0 and each user's leading SVD factors of H_k V0.
 
     User k's factors live in its group's null basis: U1 (N_U x zeta), the
-    singular values ``s1[k]`` and V1 (n_h x zeta).
+    singular values ``s1[k]`` and V1 (n_h x zeta). Without nulling a group
+    has no basis (``v0[h]`` is None) and the factors are those of H_k itself.
     """
 
-    v0: tuple[np.ndarray, ...]          # per group: null basis of the other groups' channels
+    v0: tuple[np.ndarray | None, ...]   # per group: null basis of the other groups' channels
     u1: tuple[np.ndarray, ...]          # per user
     s1: np.ndarray                      # (K, zeta)
     v1: tuple[np.ndarray, ...]          # per user
@@ -66,8 +67,12 @@ def null_projector(h_tilde: np.ndarray, n_bs: int) -> np.ndarray:
     return v0
 
 
-def decompose(h_eff: list[np.ndarray], groups, cfg: SystemConfig) -> BdDecomposition:
+def decompose(h_eff: list[np.ndarray], groups, cfg: SystemConfig,
+              nulling: bool = True) -> BdDecomposition:
     """Per-group null bases and per-user SVD factors (Lemma-1 raw material).
+
+    With ``nulling=False`` the inter-group null projection is dropped and
+    each user's factors come from its raw effective channel.
 
     Raises
     ------
@@ -81,13 +86,14 @@ def decompose(h_eff: list[np.ndarray], groups, cfg: SystemConfig) -> BdDecomposi
     u1, v1 = [None] * cfg.k_users, [None] * cfg.k_users
     s1 = np.empty((cfg.k_users, zeta))
     for h, members in enumerate(groups):
-        h_tilde = stack_other_groups(h_eff, groups, h)
-        v0 = null_projector(h_tilde, cfg.n_bs)
-        if v0.shape[1] < zeta:
-            raise BdInfeasibleError(
-                f"group {h}: null space dimension {v0.shape[1]} < zeta={zeta}")
+        v0 = None
+        if nulling:
+            v0 = null_projector(stack_other_groups(h_eff, groups, h), cfg.n_bs)
+            if v0.shape[1] < zeta:
+                raise BdInfeasibleError(
+                    f"group {h}: null space dimension {v0.shape[1]} < zeta={zeta}")
         for k in members:
-            proj = h_eff[k] @ v0
+            proj = h_eff[k] if v0 is None else h_eff[k] @ v0
             res = mk.svd(proj)
             # Rank of the projection judged against the unprojected channel's
             # scale: when the cascade shares the other groups' path space the
@@ -104,22 +110,24 @@ def decompose(h_eff: list[np.ndarray], groups, cfg: SystemConfig) -> BdDecomposi
     return BdDecomposition(v0=tuple(v0s), u1=tuple(u1), s1=s1, v1=tuple(v1))
 
 
-def build_beamformers(chset: ChannelSet, groups, nu: np.ndarray,
-                      cfg: SystemConfig) -> tuple[BeamformerSet, BdDecomposition]:
+def build_beamformers(chset: ChannelSet, groups, nu: np.ndarray, cfg: SystemConfig,
+                      nulling: bool = True) -> tuple[BeamformerSet, BdDecomposition]:
     """Construct the fully digital Lemma-1 beamformers at phase vector ``nu``.
 
     Each group's block sums the V factors of its own members, at the
     per-stream power P/(H*zeta). The composed transmit matrix is then rescaled
-    to meet the power budget exactly.
+    to meet the power budget exactly. ``nulling=False`` keeps every step but
+    the inter-group null projection (the eigen-beamforming baselines d/e).
     """
     h_eff = effective_channels(chset, nu, cfg)
-    decomp = decompose(h_eff, groups, cfg)
+    decomp = decompose(h_eff, groups, cfg, nulling)
     p_stream = cfg.power_w / (cfg.h_groups * cfg.zeta)
     blocks = []
     for h, members in enumerate(groups):
-        v_sum_mat = sum(decomp.v1[k] for k in members)
-        b_h = decomp.v0[h] @ (v_sum_mat / np.sqrt(len(members))) * np.sqrt(p_stream)
-        blocks.append(b_h)
+        v = sum(decomp.v1[k] for k in members) / np.sqrt(len(members))
+        if decomp.v0[h] is not None:
+            v = decomp.v0[h] @ v
+        blocks.append(v * np.sqrt(p_stream))
     b = np.hstack(blocks)
     realized = float(np.linalg.norm(b, "fro") ** 2)
     if realized == 0.0:

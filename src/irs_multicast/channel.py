@@ -24,7 +24,6 @@ __all__ = [
     "PathSet",
     "ChannelSet",
     "config_from_dict",
-    "config_to_dict",
     "load_config",
     "ula_response",
     "upa_response",
@@ -116,6 +115,12 @@ class SystemConfig:
             if not 0.0 < value < math.inf:
                 raise ConfigError(f"{name}={getattr(self, name)} gives a linear value that "
                                   "overflows or is 0")
+        # every SINR scale of the coupling surrogate is this times path gains
+        gain = self.g_tx_lin * self.g_rx_lin
+        snr_scale = self.power_w / self.noise_w * gain * gain
+        if not 0.0 < snr_scale < math.inf:
+            raise ConfigError(f"SNR scale power_w*g_tx_lin^2*g_rx_lin^2/noise_w = {snr_scale!r}"
+                              " must be finite and > 0")
         if self.bw_hz <= 0:
             raise ConfigError(f"bw_hz must be positive, got {self.bw_hz}")
         object.__setattr__(self, "seed", _integer("seed", self.seed))
@@ -183,13 +188,6 @@ def config_from_dict(data: dict) -> SystemConfig:
         return SystemConfig(**data)
     except (TypeError, ValueError) as exc:  # missing keys, wrong value types
         raise ConfigError(str(exc)) from None
-
-
-def config_to_dict(cfg: SystemConfig) -> dict:
-    out = dataclasses.asdict(cfg)
-    for key in ("group_sizes", "bs_pos", "irs_pos", "user_center"):
-        out[key] = list(out[key])
-    return out
 
 
 def load_config(path) -> SystemConfig:

@@ -58,7 +58,7 @@ def _run_report(args, cfg) -> int:
     Bad arguments raise ConfigError up front (exit 1). Once the report runs,
     a failure inside it, an infeasible internal sweep point included, exits 2
     with one labeled stderr line. So does a report with failed runs behind
-    its rows; its CSV is still written.
+    its rows; its CSV still holds the rows it has.
     """
     if args.report == "cdf" and args.seeds < 2:
         raise ConfigError("report cdf needs at least 2 seeds")
@@ -83,17 +83,16 @@ def _run_report(args, cfg) -> int:
         elif args.report == "convergence":
             _, records = harness.convergence_report(cfg, seeds=args.seeds, out_path=args.out,
                                                     base_seed=args.base_seed)
+        harness.check_runs(records)
+    except harness.ReportRunsFailed as exc:
+        print(f"report {args.report}: {exc}", file=sys.stderr)
+        return 2
     except (ValueError, BdInfeasibleError) as exc:
         category = "bd-infeasible" if isinstance(exc, BdInfeasibleError) else "invalid"
         print(f"report {args.report} failed: {category} ({exc})", file=sys.stderr)
         return 2
     if args.out is None:
         print(f"report {args.report} computed (use --out to persist)", file=sys.stderr)
-    failed = [r for r in records if not r.ok]
-    if failed:
-        print(f"report {args.report}: {len(failed)} of {len(records)} runs failed "
-              f"({failed[0].status})", file=sys.stderr)
-        return 2
     return 0
 
 

@@ -2,9 +2,10 @@
 
 The proposed scheme runs: channels -> coupling -> manifold phase optimization
 -> BD beamformers at the optimized phases -> hybrid factorization -> rate
-evaluation on the hybrid set. Baselines swap out the phase source (random),
-the beamformer mode (digital), or the beamformer construction (a no-nulling
-eigen-beamforming surrogate, labeled as such).
+evaluation on the hybrid set. Every baseline runs the same pipeline with
+three choices of ``SCHEMES`` changed: the phase source (random), the
+inter-group null projection (dropped: an eigen-beamforming surrogate, labeled
+as such), or the hybrid factorization (skipped: fully digital).
 """
 
 from __future__ import annotations
@@ -18,13 +19,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bd, hybridfactor as hf, matrixkit as mk, phaseopt as po, signalmodel as sm
-from .channel import (ChannelSet, ConfigError, SystemConfig, effective_channels,
-                      generate_channels, random_phase_vector)
+from . import bd, hybridfactor as hf, phaseopt as po, signalmodel as sm
+from .channel import ConfigError, SystemConfig, generate_channels, random_phase_vector
 
 __all__ = [
     "DESK_CONFIG",
+    "SCHEMES",
     "BASELINES",
+    "ReportRunsFailed",
+    "check_runs",
     "SWEEP_CHOICES",
     "DEFAULT_SWEEP_VALUES",
     "CSV_HEADER",
@@ -57,7 +60,18 @@ DESK_CONFIG = SystemConfig(
     bs_pos=(2.0, 0.0, 10.0), irs_pos=(0.0, 148.0, 10.0),
     user_center=(7.0, 148.0, 1.8), user_radius=10.0, seed=0)
 
-BASELINES = ("proposed", "a", "b", "c", "d", "e")
+# Each scheme's three pipeline choices: (optimize the phases, null the other
+# groups' channels, factor into hybrid RF x baseband).
+SCHEMES = {
+    "proposed": (True, True, True),
+    "a": (True, True, False),
+    "b": (False, True, True),
+    "c": (False, True, False),
+    "d": (True, False, True),
+    "e": (True, False, False),
+}
+
+BASELINES = tuple(SCHEMES)
 
 SWEEP_CHOICES = ("none", "power", "elements", "streams", "groups")
 
@@ -146,6 +160,8 @@ class RunRecord:
     wall_ms: float
     report: sm.RateReport | None = None
     trace: list[po.TraceRow] = field(default_factory=list)
+    bd_s1: np.ndarray | None = None         # (K, zeta) singular values behind the beamformers
+    sigma_approx: np.ndarray | None = None  # (K, zeta) their coupling approximation
 
     @property
     def ok(self) -> bool:
@@ -181,93 +197,50 @@ def _hybridize(bf_digital: sm.BeamformerSet, cfg: SystemConfig,
     return sm.BeamformerSet(tx=tx.f_rf @ f_bb, combiners=combiners, rf=tuple(rf)), s2
 
 
-def _surrogate_beamformers(chset: ChannelSet, groups, nu: np.ndarray,
-                           cfg: SystemConfig) -> sm.BeamformerSet:
-    """No-nulling eigen-beamforming stand-in for the externally cited baseline.
-
-    Per group: average of members' dominant right-singular blocks of the raw
-    effective channel (no inter-group null projection); combiner = dominant
-    left singular vectors.
-    """
-    h_eff = effective_channels(chset, nu, cfg)
-    p_stream = cfg.power_w / (cfg.h_groups * cfg.zeta)
-    blocks = []
-    j = [None] * cfg.k_users
-    for members in groups:
-        v_sum = None
-        for k in members:
-            res = mk.svd(h_eff[k])
-            v1 = res.vh[:cfg.zeta, :].conj().T
-            v_sum = v1 if v_sum is None else v_sum + v1
-            j[k] = res.u[:, :cfg.zeta]
-        blocks.append(v_sum / math.sqrt(len(members)) * math.sqrt(p_stream))
-    b = np.hstack(blocks)
-    realized = float(np.linalg.norm(b, "fro") ** 2)
-    if realized == 0.0:
-        raise ValueError("zero surrogate beamformer cannot be power-normalized")
-    b = b * math.sqrt(cfg.power_w / realized)
-    return sm.BeamformerSet(tx=b, combiners=j)
-
-
-def _sanitize_status(status: str) -> str:
-    # status is one CSV field; keep the schema intact whatever the message
-    return status.replace(",", ";").replace("\n", " ")
-
-
-def _finish(record_args: dict, t0: float, measure: bool) -> RunRecord:
-    wall = (time.perf_counter() - t0) * 1000.0 if measure else 0.0
-    record_args["status"] = _sanitize_status(record_args["status"])
-    return RunRecord(wall_ms=wall, **record_args)
-
-
 def _run(baseline: str, cfg: SystemConfig, rng: np.random.Generator,
          sweep_var: str = "none", sweep_value: float = 0.0, seed: int = 0,
          measure_walltime: bool = False) -> RunRecord:
     t0 = time.perf_counter()
+    optimize, nulling, hybrid = SCHEMES[baseline]
     groups = cfg.groups()
     args = dict(seed=seed, baseline=baseline, sweep_var=sweep_var,
                 sweep_value=sweep_value, sum_rate_bps=0.0, group_rates=(),
                 s1_iters=0, s2_iters=0, energy_eff_bps_per_w=0.0, status="ok")
     try:
         chset = generate_channels(cfg, rng)
-        nu_draw = random_phase_vector(cfg.n_irs, rng)
-        s1 = 0
-        trace: list[po.TraceRow] = []
-        if baseline in ("proposed", "a", "d", "e"):
+        # b, c keep the draw that initializes the optimizer of the others
+        nu = random_phase_vector(cfg.n_irs, rng)
+        s1, trace, approx = 0, [], None
+        if optimize:
             coupling = po.coupling_vectors(chset, cfg, groups)
-            opt = po.optimize_phases(coupling, groups, nu_draw)
+            opt = po.optimize_phases(coupling, groups, nu)
             nu, s1, trace = opt.nu, opt.iterations, opt.trace
-        else:  # b, c: phase shifts stay at the random draw
-            nu = nu_draw
-        if baseline in ("proposed", "a", "b", "c"):
-            bf_digital, _ = bd.build_beamformers(chset, groups, nu, cfg)
-        else:  # d, e: surrogate without inter-group nulling
-            bf_digital = _surrogate_beamformers(chset, groups, nu, cfg)
+            approx = po.sigma_approx(coupling, nu)
+        bf, decomp = bd.build_beamformers(chset, groups, nu, cfg, nulling)
         s2 = 0
-        if baseline in ("proposed", "b", "d"):
-            bf, s2 = _hybridize(bf_digital, cfg, rng)
-        else:
-            bf = bf_digital
+        if hybrid:
+            bf, s2 = _hybridize(bf, cfg, rng)
         report = sm.sum_rate(bf, chset, nu, cfg, groups)
-        constraints = sm.check_constraints(bf, cfg, nu)
-        if not constraints.ok():
+        if not 0.0 <= report.sum_rate < math.inf:
+            raise ValueError(f"sum rate {report.sum_rate!r} is not finite and >= 0")
+        if not sm.check_constraints(bf, cfg, nu).ok():
             args["status"] = "failed:constraint-violation"
-        elif baseline in ("d", "e"):
+        elif not nulling:
             # stand-in for an external algorithm, flagged as such in the CSV
             args["status"] = "ok;surrogate"
         args.update(sum_rate_bps=report.sum_rate,
                     group_rates=tuple(report.group_rates),
                     s1_iters=s1, s2_iters=s2,
-                    energy_eff_bps_per_w=_energy_efficiency(report.sum_rate, cfg))
-        rec = _finish(args, t0, measure_walltime)
-        rec.report = report
-        rec.trace = trace
-        return rec
+                    energy_eff_bps_per_w=_energy_efficiency(report.sum_rate, cfg),
+                    report=report, trace=trace, bd_s1=decomp.s1, sigma_approx=approx)
     except bd.BdInfeasibleError as exc:
         args["status"] = f"failed:bd-infeasible ({exc})"
     except ValueError as exc:
         args["status"] = f"failed:invalid ({exc})"
-    return _finish(args, t0, measure_walltime)
+    wall = (time.perf_counter() - t0) * 1000.0 if measure_walltime else 0.0
+    # status is one CSV field; keep the schema intact whatever the message
+    args["status"] = args["status"].replace(",", ";").replace("\n", " ")
+    return RunRecord(wall_ms=wall, **args)
 
 
 def run_proposed(cfg: SystemConfig, rng: np.random.Generator, **kw) -> RunRecord:
@@ -350,37 +323,46 @@ def write_trace(path, trace: list[po.TraceRow]) -> None:
     _write_report(path, [_trace_fields(t) for t in trace], _TRACE_COLUMNS)
 
 
+_THEOREM1_COLUMNS = ("seed", "n_antennas", "user", "sigma_true_fnorm",
+                     "sigma_approx_fnorm", "rel_gap")
+
+
+class ReportRunsFailed(RuntimeError):
+    """Runs behind a report failed; the report holds the rows of the others."""
+
+
+def check_runs(records: list[RunRecord]) -> None:
+    """Raise :class:`ReportRunsFailed` naming the failed count and the first
+    failed status, if any run failed."""
+    failed = [r for r in records if not r.ok]
+    if failed:
+        raise ReportRunsFailed(f"{len(failed)} of {len(records)} runs failed "
+                               f"({failed[0].status})")
+
+
 def theorem1_report(cfg: SystemConfig, seeds: int, out_path=None,
                     n_values: tuple[int, ...] = (16, 32, 64),
                     base_seed: int = 0) -> list[dict]:
     """Truncated-SVD fidelity: true projected singular norms vs the coupling
     approximation, per seed and antenna count, at the optimized phases.
 
-    Seed index ``idx`` runs on ``base_seed + idx``, as in :func:`sweep`. Path
-    draws do not depend on the antenna count, so each seed's geometry is
-    shared across the ``n_values`` (paired comparison).
+    A view of the digital-BD runs (baseline ``a``) of one sweep per antenna
+    count; path draws do not depend on the antenna count, so the comparison
+    is paired. Failed runs give no rows and then raise ReportRunsFailed.
     """
+    runs = [(n, r) for n in n_values
+            for r in sweep(ExperimentSpec(config=dataclasses.replace(cfg, n_bs=n, n_ue=n),
+                                          baselines=("a",), n_seeds=seeds,
+                                          base_seed=base_seed))]
+    runs.sort(key=lambda t: t[1].seed)
     rows = []
-    for idx in range(seeds):
-        for n in n_values:
-            cfg_n = dataclasses.replace(cfg, n_bs=n, n_ue=n)
-            rng = np.random.default_rng(base_seed + idx)
-            chset = generate_channels(cfg_n, rng)
-            nu0 = random_phase_vector(cfg_n.n_irs, rng)
-            groups = cfg_n.groups()
-            coupling = po.coupling_vectors(chset, cfg_n, groups)
-            nu = po.optimize_phases(coupling, groups, nu0).nu
-            decomp = bd.decompose(effective_channels(chset, nu, cfg_n), groups, cfg_n)
-            approx = po.sigma_approx(coupling, nu)
-            for k in range(cfg_n.k_users):
-                true_norm = float(np.linalg.norm(decomp.s1[k]))
-                approx_norm = float(np.linalg.norm(approx[k]))
-                gap = abs(true_norm - approx_norm) / true_norm
-                rows.append(dict(seed=base_seed + idx, n_antennas=n, user=k,
-                                 sigma_true_fnorm=true_norm,
-                                 sigma_approx_fnorm=approx_norm,
-                                 rel_gap=gap))
-    _write_report(out_path, rows)
+    for n, r in ((n, r) for n, r in runs if r.ok):
+        for k, (true_s, approx_s) in enumerate(zip(r.bd_s1, r.sigma_approx)):
+            true, approx = float(np.linalg.norm(true_s)), float(np.linalg.norm(approx_s))
+            rows.append(dict(zip(_THEOREM1_COLUMNS, (r.seed, n, k, true, approx,
+                                                     abs(true - approx) / true))))
+    _write_report(out_path, rows, _THEOREM1_COLUMNS)
+    check_runs([r for _, r in runs])
     return rows
 
 
@@ -424,10 +406,18 @@ def energy_report(cfg: SystemConfig, power_values, seeds: int,
 def convergence_report(cfg: SystemConfig, seeds: int, out_path=None,
                        base_seed: int = 0) -> tuple[list[dict], list[RunRecord]]:
     """Optimizer traces (objective per iteration) of the proposed scheme, and
-    its iteration counts over the default groups sweep (H = 1, 2, 3)."""
+    its iteration counts over the default groups sweep (H = 1, 2, 3), less
+    the group counts the config's RF chains cannot carry."""
     runs = sweep(ExperimentSpec(config=cfg, n_seeds=seeds, base_seed=base_seed))
-    by_groups = sweep(ExperimentSpec(config=cfg, sweep_var="groups", n_seeds=seeds,
-                                     base_seed=base_seed))
+    groups = []
+    for h in DEFAULT_SWEEP_VALUES["groups"]:
+        try:
+            apply_sweep(cfg, "groups", h)
+        except ConfigError:
+            continue  # H * zeta exceeds the BS RF chains
+        groups.append(h)
+    by_groups = sweep(ExperimentSpec(config=cfg, sweep_var="groups", sweep_values=groups,
+                                     n_seeds=seeds, base_seed=base_seed))
     rows = [dict(kind="trace", seed=r.seed, h_groups=cfg.h_groups, **_trace_fields(t),
                  s1_iters="")
             for r in runs for t in r.trace]

@@ -33,9 +33,6 @@ class SvdResult:
     s: np.ndarray
     vh: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.s) @ self.vh
-
 
 def _fix_column_phases(u: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Rotate each singular pair so the largest-magnitude entry of the left

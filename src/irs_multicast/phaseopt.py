@@ -107,6 +107,16 @@ def coupling_vectors(chset: ChannelSet, cfg: SystemConfig, groups=None) -> Coupl
                        zeta=zeta, bw_hz=cfg.bw_hz)
 
 
+def _stream_gains(coupling: CouplingSet, nu: np.ndarray) -> np.ndarray:
+    """Unscaled stream gains ``nu^H c[k, i]``, (K, zeta)."""
+    d = np.empty(coupling.b.shape, dtype=np.complex128)
+    nu_h = np.conj(nu)
+    for k, ck in enumerate(coupling.c):
+        for i in range(coupling.zeta):
+            d[k, i] = nu_h @ ck[i]
+    return d
+
+
 def sigma_approx(coupling: CouplingSet, nu: np.ndarray) -> np.ndarray:
     """Diagonal approximation of the projected singular values, (K, zeta).
 
@@ -114,37 +124,33 @@ def sigma_approx(coupling: CouplingSet, nu: np.ndarray) -> np.ndarray:
     modulus approximates the i-th entry of the projected channel's singular
     spectrum.
     """
-    d = np.empty(coupling.b.shape, dtype=np.complex128)
-    for k, ck in enumerate(coupling.c):
+    d = _stream_gains(coupling, nu)
+    for k in range(d.shape[0]):
         for i in range(coupling.zeta):
             gain = coupling.alpha_eff[coupling.diag_cols[k, i]] * coupling.beta_eff[k, i]
-            d[k, i] = gain * (np.conj(nu) @ ck[i])
+            d[k, i] = gain * d[k, i]
     return d
 
 
-def _user_rate_bpshz(coupling: CouplingSet, nu: np.ndarray, k: int) -> float:
-    """Approximate rate of user k in bit/s/Hz (bandwidth-normalized)."""
-    c, b = coupling.c[k], coupling.b[k]
-    total = 0.0
-    for i in range(coupling.zeta):
-        d = np.conj(nu) @ c[i]
-        total += math.log2(1.0 + b[i] * abs(d) ** 2)
-    return total
-
-
-def _bottlenecks(coupling: CouplingSet, nu: np.ndarray, groups) -> list[tuple[int, float]]:
-    """Per group: (bottleneck user, its rate in bit/s/Hz); ties to lowest index."""
+def _bottlenecks(coupling: CouplingSet, d: np.ndarray, groups) -> list[tuple[int, float]]:
+    """Per group: (bottleneck user, its rate in bit/s/Hz) at the stream gains
+    ``d`` of :func:`_stream_gains`; ties go to the lowest index."""
     out = []
     for members in groups:
-        rates = [(_user_rate_bpshz(coupling, nu, k), k) for k in members]
-        best = min(rates, key=lambda t: (t[0], t[1]))
-        out.append((best[1], best[0]))
+        rates = []
+        for k in members:
+            rate = 0.0
+            for i in range(coupling.zeta):
+                rate += math.log2(1.0 + coupling.b[k, i] * abs(d[k, i]) ** 2)
+            rates.append((rate, k))
+        rate, k = min(rates)
+        out.append((k, rate))
     return out
 
 
 def objective_f(coupling: CouplingSet, nu: np.ndarray, groups) -> float:
     """Negated approximate sum rate (bit/s): the quantity descent minimizes."""
-    total = sum(rate for _, rate in _bottlenecks(coupling, nu, groups))
+    total = sum(rate for _, rate in _bottlenecks(coupling, _stream_gains(coupling, nu), groups))
     return -coupling.bw_hz * total
 
 
@@ -154,14 +160,13 @@ def euclidean_grad(coupling: CouplingSet, nu: np.ndarray, groups) -> np.ndarray:
     Only each group's current bottleneck user contributes (subgradient of the
     min); C^ii nu is evaluated through the rank-1 structure c (c^H nu).
     """
+    d = _stream_gains(coupling, nu)
     grad = np.zeros_like(nu)
-    for k, _ in _bottlenecks(coupling, nu, groups):
+    for k, _ in _bottlenecks(coupling, d, groups):
         b = coupling.b[k]
         for i in range(coupling.zeta):
-            c = coupling.c[k, i]
-            d = np.conj(nu) @ c
-            grad -= coupling.bw_hz * (2.0 * b[i] / LN2) * c * np.conj(d) \
-                / (1.0 + b[i] * abs(d) ** 2)
+            grad -= coupling.bw_hz * (2.0 * b[i] / LN2) * coupling.c[k, i] \
+                * np.conj(d[k, i]) / (1.0 + b[i] * abs(d[k, i]) ** 2)
     return grad
 
 

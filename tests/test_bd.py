@@ -97,6 +97,33 @@ def test_bd_inter_group_nulling_multiuser(multiuser_cfg):
     assert rep.intra.max() > 0.0
 
 
+def test_no_nulling_factors_are_those_of_the_raw_channel(multiuser_cfg):
+    chset, nu, bf, decomp = build_at_random_nu(multiuser_cfg, 4, nulling=False)
+    assert decomp.v0 == (None,) * multiuser_cfg.h_groups
+    for k, h_k in enumerate(ch.effective_channels(chset, nu, multiuser_cfg)):
+        res = mk.svd(h_k)
+        np.testing.assert_array_equal(decomp.s1[k], res.s[:multiuser_cfg.zeta])
+        np.testing.assert_array_equal(bf.combiners[k], res.u[:, :multiuser_cfg.zeta])
+    rep = sm.sum_rate(bf, chset, nu, multiuser_cfg)
+    assert rep.interference_ratio().max() > 1e-3
+
+
+def test_no_nulling_zero_beamformer_rejected(multiuser_cfg, monkeypatch):
+    # An all-zero channel still has unit singular vectors, so the no-nulling
+    # beamformer vanishes only when group members' directions cancel:
+    # here each group's second member sees the negated channel of the first.
+    rng = np.random.default_rng(12)
+    chset = ch.generate_channels(multiuser_cfg, rng)
+    nu = ch.random_phase_vector(multiuser_cfg.n_irs, rng)
+    h_eff = ch.effective_channels(chset, nu, multiuser_cfg)
+    for first, second in multiuser_cfg.groups():
+        h_eff[second] = -h_eff[first]
+    monkeypatch.setattr(bd, "effective_channels", lambda *a: h_eff)
+    with pytest.raises(bd.BdInfeasibleError, match="zero transmit beamformer"):
+        bd.build_beamformers(chset, multiuser_cfg.groups(), nu, multiuser_cfg,
+                             nulling=False)
+
+
 def test_closed_form_matches_oracle(desk_cfg):
     for seed in range(5):
         chset, nu, bf, decomp = build_at_random_nu(desk_cfg, 10 + seed)

@@ -85,6 +85,11 @@ def test_config_validation(desk_cfg):
                        ("noise_dbm", -4000.0), ("power_dbm", -4000.0), ("g_rx_dbi", -8000.0)):
         with pytest.raises(ch.ConfigError, match=f"{field}=.* overflows or is 0"):
             dataclasses.replace(desk_cfg, **{field: bad})
+    # each dB field is fine, but the SNR scale P*G_t^2*G_r^2/sigma^2 of the
+    # rates overflows, or underflows to 0
+    for field, bad in (("g_tx_dbi", 6000.0), ("g_rx_dbi", -6000.0)):
+        with pytest.raises(ch.ConfigError, match="SNR scale .* must be finite and > 0"):
+            dataclasses.replace(desk_cfg, **{field: bad})
     for bw in (-1.0, 0.0):
         with pytest.raises(ch.ConfigError, match="bw_hz must be positive"):
             dataclasses.replace(desk_cfg, bw_hz=bw)
@@ -111,12 +116,12 @@ def test_config_db_conversions(desk_cfg):
 
 def test_config_json_round_trip(tmp_path, desk_cfg):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps(ch.config_to_dict(desk_cfg)))
+    path.write_text(json.dumps(dataclasses.asdict(desk_cfg)))
     assert ch.load_config(path) == desk_cfg
 
 
 def test_config_unknown_key_rejected(tmp_path, desk_cfg):
-    doc = ch.config_to_dict(desk_cfg)
+    doc = dataclasses.asdict(desk_cfg)
     doc["bogus_knob"] = 1
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))

@@ -122,28 +122,12 @@ def test_surrogate_baselines_leak_interference(desk_cfg):
     assert rec_e.report.interference_ratio().max() > 1e-3
 
 
-def test_surrogate_zero_beamformer_rejected(multiuser_cfg, monkeypatch):
-    # An all-zero channel still has unit singular vectors, so the surrogate
-    # beamformer vanishes only when group members' directions cancel:
-    # here each group's second member sees the negated channel of the first.
-    rng = np.random.default_rng(12)
-    chset = ch.generate_channels(multiuser_cfg, rng)
-    nu = ch.random_phase_vector(multiuser_cfg.n_irs, rng)
-    h_eff = ch.effective_channels(chset, nu, multiuser_cfg)
-    for first, second in multiuser_cfg.groups():
-        h_eff[second] = -h_eff[first]
-    monkeypatch.setattr(harness, "effective_channels", lambda *a: h_eff)
-    with pytest.raises(ValueError, match="zero surrogate"):
-        harness._surrogate_beamformers(chset, multiuser_cfg.groups(), nu,
-                                       multiuser_cfg)
-
-
 @pytest.mark.parametrize("baseline", ["d", "e"])
 def test_surrogate_zero_power_yields_failure_record(tmp_path, desk_cfg, baseline):
     # power_w underflows to 0 at power_dbm=-4000; the config boundary refuses
     # that before any run, so a zero surrogate is reached only through
-    # cancelling channels (test_surrogate_zero_beamformer_rejected)
-    doc = ch.config_to_dict(desk_cfg)
+    # cancelling channels (test_no_nulling_zero_beamformer_rejected)
+    doc = dataclasses.asdict(desk_cfg)
     doc["power_dbm"] = -4000.0
     path = tmp_path / "zero_power.json"
     path.write_text(json.dumps(doc))
@@ -155,6 +139,16 @@ def test_surrogate_zero_power_yields_failure_record(tmp_path, desk_cfg, baseline
 def test_unknown_baseline_rejected(desk_cfg):
     with pytest.raises(ch.ConfigError):
         harness.run_baseline("f", desk_cfg, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -1.0])
+def test_meaningless_rate_yields_failure_record(desk_cfg, monkeypatch, rate):
+    sum_rate = harness.sm.sum_rate
+    monkeypatch.setattr(harness.sm, "sum_rate", lambda *a: dataclasses.replace(
+        sum_rate(*a), sum_rate=rate))
+    rec = harness.run_baseline("c", desk_cfg, np.random.default_rng(0))
+    assert rec.status.startswith("failed:invalid (sum rate")
+    assert rec.sum_rate_bps == 0.0
 
 
 def test_infeasible_config_yields_failure_record():
@@ -185,6 +179,25 @@ def test_theorem1_report_structure(tmp_path, desk_cfg):
         assert math.isfinite(row["rel_gap"])
     header = out.read_text().splitlines()[0]
     assert header == "seed,n_antennas,user,sigma_true_fnorm,sigma_approx_fnorm,rel_gap"
+
+
+def test_theorem1_report_keeps_rows_of_successful_runs(tmp_path, monkeypatch, capsys,
+                                                       desk_cfg):
+    clean = tmp_path / "clean.csv"
+    harness.theorem1_report(desk_cfg, seeds=2, out_path=clean, n_values=(16, 64))
+    build = harness.bd.build_beamformers
+
+    def fail_at_32(chset, groups, nu, cfg, nulling=True):
+        if cfg.n_bs == 32:
+            raise harness.bd.BdInfeasibleError("injected")
+        return build(chset, groups, nu, cfg, nulling)
+
+    monkeypatch.setattr(harness.bd, "build_beamformers", fail_at_32)
+    out = tmp_path / "t1.csv"
+    assert cli_main(["--report", "theorem1", "--seeds", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "report theorem1: 2 of 6 runs failed (failed:bd-infeasible (injected))\n"
+    assert out.read_text() == clean.read_text()
 
 
 def test_cdf_report(tmp_path, desk_cfg):
@@ -278,7 +291,7 @@ def test_cli_config_error_exit_code(tmp_path):
     for key, value in (("bw_hz", -1), ("n_bs", 16.5), ("power_dbm", 4000),
                        ("noise_dbm", 4000), ("g_tx_dbi", 8000), ("noise_dbm", -4000),
                        ("power_dbm", -4000)):
-        doc = ch.config_to_dict(harness.DESK_CONFIG)
+        doc = dataclasses.asdict(harness.DESK_CONFIG)
         doc[key] = value
         path = tmp_path / f"bad_{key}.json"
         path.write_text(json.dumps(doc))
@@ -292,7 +305,7 @@ def test_cli_config_error_exit_code(tmp_path):
 def test_cli_partial_failure_exit_code(tmp_path):
     cfg = dataclasses.replace(harness.DESK_CONFIG, paths_y=4, paths_l=4)
     path = tmp_path / "degenerate.json"
-    path.write_text(json.dumps(ch.config_to_dict(cfg)))
+    path.write_text(json.dumps(dataclasses.asdict(cfg)))
     out = tmp_path / "out.csv"
     code = cli_main(["--config", str(path), "--baselines", "c",
                      "--seeds", "1", "--out", str(out)])
@@ -341,21 +354,28 @@ def test_cli_report_energy(tmp_path):
     assert len(lines) == 3
 
 
-def test_cli_report_failure_is_labeled_not_raised(capsys):
+def test_cli_report_failure_is_labeled_not_raised(tmp_path, capsys):
     # table2_faithful has Y = 7 < H*zeta = 8 BS-side paths, so the coupling
-    # construction inside the theorem1 report refuses it
-    code = cli_main(["--report", "theorem1", "--config",
-                     str(CONFIG_DIR / "table2_faithful.json")])
+    # construction refuses every run of the theorem1 report
+    table2 = str(CONFIG_DIR / "table2_faithful.json")
+    out = tmp_path / "t1.csv"
+    code = cli_main(["--report", "theorem1", "--config", table2, "--out", str(out)])
     assert code == 2
-    err = capsys.readouterr().err.strip()
-    assert err.startswith("report theorem1 failed: invalid (")
-    assert "Y >= H*zeta" in err and "Traceback" not in err
-    # its groups sweep reaches H = 3, which needs m_bs >= 12 > 8
-    code = cli_main(["--report", "convergence", "--seeds", "1", "--config",
-                     str(CONFIG_DIR / "table2_faithful.json")])
+    err = capsys.readouterr().err
+    assert err.startswith("report theorem1: 3 of 3 runs failed (failed:invalid (")
+    assert "Y >= H*zeta" in err and err.count("\n") == 1
+    assert out.read_text() == "seed,n_antennas,user,sigma_true_fnorm,sigma_approx_fnorm,rel_gap\n"
+    # its groups sweep skips H = 3, which needs m_bs >= 12 > 8; H = 1 runs,
+    # the configured H = 2 fails like every table2_faithful run
+    out = tmp_path / "conv.csv"
+    code = cli_main(["--report", "convergence", "--seeds", "1", "--config", table2,
+                     "--out", str(out)])
     assert code == 2
-    assert capsys.readouterr().err.startswith(
-        "report convergence failed: invalid (RF chain bounds")
+    assert capsys.readouterr().err == \
+        "report convergence: 2 of 3 runs failed (failed:invalid (group-blocked pairing " \
+        "needs Y >= H*zeta (8); got Y=7))\n"
+    groups = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [(row[0], row[2]) for row in groups] == [("groups", "1"), ("groups", "2")]
     # bad arguments stay configuration errors
     assert cli_main(["--report", "energy", "--seeds", "0"]) == 1
     assert cli_main(["--report", "cdf", "--seeds", "1"]) == 1

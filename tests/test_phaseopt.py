@@ -190,9 +190,13 @@ def test_gradient_uses_bottleneck_user(multiuser_cfg):
     groups = multiuser_cfg.groups()
     nu = unit_phases(multiuser_cfg.n_irs, rng)
     grad = po.euclidean_grad(cs, nu, groups)
-    picks = po._bottlenecks(cs, nu, groups)
+    picks = po._bottlenecks(cs, po._stream_gains(cs, nu), groups)
     manual = np.zeros_like(nu)
-    for k, _ in picks:
+    for (k, rate), members in zip(picks, groups):
+        rates = {j: sum(math.log2(1 + cs.b[j, i] * abs(np.conj(nu) @ cs.c[j, i]) ** 2)
+                        for i in range(cs.zeta)) for j in members}
+        assert k == min(members, key=rates.get)
+        assert math.isclose(rate, rates[k], rel_tol=1e-12)
         for i in range(cs.zeta):
             c, b = cs.c[k, i], cs.b[k, i]
             d = np.conj(nu) @ c
