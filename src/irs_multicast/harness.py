@@ -197,26 +197,61 @@ def _hybridize(bf_digital: sm.BeamformerSet, cfg: SystemConfig,
     return sm.BeamformerSet(tx=tx.f_rf @ f_bb, combiners=combiners, rf=tuple(rf)), s2
 
 
+def _stage(shared: dict | None, key, compute):
+    """``compute()``, computed once per cell when ``shared`` is a memo.
+
+    A stage that fails stores its exception, which every later scheme of the
+    cell that needs the stage raises again.
+    """
+    if shared is None:
+        return compute()
+    if key not in shared:
+        try:
+            shared[key] = compute()
+        except (bd.BdInfeasibleError, ValueError) as exc:
+            shared[key] = exc
+    out = shared[key]
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
 def _run(baseline: str, cfg: SystemConfig, rng: np.random.Generator,
          sweep_var: str = "none", sweep_value: float = 0.0, seed: int = 0,
-         measure_walltime: bool = False) -> RunRecord:
+         measure_walltime: bool = False, shared: dict | None = None) -> RunRecord:
+    """One scheme on one channel draw.
+
+    ``shared``, if given, is the stage memo of the run's (config, seed) cell
+    (see :func:`sweep`); every run on it starts from a fresh generator of
+    that seed.
+    """
     t0 = time.perf_counter()
     optimize, nulling, hybrid = SCHEMES[baseline]
     groups = cfg.groups()
     args = dict(seed=seed, baseline=baseline, sweep_var=sweep_var,
                 sweep_value=sweep_value, sum_rate_bps=0.0, group_rates=(),
                 s1_iters=0, s2_iters=0, energy_eff_bps_per_w=0.0, status="ok")
-    try:
+
+    def draw():
         chset = generate_channels(cfg, rng)
         # b, c keep the draw that initializes the optimizer of the others
         nu = random_phase_vector(cfg.n_irs, rng)
+        return chset, nu, rng.bit_generator.state
+
+    def phases():
+        coupling = po.coupling_vectors(chset, cfg, groups)
+        opt = po.optimize_phases(coupling, groups, nu)
+        return opt.nu, opt.iterations, opt.trace, po.sigma_approx(coupling, opt.nu)
+
+    try:
+        chset, nu, state = _stage(shared, "channels", draw)
+        # the hybrid step draws on from where the channel draw left off
+        rng.bit_generator.state = state
         s1, trace, approx = 0, [], None
         if optimize:
-            coupling = po.coupling_vectors(chset, cfg, groups)
-            opt = po.optimize_phases(coupling, groups, nu)
-            nu, s1, trace = opt.nu, opt.iterations, opt.trace
-            approx = po.sigma_approx(coupling, nu)
-        bf, decomp = bd.build_beamformers(chset, groups, nu, cfg, nulling)
+            nu, s1, trace, approx = _stage(shared, "phases", phases)
+        bf, decomp = _stage(shared, ("bd", optimize, nulling),
+                            lambda: bd.build_beamformers(chset, groups, nu, cfg, nulling))
         s2 = 0
         if hybrid:
             bf, s2 = _hybridize(bf, cfg, rng)
@@ -232,7 +267,8 @@ def _run(baseline: str, cfg: SystemConfig, rng: np.random.Generator,
                     group_rates=tuple(report.group_rates),
                     s1_iters=s1, s2_iters=s2,
                     energy_eff_bps_per_w=_energy_efficiency(report.sum_rate, cfg),
-                    report=report, trace=trace, bd_s1=decomp.s1, sigma_approx=approx)
+                    report=report, trace=list(trace), bd_s1=decomp.s1,
+                    sigma_approx=approx)
     except bd.BdInfeasibleError as exc:
         args["status"] = f"failed:bd-infeasible ({exc})"
     except ValueError as exc:
@@ -259,18 +295,25 @@ def run_baseline(baseline: str, cfg: SystemConfig, rng: np.random.Generator,
 def sweep(spec: ExperimentSpec) -> list[RunRecord]:
     """Cartesian product (sweep value x baseline x seed), deterministic order.
 
-    Each (value, baseline, seed) cell is an independent work unit with its own
-    RNG stream seeded by base_seed + seed index, so matched seeds share
-    channel realizations across baselines and sweep values. Rows come back
+    Every (value, baseline, seed) run has its own RNG stream seeded by
+    base_seed + seed index, so matched seeds share channel realizations
+    across baselines and sweep values. The baselines of one (value, seed)
+    cell run back to back and share the stages they have in common: one
+    channel draw, one phase optimization and one BD build per (phase
+    source, nulling) pair, each identical to what the run would compute on
+    its own. A run's ``wall_ms`` counts only the stages it computed itself,
+    so the first baseline of a cell carries the shared ones. Rows come back
     sorted by (sweep value, baseline, seed).
     """
-    records = [_run(baseline, cfg, np.random.default_rng(spec.base_seed + idx),
-                    sweep_var=spec.sweep_var, sweep_value=value,
-                    seed=spec.base_seed + idx,
-                    measure_walltime=spec.measure_walltime)
-               for value, cfg in spec.configs()
-               for baseline in spec.baselines
-               for idx in range(spec.n_seeds)]
+    records = []
+    for value, cfg in spec.configs():
+        for idx in range(spec.n_seeds):
+            shared = {}
+            records += [_run(baseline, cfg, np.random.default_rng(spec.base_seed + idx),
+                             sweep_var=spec.sweep_var, sweep_value=value,
+                             seed=spec.base_seed + idx,
+                             measure_walltime=spec.measure_walltime, shared=shared)
+                        for baseline in spec.baselines]
     records.sort(key=lambda r: (r.sweep_value, r.baseline, r.seed))
     return records
 
@@ -348,12 +391,21 @@ def theorem1_report(cfg: SystemConfig, seeds: int, out_path=None,
 
     A view of the digital-BD runs (baseline ``a``) of one sweep per antenna
     count; path draws do not depend on the antenna count, so the comparison
-    is paired. Failed runs give no rows and then raise ReportRunsFailed.
+    is paired. Antenna counts the config's RF chains cannot carry are
+    skipped; if none is left, the last one's ConfigError is raised. Failed
+    runs give no rows and then raise ReportRunsFailed.
     """
-    runs = [(n, r) for n in n_values
-            for r in sweep(ExperimentSpec(config=dataclasses.replace(cfg, n_bs=n, n_ue=n),
-                                          baselines=("a",), n_seeds=seeds,
-                                          base_seed=base_seed))]
+    runs, skipped = [], None
+    for n in n_values:
+        try:
+            n_cfg = dataclasses.replace(cfg, n_bs=n, n_ue=n)
+        except ConfigError as exc:
+            skipped = exc  # m_bs or m_ue exceeds n
+            continue
+        runs += [(n, r) for r in sweep(ExperimentSpec(config=n_cfg, baselines=("a",),
+                                                      n_seeds=seeds, base_seed=base_seed))]
+    if skipped is not None and not runs:
+        raise skipped
     runs.sort(key=lambda t: t[1].seed)
     rows = []
     for n, r in ((n, r) for n, r in runs if r.ok):

@@ -184,8 +184,11 @@ def retract(nu_bar: np.ndarray) -> np.ndarray:
     which makes the retraction exactly idempotent.
     """
     mags = np.abs(nu_bar)
-    if (mags < 1e-300).any():
-        raise ValueError("retraction singularity: zero-magnitude entry")
+    # a zero or nan magnitude fails the lower bound, an infinite one the
+    # upper; bare ufunc reductions, since every line-search trial retracts
+    if not (np.minimum.reduce(mags, None) >= 1e-300
+            and np.maximum.reduce(mags, None) < math.inf):
+        raise ValueError("retraction singularity: zero-magnitude or non-finite entry")
     on_circle = np.abs(mags - 1.0) <= _CIRCLE_TOL
     return np.where(on_circle, nu_bar, nu_bar / mags)
 

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from irs_multicast import channel as ch
 from irs_multicast import harness
@@ -67,6 +69,121 @@ def test_sweep_deterministic_bytes():
     a = harness.records_csv_text(harness.sweep(spec))
     b = harness.records_csv_text(harness.sweep(spec))
     assert a == b
+
+
+def _assert_same_record(got, want):
+    """Every RunRecord field but wall_ms equal, arrays bit for bit."""
+    for f in dataclasses.fields(harness.RunRecord):
+        a, b = getattr(got, f.name), getattr(want, f.name)
+        if f.name == "wall_ms":
+            continue
+        if f.name == "report" and a is not None and b is not None:
+            a, b = dataclasses.astuple(a), dataclasses.astuple(b)
+            assert all(np.array_equal(x, y) for x, y in zip(a, b)), f.name
+        elif isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            assert a is not None and b is not None and np.array_equal(a, b), f.name
+        else:
+            assert a == b, f.name
+
+
+@pytest.mark.parametrize("config, var", [("desk.json", "power"),
+                                         ("desk_multiuser.json", "elements"),
+                                         ("table2_faithful.json", "none")])
+def test_sweep_shared_stages_match_independent_runs(config, var):
+    # a cell's baselines share its channel draw, phases and BD builds; each
+    # record must still equal the run computed on its own
+    spec = harness.ExperimentSpec(config=ch.load_config(CONFIG_DIR / config), sweep_var=var,
+                                  baselines=harness.BASELINES, n_seeds=2)
+    records = harness.sweep(spec)
+    assert len(records) == len(spec.sweep_values) * 6 * 2
+    cfgs = dict(spec.configs())
+    for rec in records:
+        alone = harness.run_baseline(rec.baseline, cfgs[rec.sweep_value],
+                                     np.random.default_rng(rec.seed), sweep_var=var,
+                                     sweep_value=rec.sweep_value, seed=rec.seed)
+        _assert_same_record(rec, alone)
+    assert any(r.ok for r in records) == (config != "table2_faithful.json")
+    assert any(r.trace for r in records) == (config != "table2_faithful.json")
+
+
+def test_sweep_computes_shared_stages_once_per_cell(monkeypatch):
+    calls = {"channels": 0, "phases": 0, "bd": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(harness, "generate_channels",
+                        counted("channels", harness.generate_channels))
+    monkeypatch.setattr(harness.po, "optimize_phases",
+                        counted("phases", harness.po.optimize_phases))
+    monkeypatch.setattr(harness.bd, "build_beamformers",
+                        counted("bd", harness.bd.build_beamformers))
+    records = harness.sweep(small_spec(baselines=harness.BASELINES))
+    cells = 2 * 2  # sweep values x seeds
+    assert len(records) == 6 * cells and all(r.ok for r in records)
+    assert calls == {"channels": cells, "phases": cells, "bd": 3 * cells}
+    # the traces of proposed, a, d and e are equal but not one list
+    traces = [r.trace for r in records if r.sweep_value == 50.0 and r.seed == 0 and r.trace]
+    assert len(traces) == 4 and all(t == traces[0] for t in traces)
+    assert len({id(t) for t in traces}) == 4
+
+
+def test_shared_stage_failure_fails_every_scheme_that_needs_it(monkeypatch):
+    # a BD build without nulling that fails takes d and e with it, word for
+    # word, and leaves the other four schemes alone
+    build = harness.bd.build_beamformers
+
+    def fail_without_nulling(chset, groups, nu, cfg, nulling=True):
+        if not nulling:
+            raise harness.bd.BdInfeasibleError("injected")
+        return build(chset, groups, nu, cfg, nulling)
+
+    monkeypatch.setattr(harness.bd, "build_beamformers", fail_without_nulling)
+    records = harness.sweep(small_spec(baselines=harness.BASELINES, sweep_values=(50.0,)))
+    status = {(r.baseline, r.seed): r.status for r in records}
+    for seed in (0, 1):
+        assert status["d", seed] == status["e", seed] == "failed:bd-infeasible (injected)"
+        assert all(status[b, seed] == "ok" for b in ("proposed", "a", "b", "c"))
+
+
+_STATUSES = ("ok", "ok;surrogate", "failed:constraint-violation")
+_FAILURE_PREFIXES = ("failed:bd-infeasible (", "failed:invalid (")
+
+
+@st.composite
+def small_configs(draw):
+    """Small valid configs with m_bs >= 2*H*zeta and m_ue >= 2*zeta, where the
+    hybrid step starts from an exact split; the path counts may leave too
+    few paths for the coupling or for BD, which must end in failure records."""
+    zeta = draw(st.integers(1, 2))
+    sizes = tuple(draw(st.lists(st.integers(1, 2), min_size=1, max_size=2)))
+    m_bs = 2 * len(sizes) * zeta + draw(st.integers(0, 2))
+    m_ue = 2 * zeta + draw(st.integers(0, 1))
+    f_y, f_z = draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    return dataclasses.replace(
+        harness.DESK_CONFIG, n_bs=m_bs + draw(st.integers(0, 6)),
+        n_ue=m_ue + draw(st.integers(0, 4)), m_bs=m_bs, m_ue=m_ue,
+        n_irs=f_y * f_z, f_y=f_y, f_z=f_z, k_users=sum(sizes), h_groups=len(sizes),
+        group_sizes=sizes, zeta=zeta, paths_y=draw(st.integers(1, 10)),
+        paths_l=draw(st.integers(1, 4)), power_dbm=draw(st.floats(0.0, 50.0)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_configs(), st.integers(0, 10_000))
+def test_sweep_on_random_configs_keeps_the_failure_contract(cfg, seed):
+    records = harness.sweep(harness.ExperimentSpec(config=cfg, baselines=harness.BASELINES,
+                                                   base_seed=seed))
+    assert len(records) == 6
+    for rec in records:
+        assert rec.status in _STATUSES or rec.status.startswith(_FAILURE_PREFIXES)
+        if rec.ok:
+            rates = (rec.sum_rate_bps, *rec.group_rates)
+            assert all(math.isfinite(r) and r >= 0.0 for r in rates)
+        _assert_same_record(rec, harness.run_baseline(
+            rec.baseline, cfg, np.random.default_rng(seed), seed=seed))
 
 
 @pytest.mark.parametrize("var", ["streams", "groups"])
@@ -198,6 +315,31 @@ def test_theorem1_report_keeps_rows_of_successful_runs(tmp_path, monkeypatch, ca
     assert capsys.readouterr().err == \
         "report theorem1: 2 of 6 runs failed (failed:bd-infeasible (injected))\n"
     assert out.read_text() == clean.read_text()
+
+
+def test_theorem1_report_skips_antenna_counts_the_rf_chains_exceed(tmp_path, capsys,
+                                                                    desk_cfg):
+    # m_bs = 32 fits n = 32 and 64 but not n = 16
+    doc = dataclasses.asdict(dataclasses.replace(desk_cfg, n_bs=32, n_ue=32, m_bs=32))
+    path = tmp_path / "m32.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "t1.csv"
+    assert cli_main(["--report", "theorem1", "--config", str(path), "--seeds", "2",
+                     "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert sorted({int(row[1]) for row in rows}) == [32, 64]
+    assert len(rows) == 2 * 2 * desk_cfg.k_users
+    # no antenna count left: one labeled line, exit 2, no CSV
+    doc.update(n_bs=65, n_ue=65, m_bs=65)
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "none.csv"
+    capsys.readouterr()
+    assert cli_main(["--report", "theorem1", "--config", str(path), "--seeds", "1",
+                     "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("report theorem1 failed: invalid (RF chain bounds violated")
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_cdf_report(tmp_path, desk_cfg):

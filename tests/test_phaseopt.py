@@ -233,6 +233,15 @@ def test_retract_examples():
     np.testing.assert_allclose(po.retract(nu), nu, atol=1e-15)
 
 
+@pytest.mark.parametrize("bad", [0.0, math.nan, math.inf, complex(math.nan, 1.0),
+                                 complex(1.0, -math.inf)])
+def test_retract_rejects_zero_and_non_finite_entries(bad):
+    with pytest.raises(ValueError, match="retraction singularity"):
+        po.retract(np.array([bad, 1.0 + 0j]))
+    with pytest.raises(ValueError, match="retraction singularity"):
+        po.retract(np.array([[1.0, 1j], [bad, 1.0]], dtype=np.complex128))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 2 ** 31 - 1), st.integers(1, 64))
 def test_retract_unit_modulus_and_idempotent(seed, m):
