@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import matrixkit as mk
-from .channel import ChannelSet, SystemConfig, effective_channels
+from .channel import SystemConfig
 from .signalmodel import BeamformerSet, validate_groups
 
 __all__ = [
@@ -96,30 +96,35 @@ def decompose(h_eff: list[np.ndarray], groups, cfg: SystemConfig,
             proj = h_eff[k] if v0 is None else h_eff[k] @ v0
             res = mk.svd(proj)
             # Rank of the projection judged against the unprojected channel's
-            # scale: when the cascade shares the other groups' path space the
-            # projection leaves pure rounding noise, which is full rank
-            # relative to itself but zero relative to H_k.
-            hk_scale = float(np.linalg.norm(h_eff[k], 2))
+            # scale ||H_k||_2: when the cascade shares the other groups' path
+            # space the projection leaves pure rounding noise, which is full
+            # rank relative to itself but zero relative to H_k. ||H_k||_F
+            # bounds ||H_k||_2 from above, so the 2-norm (one more SVD) is
+            # taken only for a projection that fails the Frobenius bound.
+            s_min = res.s[zeta - 1]
             rank_tol = mk.default_rank_tol(proj.shape)
-            if hk_scale == 0.0 or res.s[zeta - 1] <= rank_tol * hk_scale:
-                raise BdInfeasibleError(
-                    f"user {k}: projected channel rank below zeta={zeta}"
-                    " (effective channel collapses in the other groups' null space)")
+            if s_min <= rank_tol * float(np.linalg.norm(h_eff[k])) * (1.0 + 1e-12):
+                hk_scale = float(np.linalg.norm(h_eff[k], 2))
+                if hk_scale == 0.0 or s_min <= rank_tol * hk_scale:
+                    raise BdInfeasibleError(
+                        f"user {k}: projected channel rank below zeta={zeta}"
+                        " (effective channel collapses in the other groups' null space)")
             u1[k], s1[k], v1[k] = res.u[:, :zeta], res.s[:zeta], res.vh[:zeta, :].conj().T
         v0s.append(v0)
     return BdDecomposition(v0=tuple(v0s), u1=tuple(u1), s1=s1, v1=tuple(v1))
 
 
-def build_beamformers(chset: ChannelSet, groups, nu: np.ndarray, cfg: SystemConfig,
+def build_beamformers(h_eff: list[np.ndarray], groups, cfg: SystemConfig,
                       nulling: bool = True) -> tuple[BeamformerSet, BdDecomposition]:
-    """Construct the fully digital Lemma-1 beamformers at phase vector ``nu``.
+    """Construct the fully digital Lemma-1 beamformers on the effective
+    channels ``h_eff`` (:func:`~irs_multicast.channel.effective_channels` at
+    the phase vector).
 
     Each group's block sums the V factors of its own members, at the
     per-stream power P/(H*zeta). The composed transmit matrix is then rescaled
     to meet the power budget exactly. ``nulling=False`` keeps every step but
     the inter-group null projection (the eigen-beamforming baselines d/e).
     """
-    h_eff = effective_channels(chset, nu, cfg)
     decomp = decompose(h_eff, groups, cfg, nulling)
     p_stream = cfg.power_w / (cfg.h_groups * cfg.zeta)
     blocks = []

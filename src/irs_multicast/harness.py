@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bd, hybridfactor as hf, phaseopt as po, signalmodel as sm
-from .channel import ConfigError, SystemConfig, generate_channels, random_phase_vector
+from .channel import (ConfigError, SystemConfig, effective_channels, generate_channels,
+                      random_phase_vector)
 
 __all__ = [
     "DESK_CONFIG",
@@ -250,12 +251,14 @@ def _run(baseline: str, cfg: SystemConfig, rng: np.random.Generator,
         s1, trace, approx = 0, [], None
         if optimize:
             nu, s1, trace, approx = _stage(shared, "phases", phases)
+        h_eff = _stage(shared, ("h_eff", optimize),
+                       lambda: effective_channels(chset, nu, cfg))
         bf, decomp = _stage(shared, ("bd", optimize, nulling),
-                            lambda: bd.build_beamformers(chset, groups, nu, cfg, nulling))
+                            lambda: bd.build_beamformers(h_eff, groups, cfg, nulling))
         s2 = 0
         if hybrid:
             bf, s2 = _hybridize(bf, cfg, rng)
-        report = sm.sum_rate(bf, chset, nu, cfg, groups)
+        report = sm.sum_rate(bf, h_eff, cfg, groups)
         if not 0.0 <= report.sum_rate < math.inf:
             raise ValueError(f"sum rate {report.sum_rate!r} is not finite and >= 0")
         if not sm.check_constraints(bf, cfg, nu).ok():
@@ -299,11 +302,12 @@ def sweep(spec: ExperimentSpec) -> list[RunRecord]:
     base_seed + seed index, so matched seeds share channel realizations
     across baselines and sweep values. The baselines of one (value, seed)
     cell run back to back and share the stages they have in common: one
-    channel draw, one phase optimization and one BD build per (phase
-    source, nulling) pair, each identical to what the run would compute on
-    its own. A run's ``wall_ms`` counts only the stages it computed itself,
-    so the first baseline of a cell carries the shared ones. Rows come back
-    sorted by (sweep value, baseline, seed).
+    channel draw, one phase optimization, one set of effective channels per
+    phase source and one BD build per (phase source, nulling) pair, each
+    identical to what the run would compute on its own. A run's ``wall_ms``
+    counts only the stages it computed itself, so the first baseline of a
+    cell carries the shared ones. Rows come back sorted by (sweep value,
+    baseline, seed).
     """
     records = []
     for value, cfg in spec.configs():

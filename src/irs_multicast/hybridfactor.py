@@ -53,6 +53,10 @@ def _residual_grad(resid: np.ndarray, f_bb_h: np.ndarray) -> np.ndarray:
     return -2.0 * resid @ f_bb_h
 
 
+# Relative modulus spread below which the two-phase split copies a target
+# column's phases instead of splitting them.
+_EQUAL_MODULUS = 1e-12
+
 # Stopping rules of the alternation and Armijo line search of the RF descent.
 _TOL = 1e-6             # stop on relative residual change below this
 _FLOOR = 1e-9           # stop outright once the relative residual is this small
@@ -101,6 +105,12 @@ def _two_phase_split_init(b: np.ndarray, n_rf: int,
     with a = arg v and t = arccos(|v| / 2c), so a pair of constant-modulus
     columns reproduces each target column exactly; the least-squares baseband
     recovers the pairing, leaving only rounding in the starting residual.
+
+    A column whose entries all have the peak modulus, to within
+    ``_EQUAL_MODULUS`` relative, has t ~ 0: the pair would be two
+    (near-)identical columns and F_R rank-deficient or ill-conditioned. Its
+    phases alone then reproduce it, and the partner column keeps its random
+    draw.
     """
     n, cols = b.shape
     x = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (n, n_rf)))
@@ -111,7 +121,11 @@ def _two_phase_split_init(b: np.ndarray, n_rf: int,
             continue
         c = peak / 2.0
         ang = np.angle(col)
-        t = np.arccos(np.clip(np.abs(col) / (2.0 * c), 0.0, 1.0))
+        ratio = np.clip(np.abs(col) / (2.0 * c), 0.0, 1.0)
+        if ratio.min() >= 1.0 - _EQUAL_MODULUS:
+            x[:, i] = np.exp(1j * ang)
+            continue
+        t = np.arccos(ratio)
         x[:, i] = np.exp(1j * (ang + t))
         x[:, cols + i] = np.exp(1j * (ang - t))
     return x

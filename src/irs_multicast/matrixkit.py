@@ -36,16 +36,13 @@ class SvdResult:
 
 def _fix_column_phases(u: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Rotate each singular pair so the largest-magnitude entry of the left
-    # vector is real-positive; u @ diag(s) @ vh is unchanged.
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        i = int(np.argmax(np.abs(col)))
-        mag = np.abs(col[i])
-        if mag > 0.0:
-            phase = col[i] / mag
-            u[:, j] = col * np.conj(phase)
-            vh[j, :] = vh[j, :] * phase
-    return u, vh
+    # vector is real-positive; u @ diag(s) @ vh is unchanged. A zero column
+    # keeps phase 1.
+    cols = np.arange(u.shape[1])
+    peak = u[np.argmax(np.abs(u), axis=0), cols]
+    mag = np.abs(peak)
+    phase = np.divide(peak, mag, out=np.ones_like(peak), where=mag > 0.0)
+    return u * np.conj(phase), vh * phase[:, None]
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -69,7 +66,7 @@ def svd(a) -> SvdResult:
     if not np.all(np.isfinite(a)):
         raise ValueError("matrix has non-finite entries")
     u, s, vh = np.linalg.svd(a, full_matrices=False)
-    u, vh = _fix_column_phases(u.copy(), vh.copy())
+    u, vh = _fix_column_phases(u, vh)
     return SvdResult(u=u, s=s, vh=vh)
 
 

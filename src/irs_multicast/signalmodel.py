@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelSet, SystemConfig, effective_channels
+from .channel import SystemConfig
 
 __all__ = [
     "BeamformerSet",
@@ -96,12 +96,12 @@ def user_rate(sinrs: np.ndarray, bw_hz: float) -> float:
     return float(bw_hz * np.sum(np.log2(1.0 + np.asarray(sinrs))))
 
 
-def sum_rate(bf: BeamformerSet, chset: ChannelSet, nu: np.ndarray,
-             cfg: SystemConfig, groups=None) -> RateReport:
-    """Evaluate the full multicast objective: sum over groups of min member rate."""
+def sum_rate(bf: BeamformerSet, h_eff: list[np.ndarray], cfg: SystemConfig,
+             groups=None) -> RateReport:
+    """Evaluate the full multicast objective: sum over groups of min member rate,
+    on the effective channels ``h_eff`` (one N_U x N_B matrix per user)."""
     groups = cfg.groups() if groups is None else groups
     validate_groups(groups, cfg.k_users)
-    h_eff = effective_channels(chset, nu, cfg)
     k_users, zeta = cfg.k_users, cfg.zeta
     sig = np.zeros((k_users, zeta))
     intra = np.zeros((k_users, zeta))

@@ -39,8 +39,9 @@ def bd_instances():
         rng = np.random.default_rng(seed)
         chset = ch.generate_channels(DESK_CONFIG, rng)
         nu = ch.random_phase_vector(DESK_CONFIG.n_irs, rng)
-        bf, decomp = bd.build_beamformers(chset, DESK_CONFIG.groups(), nu, DESK_CONFIG)
-        report = sm.sum_rate(bf, chset, nu, DESK_CONFIG)
+        h_eff = ch.effective_channels(chset, nu, DESK_CONFIG)
+        bf, decomp = bd.build_beamformers(h_eff, DESK_CONFIG.groups(), DESK_CONFIG)
+        report = sm.sum_rate(bf, h_eff, DESK_CONFIG)
         closed = bd.bd_rate_closed_form(decomp, DESK_CONFIG.groups(), DESK_CONFIG)
         out.append((report, closed))
     return out, time.perf_counter() - t0

@@ -107,7 +107,7 @@ def test_sweep_shared_stages_match_independent_runs(config, var):
 
 
 def test_sweep_computes_shared_stages_once_per_cell(monkeypatch):
-    calls = {"channels": 0, "phases": 0, "bd": 0}
+    calls = {"channels": 0, "phases": 0, "h_eff": 0, "bd": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -119,16 +119,23 @@ def test_sweep_computes_shared_stages_once_per_cell(monkeypatch):
                         counted("channels", harness.generate_channels))
     monkeypatch.setattr(harness.po, "optimize_phases",
                         counted("phases", harness.po.optimize_phases))
+    monkeypatch.setattr(harness, "effective_channels",
+                        counted("h_eff", harness.effective_channels))
     monkeypatch.setattr(harness.bd, "build_beamformers",
                         counted("bd", harness.bd.build_beamformers))
     records = harness.sweep(small_spec(baselines=harness.BASELINES))
     cells = 2 * 2  # sweep values x seeds
     assert len(records) == 6 * cells and all(r.ok for r in records)
-    assert calls == {"channels": cells, "phases": cells, "bd": 3 * cells}
+    # effective channels once per phase vector (optimized, random), read by
+    # BD and by the rate oracle alike
+    assert calls == {"channels": cells, "phases": cells, "h_eff": 2 * cells, "bd": 3 * cells}
     # the traces of proposed, a, d and e are equal but not one list
     traces = [r.trace for r in records if r.sweep_value == 50.0 and r.seed == 0 and r.trace]
     assert len(traces) == 4 and all(t == traces[0] for t in traces)
     assert len({id(t) for t in traces}) == 4
+    calls.update(dict.fromkeys(calls, 0))
+    assert harness.run_proposed(harness.DESK_CONFIG, np.random.default_rng(0)).ok
+    assert calls == {"channels": 1, "phases": 1, "h_eff": 1, "bd": 1}
 
 
 def test_shared_stage_failure_fails_every_scheme_that_needs_it(monkeypatch):
@@ -136,10 +143,10 @@ def test_shared_stage_failure_fails_every_scheme_that_needs_it(monkeypatch):
     # word, and leaves the other four schemes alone
     build = harness.bd.build_beamformers
 
-    def fail_without_nulling(chset, groups, nu, cfg, nulling=True):
+    def fail_without_nulling(h_eff, groups, cfg, nulling=True):
         if not nulling:
             raise harness.bd.BdInfeasibleError("injected")
-        return build(chset, groups, nu, cfg, nulling)
+        return build(h_eff, groups, cfg, nulling)
 
     monkeypatch.setattr(harness.bd, "build_beamformers", fail_without_nulling)
     records = harness.sweep(small_spec(baselines=harness.BASELINES, sweep_values=(50.0,)))
@@ -224,8 +231,9 @@ def test_baselines_b_c_share_phase_draw(desk_cfg):
     chset = ch.generate_channels(desk_cfg, rng)
     nu = ch.random_phase_vector(desk_cfg.n_irs, rng)
     from irs_multicast import bd, signalmodel as sm
-    bf, _ = bd.build_beamformers(chset, desk_cfg.groups(), nu, desk_cfg)
-    expected = sm.sum_rate(bf, chset, nu, desk_cfg).sum_rate
+    h_eff = ch.effective_channels(chset, nu, desk_cfg)
+    bf, _ = bd.build_beamformers(h_eff, desk_cfg.groups(), desk_cfg)
+    expected = sm.sum_rate(bf, h_eff, desk_cfg).sum_rate
     assert math.isclose(rec_c.sum_rate_bps, expected, rel_tol=1e-12)
 
 
@@ -304,10 +312,10 @@ def test_theorem1_report_keeps_rows_of_successful_runs(tmp_path, monkeypatch, ca
     harness.theorem1_report(desk_cfg, seeds=2, out_path=clean, n_values=(16, 64))
     build = harness.bd.build_beamformers
 
-    def fail_at_32(chset, groups, nu, cfg, nulling=True):
+    def fail_at_32(h_eff, groups, cfg, nulling=True):
         if cfg.n_bs == 32:
             raise harness.bd.BdInfeasibleError("injected")
-        return build(chset, groups, nu, cfg, nulling)
+        return build(h_eff, groups, cfg, nulling)
 
     monkeypatch.setattr(harness.bd, "build_beamformers", fail_at_32)
     out = tmp_path / "t1.csv"

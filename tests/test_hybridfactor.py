@@ -90,6 +90,47 @@ def test_two_phase_split_initial_residual_is_rounding():
     assert res.residuals[0] < 1e-12
 
 
+def test_two_phase_split_equal_modulus_column_is_exact():
+    # all |v| = 0.5, so t = 0 everywhere: one RF column copies the phases
+    b = np.array([[0.3 + 0.4j], [-0.3 + 0.4j], [0.4 - 0.3j], [-0.4 - 0.3j]])
+    assert np.all(np.abs(b) == 0.5)
+    res = hf.factor(b, 2, rng=np.random.default_rng(0))
+    assert res.alternations == 0
+    assert res.final_residual <= hf._FLOOR
+
+
+def test_two_phase_split_copies_columns_equal_to_rounding():
+    # steering-like combiners: moduli equal up to an ulp, so t is 0 or ~1e-8;
+    # a split would write two near-identical columns, an ill-conditioned F_R
+    # whose start misses the floor and sets off the alternation
+    rng = np.random.default_rng(1)
+    spread = 0
+    for seed in range(40):
+        b = (np.exp(1j * rng.uniform(0, 2 * np.pi, 4)) / 2.0).reshape(4, 1)
+        spread += int(np.ptp(np.abs(b)) > 0.0)
+        x = hf._init_rf(b, 2, np.random.default_rng(seed), "auto")
+        np.testing.assert_array_equal(x[:, 0], np.exp(1j * np.angle(b[:, 0])))
+        res = hf.factor(b, 2, rng=np.random.default_rng(seed))
+        assert res.alternations == 0
+        assert res.final_residual <= hf._FLOOR
+    assert spread > 20
+
+
+def test_two_phase_split_keeps_the_partner_draw():
+    # the partner column of a copied target column is the random draw, and
+    # every split column is as before: x[:, i] = e^{j(a+t)}, x[:, cols+i] = e^{j(a-t)}
+    rng = np.random.default_rng(2)
+    b = np.hstack([0.5 * np.array([[1.0], [1j], [-1.0], [-1j]]), random_complex(rng, 4, 1)])
+    x = hf._init_rf(b, 5, np.random.default_rng(3), "auto")
+    draw = np.exp(1j * np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, (4, 5)))
+    np.testing.assert_array_equal(x[:, 2], draw[:, 2])
+    np.testing.assert_array_equal(x[:, 4], draw[:, 4])
+    col = b[:, 1]
+    t = np.arccos(np.clip(np.abs(col) / np.max(np.abs(col)), 0.0, 1.0))
+    np.testing.assert_array_equal(x[:, 1], np.exp(1j * (np.angle(col) + t)))
+    np.testing.assert_array_equal(x[:, 3], np.exp(1j * (np.angle(col) - t)))
+
+
 def test_descent_only_regime_monotone_fit():
     # with fewer than 2*cols chains no exact split exists; the alternation
     # still has to make monotone progress toward a usable fit
@@ -275,11 +316,12 @@ def test_hybrid_reproduces_digital_rate(desk_cfg):
     rng = np.random.default_rng(10)
     chset = ch.generate_channels(desk_cfg, rng)
     nu = ch.random_phase_vector(desk_cfg.n_irs, rng)
-    bf, _ = bd.build_beamformers(chset, desk_cfg.groups(), nu, desk_cfg)
+    h_eff = ch.effective_channels(chset, nu, desk_cfg)
+    bf, _ = bd.build_beamformers(h_eff, desk_cfg.groups(), desk_cfg)
     hybrid, _ = harness._hybridize(bf, desk_cfg, rng)
     assert len(hybrid.rf) == 1 + desk_cfg.k_users
-    digital_rate = sm.sum_rate(bf, chset, nu, desk_cfg).sum_rate
-    hybrid_rate = sm.sum_rate(hybrid, chset, nu, desk_cfg).sum_rate
+    digital_rate = sm.sum_rate(bf, h_eff, desk_cfg).sum_rate
+    hybrid_rate = sm.sum_rate(hybrid, h_eff, desk_cfg).sum_rate
     assert abs(hybrid_rate - digital_rate) / digital_rate < 0.05
     rep = sm.check_constraints(hybrid, desk_cfg, nu)
     assert rep.ok()

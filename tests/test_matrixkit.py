@@ -122,3 +122,37 @@ def test_pinv_penrose_conditions(rows, cols, seed):
     assert np.linalg.norm(ap @ a @ ap - ap) <= 1e-9 * np.linalg.norm(ap)
     assert np.allclose(a @ ap, (a @ ap).conj().T, atol=1e-9)
     assert np.allclose(ap @ a, (ap @ a).conj().T, atol=1e-9)
+
+
+def _reference_fix_column_phases(u, vh):
+    """The per-column loop of the phase convention, kept as the oracle."""
+    u, vh = u.copy(), vh.copy()
+    for j in range(u.shape[1]):
+        col = u[:, j]
+        i = int(np.argmax(np.abs(col)))
+        mag = np.abs(col[i])
+        if mag > 0.0:
+            phase = col[i] / mag
+            u[:, j] = col * np.conj(phase)
+            vh[j, :] = vh[j, :] * phase
+    return u, vh
+
+
+def test_phase_convention_bit_identical_to_reference_loop():
+    rng = np.random.default_rng(70)
+    for rows, cols in [(16, 12), (64, 60), (7, 4), (4, 9), (16, 16)]:
+        for _ in range(20):
+            u, _, vh = np.linalg.svd(random_complex(rng, rows, cols), full_matrices=False)
+            ref = _reference_fix_column_phases(u, vh)
+            got = mk._fix_column_phases(u, vh)
+            assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+
+
+def test_phase_convention_ties_and_zero_columns():
+    # a tie in the column peak goes to the first row; a zero column keeps phase 1
+    u = np.array([[1j, 0.0, 0.6], [-1j, 0.0, 0.8j], [0.5, 0.0, -0.8j]], dtype=np.complex128)
+    vh = random_complex(np.random.default_rng(71), 3, 5)
+    ref = _reference_fix_column_phases(u, vh)
+    got = mk._fix_column_phases(u, vh)
+    assert np.array_equal(got[0], ref[0]) and np.array_equal(got[1], ref[1])
+    assert got[0][0, 0] == 1.0 and got[0][1, 2] == 0.8

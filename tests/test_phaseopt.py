@@ -10,6 +10,8 @@ from irs_multicast import channel as ch
 from irs_multicast import harness
 from irs_multicast import phaseopt as po
 
+from conftest import CONFIG_DIR
+
 
 def single_user_cfg(desk_cfg, zeta=1):
     return dataclasses.replace(desk_cfg, k_users=1, h_groups=1, group_sizes=(1,),
@@ -339,3 +341,97 @@ def test_offdiag_small_relative_to_diagonal_after_optimization(desk_cfg):
         gain = cs.alpha_eff[cs.diag_cols[:, 0]] * cs.beta_eff[:, 0]
         diag_mags.append(np.max(np.abs(po.sigma_approx(cs, res.nu)[:, 0] / gain)))
     assert np.mean(off_mags) < np.mean(diag_mags)
+
+
+# ---------------------------------------------------------------------------
+# Bit-exact kernels: the per-stream loops they replaced, kept as oracles
+# ---------------------------------------------------------------------------
+
+def _reference_stream_gains(coupling, nu):
+    d = np.empty(coupling.b.shape, dtype=np.complex128)
+    nu_h = np.conj(nu)
+    for k, ck in enumerate(coupling.c):
+        for i in range(coupling.zeta):
+            d[k, i] = nu_h @ ck[i]
+    return d
+
+
+def _reference_bottlenecks(coupling, d, groups):
+    out = []
+    for members in groups:
+        rates = []
+        for k in members:
+            rate = 0.0
+            for i in range(coupling.zeta):
+                rate += math.log2(1.0 + coupling.b[k, i] * abs(d[k, i]) ** 2)
+            rates.append((rate, k))
+        rate, k = min(rates)
+        out.append((k, rate))
+    return out
+
+
+def _reference_objective(coupling, nu, groups):
+    d = _reference_stream_gains(coupling, nu)
+    return -coupling.bw_hz * sum(rate for _, rate in _reference_bottlenecks(coupling, d, groups))
+
+
+def _reference_grad(coupling, nu, groups):
+    d = _reference_stream_gains(coupling, nu)
+    grad = np.zeros_like(nu)
+    for k, _ in _reference_bottlenecks(coupling, d, groups):
+        b = coupling.b[k]
+        for i in range(coupling.zeta):
+            grad -= coupling.bw_hz * (2.0 * b[i] / po.LN2) * coupling.c[k, i] \
+                * np.conj(d[k, i]) / (1.0 + b[i] * abs(d[k, i]) ** 2)
+    return grad
+
+
+def assert_kernels_match_reference(cs, nu, groups):
+    d = po._stream_gains(cs, nu)
+    assert np.array_equal(d, _reference_stream_gains(cs, nu))
+    assert po._bottlenecks(cs, d, groups) == _reference_bottlenecks(cs, d, groups)
+    assert po.objective_f(cs, nu, groups) == _reference_objective(cs, nu, groups)
+    assert np.array_equal(po.euclidean_grad(cs, nu, groups), _reference_grad(cs, nu, groups))
+
+
+@pytest.mark.parametrize("preset", ["desk", "desk_multiuser", "full_scale"])
+def test_kernels_bit_identical_to_reference_loops(preset):
+    cfg = ch.load_config(CONFIG_DIR / f"{preset}.json")
+    groups = cfg.groups()
+    for seed in range(8):
+        _, cs, rng = make_coupling(cfg, 300 + seed)
+        for _ in range(3):
+            assert_kernels_match_reference(cs, unit_phases(cfg.n_irs, rng), groups)
+        # and along a descent, where the bottleneck picks move
+        res = po.optimize_phases(cs, groups, unit_phases(cfg.n_irs, rng))
+        assert_kernels_match_reference(cs, res.nu, groups)
+
+
+def test_kernels_bit_identical_on_a_planted_tie(multiuser_cfg):
+    # users 0 and 1 share their coupling, so their rates tie exactly and the
+    # bottleneck goes to the lower index, whatever the member order
+    _, cs, rng = make_coupling(multiuser_cfg, 310)
+    c, b = cs.c.copy(), cs.b.copy()
+    c[1], b[1] = c[0], b[0]
+    cs = dataclasses.replace(cs, c=c, b=b)
+    nu = unit_phases(multiuser_cfg.n_irs, rng)
+    for groups in (((0, 1), (2, 3)), ((1, 0), (3, 2))):
+        d = po._stream_gains(cs, nu)
+        assert po._bottlenecks(cs, d, groups)[0][0] == 0
+        assert_kernels_match_reference(cs, nu, groups)
+
+
+def test_stream_rates_bit_identical_on_many_gains(desk_cfg):
+    # enough entries that a last-bit difference in |d|, its square or the
+    # log shows: each differs on 0.01-35% of entries when done array-wide
+    _, cs, rng = make_coupling(desk_cfg, 320)
+    shape = (5000, 4)
+    d = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * rng.uniform(0, 3, shape)
+    cs = dataclasses.replace(cs, b=rng.uniform(0.0, 1e3, shape))
+    sq, rates = po._stream_rates(cs, d)
+    for k in range(shape[0]):
+        rate = 0.0
+        for i in range(shape[1]):
+            assert sq[k, i] == abs(d[k, i]) ** 2
+            rate += math.log2(1.0 + cs.b[k, i] * abs(d[k, i]) ** 2)
+        assert rates[k] == rate

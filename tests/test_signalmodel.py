@@ -28,6 +28,11 @@ def naive_stream_terms(combiners, h_effs, tx, groups, zeta, user_k, group_h, str
     return sig, i_term, j_term
 
 
+def channels_at_random_nu(cfg, rng):
+    chset = ch.generate_channels(cfg, rng)
+    return ch.effective_channels(chset, ch.random_phase_vector(cfg.n_irs, rng), cfg)
+
+
 def random_digital_bf(cfg, rng):
     b = random_complex(rng, cfg.n_bs, cfg.h_groups * cfg.zeta)
     b *= math.sqrt(cfg.power_w) / np.linalg.norm(b)
@@ -53,39 +58,34 @@ def test_single_group_single_stream_sinr_is_signal_over_noise(desk_cfg):
     cfg = dataclasses.replace(desk_cfg, h_groups=1, k_users=1, group_sizes=(1,),
                               zeta=1, m_bs=4, m_ue=4)
     rng = np.random.default_rng(0)
-    chset = ch.generate_channels(cfg, rng)
-    nu = ch.random_phase_vector(cfg.n_irs, rng)
+    h_eff = channels_at_random_nu(cfg, rng)
     bf = random_digital_bf(cfg, rng)
-    rep = sm.sum_rate(bf, chset, nu, cfg)
+    rep = sm.sum_rate(bf, h_eff, cfg)
     assert rep.intra[0, 0] == 0.0 and rep.inter[0, 0] == 0.0
-    h_eff = ch.effective_channels(chset, nu, cfg)[0]
-    sig = abs(np.vdot(bf.combiners[0][:, 0], h_eff @ bf.tx[:, 0])) ** 2
+    sig = abs(np.vdot(bf.combiners[0][:, 0], h_eff[0] @ bf.tx[:, 0])) ** 2
     assert math.isclose(rep.sinr[0, 0], sig / cfg.noise_w, rel_tol=1e-12)
 
 
 def test_zero_tx_column_zero_sinr(desk_cfg):
     rng = np.random.default_rng(1)
-    chset = ch.generate_channels(desk_cfg, rng)
-    nu = ch.random_phase_vector(desk_cfg.n_irs, rng)
+    h_eff = channels_at_random_nu(desk_cfg, rng)
     bf = random_digital_bf(desk_cfg, rng)
     bf.tx[:, 0] = 0.0
-    assert sm.sum_rate(bf, chset, nu, desk_cfg).sinr[0, 0] == 0.0
+    assert sm.sum_rate(bf, h_eff, desk_cfg).sinr[0, 0] == 0.0
 
 
 def test_stream_sinr_matches_naive_loops(multiuser_cfg):
     rng = np.random.default_rng(2)
-    chset = ch.generate_channels(multiuser_cfg, rng)
-    nu = ch.random_phase_vector(multiuser_cfg.n_irs, rng)
+    h_eff = channels_at_random_nu(multiuser_cfg, rng)
     bf = random_digital_bf(multiuser_cfg, rng)
     groups = multiuser_cfg.groups()
-    h_effs = ch.effective_channels(chset, nu, multiuser_cfg)
-    rep = sm.sum_rate(bf, chset, nu, multiuser_cfg)
+    rep = sm.sum_rate(bf, h_eff, multiuser_cfg)
     for h, members in enumerate(groups):
         for k in members:
             for i in range(multiuser_cfg.zeta):
                 sinr, i_t, j_t = rep.sinr[k, i], rep.intra[k, i], rep.inter[k, i]
                 sig, i_ref, j_ref = naive_stream_terms(
-                    bf.combiners, h_effs, bf.tx, groups,
+                    bf.combiners, h_eff, bf.tx, groups,
                     multiuser_cfg.zeta, k, h, i)
                 assert math.isclose(i_t, i_ref, rel_tol=1e-10, abs_tol=1e-300)
                 assert math.isclose(j_t, j_ref, rel_tol=1e-10, abs_tol=1e-300)
@@ -102,10 +102,9 @@ def test_user_rate_values():
 
 def test_sum_rate_singleton_groups_sums_user_rates(desk_cfg):
     rng = np.random.default_rng(4)
-    chset = ch.generate_channels(desk_cfg, rng)
-    nu = ch.random_phase_vector(desk_cfg.n_irs, rng)
+    h_eff = channels_at_random_nu(desk_cfg, rng)
     bf = random_digital_bf(desk_cfg, rng)
-    rep = sm.sum_rate(bf, chset, nu, desk_cfg)
+    rep = sm.sum_rate(bf, h_eff, desk_cfg)
     assert math.isclose(rep.sum_rate, rep.user_rates.sum(), rel_tol=1e-12)
 
 
@@ -116,22 +115,21 @@ def test_sum_rate_duplicate_users_min_of_equals(multiuser_cfg):
     h_ue = list(chset.h_irs_ue)
     h_ue[1] = h_ue[0]
     chset = dataclasses.replace(chset, h_irs_ue=tuple(h_ue))
-    nu = ch.random_phase_vector(multiuser_cfg.n_irs, rng)
+    h_eff = ch.effective_channels(chset, ch.random_phase_vector(multiuser_cfg.n_irs, rng),
+                                  multiuser_cfg)
     bf = random_digital_bf(multiuser_cfg, rng)
     bf.combiners[1] = bf.combiners[0]
-    rep = sm.sum_rate(bf, chset, nu, multiuser_cfg)
+    rep = sm.sum_rate(bf, h_eff, multiuser_cfg)
     assert math.isclose(rep.group_rates[0], rep.user_rates[0], rel_tol=1e-12)
     assert math.isclose(rep.user_rates[0], rep.user_rates[1], rel_tol=1e-12)
 
 
 def test_sum_rate_matches_naive_decomposition(multiuser_cfg):
     rng = np.random.default_rng(6)
-    chset = ch.generate_channels(multiuser_cfg, rng)
-    nu = ch.random_phase_vector(multiuser_cfg.n_irs, rng)
+    h_eff = channels_at_random_nu(multiuser_cfg, rng)
     bf = random_digital_bf(multiuser_cfg, rng)
     groups = multiuser_cfg.groups()
-    rep = sm.sum_rate(bf, chset, nu, multiuser_cfg)
-    h_effs = ch.effective_channels(chset, nu, multiuser_cfg)
+    rep = sm.sum_rate(bf, h_eff, multiuser_cfg)
     expected_group = []
     for h, members in enumerate(groups):
         rates = []
@@ -139,7 +137,7 @@ def test_sum_rate_matches_naive_decomposition(multiuser_cfg):
             total = 0.0
             for i in range(multiuser_cfg.zeta):
                 sig, i_t, j_t = naive_stream_terms(
-                    bf.combiners, h_effs, bf.tx, groups,
+                    bf.combiners, h_eff, bf.tx, groups,
                     multiuser_cfg.zeta, k, h, i)
                 total += math.log2(1 + sig / (i_t + j_t + multiuser_cfg.noise_w))
             rates.append(multiuser_cfg.bw_hz * total)
@@ -150,31 +148,28 @@ def test_sum_rate_matches_naive_decomposition(multiuser_cfg):
 
 def test_sum_rate_empty_group_rejected(desk_cfg):
     rng = np.random.default_rng(7)
-    chset = ch.generate_channels(desk_cfg, rng)
-    nu = ch.random_phase_vector(desk_cfg.n_irs, rng)
+    h_eff = channels_at_random_nu(desk_cfg, rng)
     bf = random_digital_bf(desk_cfg, rng)
     with pytest.raises(ValueError):
-        sm.sum_rate(bf, chset, nu, desk_cfg, groups=((0, 1), ()))
+        sm.sum_rate(bf, h_eff, desk_cfg, groups=((0, 1), ()))
 
 
 def test_zeroing_interferers_increases_sinr(multiuser_cfg):
     rng = np.random.default_rng(8)
-    chset = ch.generate_channels(multiuser_cfg, rng)
-    nu = ch.random_phase_vector(multiuser_cfg.n_irs, rng)
+    h_eff = channels_at_random_nu(multiuser_cfg, rng)
     bf = random_digital_bf(multiuser_cfg, rng)
-    rep = sm.sum_rate(bf, chset, nu, multiuser_cfg)
+    rep = sm.sum_rate(bf, h_eff, multiuser_cfg)
     bf.tx[:, multiuser_cfg.zeta:] = 0.0  # silence group 1
-    rep2 = sm.sum_rate(bf, chset, nu, multiuser_cfg)
+    rep2 = sm.sum_rate(bf, h_eff, multiuser_cfg)
     assert np.all(rep2.sinr[0] > rep.sinr[0])
 
 
 def test_relabeling_within_group_invariant(multiuser_cfg):
     rng = np.random.default_rng(9)
-    chset = ch.generate_channels(multiuser_cfg, rng)
-    nu = ch.random_phase_vector(multiuser_cfg.n_irs, rng)
+    h_eff = channels_at_random_nu(multiuser_cfg, rng)
     bf = random_digital_bf(multiuser_cfg, rng)
-    rep = sm.sum_rate(bf, chset, nu, multiuser_cfg, groups=((0, 1), (2, 3)))
-    rep_swapped = sm.sum_rate(bf, chset, nu, multiuser_cfg, groups=((1, 0), (3, 2)))
+    rep = sm.sum_rate(bf, h_eff, multiuser_cfg, groups=((0, 1), (2, 3)))
+    rep_swapped = sm.sum_rate(bf, h_eff, multiuser_cfg, groups=((1, 0), (3, 2)))
     assert np.allclose(rep.group_rates, rep_swapped.group_rates, rtol=1e-12)
 
 
