@@ -30,6 +30,8 @@ __all__ = [
     "gen_bs_irs",
     "gen_irs_user",
     "generate_channels",
+    "DRAW_FIELDS",
+    "draw_key",
     "effective_channel",
     "effective_channels",
     "random_phase_vector",
@@ -389,6 +391,20 @@ def generate_channels(cfg: SystemConfig, rng: np.random.Generator) -> ChannelSet
     return ChannelSet(h_bs_irs=h_bs, h_irs_ue=tuple(per_user),
                       bs_paths=bs_paths, ue_paths=tuple(ue_paths),
                       user_positions=tuple(positions))
+
+
+# The config fields that generate_channels and random_phase_vector (of
+# n_irs elements) read. Power, noise, gains, RF chains, streams and groups
+# stay out: a power or streams sweep draws every value's realization alike.
+DRAW_FIELDS = ("n_bs", "n_ue", "n_irs", "f_y", "f_z", "k_users", "paths_y", "paths_l",
+               "bs_pos", "irs_pos", "user_center", "user_radius", "los_pathloss_db",
+               "nlos_backoff_db")
+
+
+def draw_key(cfg: SystemConfig) -> tuple:
+    """Values of ``DRAW_FIELDS``: configs with equal keys draw the same channels
+    and phase vector, and leave the generator in the same state."""
+    return tuple(getattr(cfg, name) for name in DRAW_FIELDS)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bd, hybridfactor as hf, phaseopt as po, signalmodel as sm
-from .channel import (ConfigError, SystemConfig, effective_channels, generate_channels,
-                      random_phase_vector)
+from .channel import (ConfigError, SystemConfig, draw_key, effective_channels,
+                      generate_channels, random_phase_vector)
 
 __all__ = [
     "DESK_CONFIG",
@@ -110,6 +110,8 @@ class ExperimentSpec:
             raise ConfigError("sweep values must be strictly increasing")
         object.__setattr__(self, "sweep_values", values)
         object.__setattr__(self, "baselines", tuple(self.baselines))
+        if not self.baselines:
+            raise ConfigError("need at least one baseline")
         for b in self.baselines:
             if b not in BASELINES:
                 raise ConfigError(f"unknown baseline {b!r}")
@@ -224,7 +226,8 @@ def _run(baseline: str, cfg: SystemConfig, rng: np.random.Generator,
 
     ``shared``, if given, is the stage memo of the run's (config, seed) cell
     (see :func:`sweep`); every run on it starts from a fresh generator of
-    that seed.
+    that seed. Its ``"channels"`` entry may come from another cell of the
+    seed with the same draw key.
     """
     t0 = time.perf_counter()
     optimize, nulling, hybrid = SCHEMES[baseline]
@@ -300,24 +303,32 @@ def sweep(spec: ExperimentSpec) -> list[RunRecord]:
 
     Every (value, baseline, seed) run has its own RNG stream seeded by
     base_seed + seed index, so matched seeds share channel realizations
-    across baselines and sweep values. The baselines of one (value, seed)
-    cell run back to back and share the stages they have in common: one
-    channel draw, one phase optimization, one set of effective channels per
-    phase source and one BD build per (phase source, nulling) pair, each
-    identical to what the run would compute on its own. A run's ``wall_ms``
-    counts only the stages it computed itself, so the first baseline of a
-    cell carries the shared ones. Rows come back sorted by (sweep value,
-    baseline, seed).
+    across baselines and sweep values. Runs go seed by seed. A seed draws
+    its channels once for every sweep value with the same
+    :func:`~irs_multicast.channel.draw_key` (all of a power or streams
+    sweep; each value of an elements or groups sweep draws its own), and the
+    draws are dropped when the seed is done. The baselines of one (value,
+    seed) cell run back to back and share the other stages they have in
+    common: one phase optimization, one set of effective channels per phase
+    source and one BD build per (phase source, nulling) pair. Each stage is
+    identical to what the run would compute on its own, and a failed stage
+    fails every run that needs it alike. A run's ``wall_ms`` counts only the
+    stages it computed itself, so the first run that needs a seed's draw
+    carries it, and the first baseline of a cell the cell's shared stages.
+    Rows come back sorted by (sweep value, baseline, seed).
     """
+    cells = [(value, cfg, draw_key(cfg)) for value, cfg in spec.configs()]
     records = []
-    for value, cfg in spec.configs():
-        for idx in range(spec.n_seeds):
-            shared = {}
-            records += [_run(baseline, cfg, np.random.default_rng(spec.base_seed + idx),
-                             sweep_var=spec.sweep_var, sweep_value=value,
-                             seed=spec.base_seed + idx,
+    for idx in range(spec.n_seeds):
+        seed = spec.base_seed + idx
+        draws = {}  # this seed's "channels" stages, by draw key
+        for value, cfg, key in cells:
+            shared = {"channels": draws[key]} if key in draws else {}
+            records += [_run(baseline, cfg, np.random.default_rng(seed),
+                             sweep_var=spec.sweep_var, sweep_value=value, seed=seed,
                              measure_walltime=spec.measure_walltime, shared=shared)
                         for baseline in spec.baselines]
+            draws[key] = shared["channels"]
     records.sort(key=lambda r: (r.sweep_value, r.baseline, r.seed))
     return records
 

@@ -180,6 +180,56 @@ def test_channel_determinism(desk_cfg):
     np.testing.assert_array_equal(a.bs_paths.gains, b.bs_paths.gains)
 
 
+class _ReadSpy:
+    """Forwards attribute reads to a config and records their names."""
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.read = set()
+
+    def __getattr__(self, name):
+        self.read.add(name)
+        return getattr(self.cfg, name)
+
+
+def _draw(cfg, seed=3):
+    """A sweep run's draw: channels, then the random phase vector, from one
+    generator; returns every array it made and the generator state after."""
+    rng = np.random.default_rng(seed)
+    chset = ch.generate_channels(cfg, rng)
+    nu = ch.random_phase_vector(cfg.n_irs, rng)
+    paths = [getattr(p, f.name) for p in (chset.bs_paths, *chset.ue_paths)
+             for f in dataclasses.fields(p)]
+    arrays = [chset.h_bs_irs, *chset.h_irs_ue, np.array(chset.user_positions), nu, *paths]
+    return arrays, rng.bit_generator.state
+
+
+def test_draw_reads_exactly_the_draw_key_fields(multiuser_cfg):
+    # a field read but missing from the key would let configs that draw
+    # differently share a draw; a key field never read only costs sharing
+    spy = _ReadSpy(multiuser_cfg)
+    rng = np.random.default_rng(0)
+    ch.generate_channels(spy, rng)
+    ch.random_phase_vector(spy.n_irs, rng)
+    assert spy.read == set(ch.DRAW_FIELDS)
+    assert ch.draw_key(multiuser_cfg) == tuple(getattr(multiuser_cfg, f) for f in ch.DRAW_FIELDS)
+
+
+@pytest.mark.parametrize("change", [
+    dict(power_dbm=20.0), dict(noise_dbm=-80.0), dict(bw_hz=1e8), dict(g_tx_dbi=10.0),
+    dict(g_rx_dbi=3.0), dict(zeta=1), dict(m_bs=12), dict(m_ue=6),
+    dict(h_groups=1, group_sizes=(4,)), dict(group_sizes=(1, 3)), dict(seed=5),
+])
+def test_fields_outside_the_draw_key_leave_the_draw_unchanged(multiuser_cfg, change):
+    other = dataclasses.replace(multiuser_cfg, **change)
+    assert ch.draw_key(other) == ch.draw_key(multiuser_cfg)
+    arrays, state = _draw(other)
+    want_arrays, want_state = _draw(multiuser_cfg)
+    assert len(arrays) == len(want_arrays)
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, want_arrays))
+    assert state == want_state
+
+
 def test_nlos_angles_within_sampling_ranges(desk_cfg):
     chset = ch.generate_channels(desk_cfg, np.random.default_rng(11))
     for paths in (chset.bs_paths, *chset.ue_paths):

@@ -1,10 +1,11 @@
 import dataclasses
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from irs_multicast import channel as ch
@@ -29,6 +30,8 @@ def test_spec_validation():
         small_spec(baselines=("proposed", "zz"))
     with pytest.raises(ch.ConfigError, match="repeated baseline"):
         small_spec(baselines=("c", "proposed", "c"))
+    with pytest.raises(ch.ConfigError, match="at least one baseline"):
+        small_spec(baselines=())
     with pytest.raises(ch.ConfigError, match="seed"):
         small_spec(n_seeds=0)
     with pytest.raises(ch.ConfigError, match="sweep"):
@@ -88,10 +91,13 @@ def _assert_same_record(got, want):
 
 @pytest.mark.parametrize("config, var", [("desk.json", "power"),
                                          ("desk_multiuser.json", "elements"),
+                                         ("desk_multiuser.json", "streams"),
+                                         ("full_scale.json", "power"),
                                          ("table2_faithful.json", "none")])
 def test_sweep_shared_stages_match_independent_runs(config, var):
-    # a cell's baselines share its channel draw, phases and BD builds; each
-    # record must still equal the run computed on its own
+    # a seed's sweep values share its channel draw where the draw key allows,
+    # a cell's baselines share its phases and BD builds; each record must
+    # still equal the run computed on its own
     spec = harness.ExperimentSpec(config=ch.load_config(CONFIG_DIR / config), sweep_var=var,
                                   baselines=harness.BASELINES, n_seeds=2)
     records = harness.sweep(spec)
@@ -124,11 +130,12 @@ def test_sweep_computes_shared_stages_once_per_cell(monkeypatch):
     monkeypatch.setattr(harness.bd, "build_beamformers",
                         counted("bd", harness.bd.build_beamformers))
     records = harness.sweep(small_spec(baselines=harness.BASELINES))
-    cells = 2 * 2  # sweep values x seeds
+    seeds, cells = 2, 2 * 2  # cells: sweep values x seeds
     assert len(records) == 6 * cells and all(r.ok for r in records)
-    # effective channels once per phase vector (optimized, random), read by
-    # BD and by the rate oracle alike
-    assert calls == {"channels": cells, "phases": cells, "h_eff": 2 * cells, "bd": 3 * cells}
+    # one channel draw per seed serves both powers; effective channels once
+    # per cell and phase vector (optimized, random), read by BD and by the
+    # rate oracle alike
+    assert calls == {"channels": seeds, "phases": cells, "h_eff": 2 * cells, "bd": 3 * cells}
     # the traces of proposed, a, d and e are equal but not one list
     traces = [r.trace for r in records if r.sweep_value == 50.0 and r.seed == 0 and r.trace]
     assert len(traces) == 4 and all(t == traces[0] for t in traces)
@@ -136,6 +143,63 @@ def test_sweep_computes_shared_stages_once_per_cell(monkeypatch):
     calls.update(dict.fromkeys(calls, 0))
     assert harness.run_proposed(harness.DESK_CONFIG, np.random.default_rng(0)).ok
     assert calls == {"channels": 1, "phases": 1, "h_eff": 1, "bd": 1}
+
+
+@pytest.mark.parametrize("var, values, draws_per_seed", [
+    ("streams", (1.0, 2.0), 1), ("elements", (16.0, 64.0, 144.0), 3), ("groups", (1.0, 2.0), 2),
+])
+def test_sweep_draws_once_per_seed_and_draw_key(monkeypatch, var, values, draws_per_seed):
+    draws = []
+
+    def counted(cfg, rng):
+        draws.append(ch.draw_key(cfg))
+        return ch.generate_channels(cfg, rng)
+
+    monkeypatch.setattr(harness, "generate_channels", counted)
+    records = harness.sweep(small_spec(sweep_var=var, sweep_values=values,
+                                       baselines=("proposed", "c")))
+    assert len(records) == len(values) * 2 * 2 and all(r.ok for r in records)
+    assert len(draws) == 2 * draws_per_seed
+    assert len(set(draws)) == draws_per_seed
+
+
+def test_failed_draw_fails_every_value_of_its_seed(monkeypatch):
+    # a draw that raises is stored like a result: the seed's later values
+    # fail with the same status and do not draw again
+    calls = []
+
+    def failing(cfg, rng):
+        calls.append(cfg.power_dbm)
+        raise ValueError("injected")
+
+    monkeypatch.setattr(harness, "generate_channels", failing)
+    records = harness.sweep(small_spec(sweep_values=(20.0, 30.0, 40.0)))
+    assert calls == [20.0, 20.0]
+    assert len(records) == 3 * 2 * 2
+    assert {r.status for r in records} == {"failed:invalid (injected)"}
+
+
+def test_sweep_keeps_one_seed_of_draws_alive(monkeypatch):
+    # a seed's draws are dropped when the seed is done, so a power sweep
+    # holds one realization at a time however many seeds it runs
+    alive, peaks = [], []
+
+    def tracked(cfg, rng):
+        chset = ch.generate_channels(cfg, rng)
+        alive.append(weakref.ref(chset))
+        return chset
+
+    def watched(*args, **kwargs):
+        peaks.append(sum(ref() is not None for ref in alive))
+        return run(*args, **kwargs)
+
+    run = harness._run
+    monkeypatch.setattr(harness, "generate_channels", tracked)
+    monkeypatch.setattr(harness, "_run", watched)
+    records = harness.sweep(small_spec(sweep_values=(20.0, 30.0, 40.0, 50.0), n_seeds=3,
+                                       baselines=("proposed",)))
+    assert len(records) == 12 and all(r.ok for r in records)
+    assert len(alive) == 3 and max(peaks) == 1
 
 
 def test_shared_stage_failure_fails_every_scheme_that_needs_it(monkeypatch):
@@ -161,14 +225,18 @@ _FAILURE_PREFIXES = ("failed:bd-infeasible (", "failed:invalid (")
 
 
 @st.composite
-def small_configs(draw):
+def small_configs(draw, rf_limited=False):
     """Small valid configs with m_bs >= 2*H*zeta and m_ue >= 2*zeta, where the
-    hybrid step starts from an exact split; the path counts may leave too
-    few paths for the coupling or for BD, which must end in failure records."""
+    hybrid step starts from an exact split, or with ``rf_limited`` at least
+    one side below that, where the hybrid factorization alternates; the path
+    counts may leave too few paths for the coupling or for BD, which must
+    end in failure records."""
     zeta = draw(st.integers(1, 2))
     sizes = tuple(draw(st.lists(st.integers(1, 2), min_size=1, max_size=2)))
-    m_bs = 2 * len(sizes) * zeta + draw(st.integers(0, 2))
-    m_ue = 2 * zeta + draw(st.integers(0, 1))
+    per_stream = 1 if rf_limited else 2
+    m_bs = per_stream * len(sizes) * zeta + draw(st.integers(0, 2))
+    m_ue = per_stream * zeta + draw(st.integers(0, 1))
+    assume(not rf_limited or m_bs < 2 * len(sizes) * zeta or m_ue < 2 * zeta)
     f_y, f_z = draw(st.integers(2, 4)), draw(st.integers(2, 4))
     return dataclasses.replace(
         harness.DESK_CONFIG, n_bs=m_bs + draw(st.integers(0, 6)),
@@ -178,9 +246,7 @@ def small_configs(draw):
         paths_l=draw(st.integers(1, 4)), power_dbm=draw(st.floats(0.0, 50.0)))
 
 
-@settings(max_examples=20, deadline=None)
-@given(small_configs(), st.integers(0, 10_000))
-def test_sweep_on_random_configs_keeps_the_failure_contract(cfg, seed):
+def _check_failure_contract(cfg, seed):
     records = harness.sweep(harness.ExperimentSpec(config=cfg, baselines=harness.BASELINES,
                                                    base_seed=seed))
     assert len(records) == 6
@@ -191,6 +257,18 @@ def test_sweep_on_random_configs_keeps_the_failure_contract(cfg, seed):
             assert all(math.isfinite(r) and r >= 0.0 for r in rates)
         _assert_same_record(rec, harness.run_baseline(
             rec.baseline, cfg, np.random.default_rng(seed), seed=seed))
+
+
+@settings(max_examples=20, deadline=None)
+@given(small_configs(), st.integers(0, 10_000))
+def test_sweep_on_random_configs_keeps_the_failure_contract(cfg, seed):
+    _check_failure_contract(cfg, seed)
+
+
+@settings(max_examples=6, deadline=None)
+@given(small_configs(rf_limited=True), st.integers(0, 10_000))
+def test_rf_limited_sweep_on_random_configs_keeps_the_failure_contract(cfg, seed):
+    _check_failure_contract(cfg, seed)
 
 
 @pytest.mark.parametrize("var", ["streams", "groups"])
