@@ -27,12 +27,9 @@ __all__ = [
     "load_config",
     "ula_response",
     "upa_response",
-    "gen_bs_irs",
-    "gen_irs_user",
     "generate_channels",
     "DRAW_FIELDS",
     "draw_key",
-    "effective_channel",
     "effective_channels",
     "random_phase_vector",
 ]
@@ -222,8 +219,7 @@ def upa_response(theta: float, eta: float, f_y: int, f_z: int) -> np.ndarray:
 
     Element (f1, f2) carries phase
     ``2*pi*d/lambda*((f1-1)*cos(eta)*sin(theta) + (f2-1)*sin(eta))``; the
-    flat index runs with the vertical index f2 fastest, a convention shared
-    with the phase-coupling construction.
+    flat index runs with the vertical index f2 fastest.
     """
     if f_y < 1 or f_z < 1:
         raise ValueError("UPA needs at least one element per dimension")
@@ -240,21 +236,27 @@ def upa_response(theta: float, eta: float, f_y: int, f_z: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PathSet:
-    """Per-path gains and angles for one link; index 0 is the LOS ray.
+    """Per-path gains, angles and steering vectors of one link; index 0 is the LOS ray.
 
     ``az_irs``/``el_irs`` are the IRS-side azimuth/elevation (arrival for the
     BS link, departure for a user link); ``endpoint`` is the single ULA angle
-    at the far end (BS departure or user arrival).
+    at the far end (BS departure or user arrival). ``a_irs`` (n, M) and
+    ``a_far`` (n, N) hold each path's UPA response at the IRS and ULA response
+    at the far end, one row per path.
     """
 
     gains: np.ndarray
     az_irs: np.ndarray
     el_irs: np.ndarray
     endpoint: np.ndarray
+    a_irs: np.ndarray
+    a_far: np.ndarray
 
     def __post_init__(self):
         n = self.gains.shape[0]
-        if not (self.az_irs.shape == self.el_irs.shape == self.endpoint.shape == (n,)):
+        if not (self.az_irs.shape == self.el_irs.shape == self.endpoint.shape == (n,)
+                and self.a_irs.ndim == self.a_far.ndim == 2
+                and len(self.a_irs) == len(self.a_far) == n):
             raise ValueError("path arrays must share one length")
         if not np.all(np.isfinite(self.gains)):
             raise ValueError("path gains must be finite")
@@ -298,57 +300,44 @@ def fspl_amplitude(dist_m: float, offset_db: float) -> float:
     return 10.0 ** (-loss_db / 20.0)
 
 
-def _draw_paths(rng: np.random.Generator, n_paths: int, los_gain_amp: float,
-                los_az: float, los_el: float, los_endpoint: float,
-                backoff_db: float) -> PathSet:
+def _draw_link(cfg: SystemConfig, rng: np.random.Generator, far_pos,
+               n_paths: int, n_far: int) -> PathSet:
+    """Draw the paths between the IRS and the ``n_far``-antenna ULA at ``far_pos``.
+
+    The LOS angles and amplitude follow from the geometry; its phase and the
+    NLOS gains and angles are drawn.
+    """
+    los_az, los_el = _upa_angles(_unit_direction(cfg.irs_pos, far_pos))
+    los_far = _ula_angle(_unit_direction(far_pos, cfg.irs_pos))
+    dist = float(np.linalg.norm(np.asarray(cfg.irs_pos) - np.asarray(far_pos)))
+    los_gain_amp = fspl_amplitude(dist, cfg.los_pathloss_db)
     gains = np.empty(n_paths, dtype=np.complex128)
     gains[0] = los_gain_amp * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
     n_nlos = n_paths - 1
     az = np.empty(n_paths)
     el = np.empty(n_paths)
     endpoint = np.empty(n_paths)
-    az[0], el[0], endpoint[0] = los_az, los_el, los_endpoint
+    az[0], el[0], endpoint[0] = los_az, los_el, los_far
     if n_nlos:
-        sigma = los_gain_amp * 10.0 ** (-backoff_db / 20.0)
+        sigma = los_gain_amp * 10.0 ** (-cfg.nlos_backoff_db / 20.0)
         reim = rng.standard_normal((n_nlos, 2))
         gains[1:] = sigma / math.sqrt(2.0) * (reim[:, 0] + 1j * reim[:, 1])
         az[1:] = rng.uniform(-np.pi / 2, np.pi / 2, n_nlos)
         el[1:] = rng.uniform(-np.pi / 4, np.pi / 4, n_nlos)
         endpoint[1:] = rng.uniform(-np.pi / 2, np.pi / 2, n_nlos)
-    return PathSet(gains=gains, az_irs=az, el_irs=el, endpoint=endpoint)
+    a_irs = np.stack([upa_response(t, e, cfg.f_y, cfg.f_z) for t, e in zip(az, el)])
+    a_far = np.stack([ula_response(r, n_far) for r in endpoint])
+    return PathSet(gains=gains, az_irs=az, el_irs=el, endpoint=endpoint,
+                   a_irs=a_irs, a_far=a_far)
 
 
-def bs_irs_from_paths(paths: PathSet, cfg: SystemConfig) -> np.ndarray:
-    """Assemble the M x N_B BS->IRS matrix from an explicit path set."""
-    scale = math.sqrt(cfg.n_bs * cfg.n_irs / cfg.paths_y)
-    h = np.zeros((cfg.n_irs, cfg.n_bs), dtype=np.complex128)
-    for gain, az, el, r_dep in zip(paths.gains, paths.az_irs, paths.el_irs, paths.endpoint):
-        a_irs = upa_response(az, el, cfg.f_y, cfg.f_z)
-        a_bs = ula_response(r_dep, cfg.n_bs)
-        h += gain * np.outer(a_irs, a_bs.conj())
+def _path_sum(gains: np.ndarray, left: np.ndarray, right: np.ndarray,
+              scale: float) -> np.ndarray:
+    """``scale * sum_p g_p left_p right_p^H`` over the path rows, in path order."""
+    h = np.zeros((left.shape[1], right.shape[1]), dtype=np.complex128)
+    for g, a, b in zip(gains, left, right):
+        h += g * np.outer(a, b.conj())
     return scale * h
-
-
-def irs_user_from_paths(paths: PathSet, cfg: SystemConfig) -> np.ndarray:
-    """Assemble the N_U x M IRS->user matrix from an explicit path set."""
-    scale = math.sqrt(cfg.n_irs * cfg.n_ue / cfg.paths_l)
-    h = np.zeros((cfg.n_ue, cfg.n_irs), dtype=np.complex128)
-    for gain, az, el, r_arr in zip(paths.gains, paths.az_irs, paths.el_irs, paths.endpoint):
-        a_ue = ula_response(r_arr, cfg.n_ue)
-        a_irs = upa_response(az, el, cfg.f_y, cfg.f_z)
-        h += gain * np.outer(a_ue, a_irs.conj())
-    return scale * h
-
-
-def gen_bs_irs(cfg: SystemConfig, rng: np.random.Generator) -> tuple[np.ndarray, PathSet]:
-    """Draw the BS->IRS channel; LOS geometry from the configured positions."""
-    toward_bs = _unit_direction(cfg.irs_pos, cfg.bs_pos)
-    los_az, los_el = _upa_angles(toward_bs)
-    los_dep = _ula_angle(_unit_direction(cfg.bs_pos, cfg.irs_pos))
-    dist = float(np.linalg.norm(np.asarray(cfg.bs_pos) - np.asarray(cfg.irs_pos)))
-    paths = _draw_paths(rng, cfg.paths_y, fspl_amplitude(dist, cfg.los_pathloss_db),
-                        los_az, los_el, los_dep, cfg.nlos_backoff_db)
-    return bs_irs_from_paths(paths, cfg), paths
 
 
 def _draw_user_position(cfg: SystemConfig, rng: np.random.Generator) -> tuple[float, float, float]:
@@ -358,39 +347,23 @@ def _draw_user_position(cfg: SystemConfig, rng: np.random.Generator) -> tuple[fl
     return (cx + radius * math.cos(angle), cy + radius * math.sin(angle), cz)
 
 
-def gen_irs_user(cfg: SystemConfig, user_k: int, rng: np.random.Generator,
-                 position: tuple[float, float, float] | None = None,
-                 ) -> tuple[np.ndarray, PathSet, tuple[float, float, float]]:
-    """Draw the IRS->user channel for user ``user_k``.
-
-    The user position is drawn uniformly in the configured disc unless given
-    explicitly.
-    """
-    if not 0 <= user_k < cfg.k_users:
-        raise IndexError(f"user index {user_k} out of range for K={cfg.k_users}")
-    if position is None:
-        position = _draw_user_position(cfg, rng)
-    toward_user = _unit_direction(cfg.irs_pos, position)
-    los_az, los_el = _upa_angles(toward_user)
-    los_arr = _ula_angle(_unit_direction(position, cfg.irs_pos))
-    dist = float(np.linalg.norm(np.asarray(cfg.irs_pos) - np.asarray(position)))
-    paths = _draw_paths(rng, cfg.paths_l, fspl_amplitude(dist, cfg.los_pathloss_db),
-                        los_az, los_el, los_arr, cfg.nlos_backoff_db)
-    return irs_user_from_paths(paths, cfg), paths, position
-
-
 def generate_channels(cfg: SystemConfig, rng: np.random.Generator) -> ChannelSet:
-    """Draw one full channel realization (fixed draw order for reproducibility)."""
-    h_bs, bs_paths = gen_bs_irs(cfg, rng)
-    per_user, ue_paths, positions = [], [], []
-    for k in range(cfg.k_users):
-        h_k, paths_k, pos_k = gen_irs_user(cfg, k, rng)
-        per_user.append(h_k)
-        ue_paths.append(paths_k)
-        positions.append(pos_k)
-    return ChannelSet(h_bs_irs=h_bs, h_irs_ue=tuple(per_user),
-                      bs_paths=bs_paths, ue_paths=tuple(ue_paths),
-                      user_positions=tuple(positions))
+    """Draw one full channel realization.
+
+    The draw order is fixed for reproducibility: the BS link, then for each
+    user its position, uniform in the configured disc, and its link.
+    """
+    bs_paths = _draw_link(cfg, rng, cfg.bs_pos, cfg.paths_y, cfg.n_bs)
+    ue_paths, positions = [], []
+    for _ in range(cfg.k_users):
+        positions.append(_draw_user_position(cfg, rng))
+        ue_paths.append(_draw_link(cfg, rng, positions[-1], cfg.paths_l, cfg.n_ue))
+    h_bs = _path_sum(bs_paths.gains, bs_paths.a_irs, bs_paths.a_far,
+                     math.sqrt(cfg.n_bs * cfg.n_irs / cfg.paths_y))
+    ue_scale = math.sqrt(cfg.n_irs * cfg.n_ue / cfg.paths_l)
+    h_ue = tuple(_path_sum(p.gains, p.a_far, p.a_irs, ue_scale) for p in ue_paths)
+    return ChannelSet(h_bs_irs=h_bs, h_irs_ue=h_ue, bs_paths=bs_paths,
+                      ue_paths=tuple(ue_paths), user_positions=tuple(positions))
 
 
 # The config fields that generate_channels and random_phase_vector (of
@@ -416,17 +389,11 @@ def random_phase_vector(m: int, rng: np.random.Generator) -> np.ndarray:
     return np.exp(-1j * rng.uniform(0.0, 2.0 * np.pi, m))
 
 
-def effective_channel(h_bs: np.ndarray, h_ue_k: np.ndarray, nu: np.ndarray,
-                      g_tx_dbi: float, g_rx_dbi: float) -> np.ndarray:
-    """Cascaded BS->IRS->user channel ``G_t G_r H_k^R Phi H^B``."""
-    m = h_bs.shape[0]
-    if h_ue_k.shape[1] != m or nu.shape != (m,):
-        raise ValueError(
-            f"shape mismatch: H_ue {h_ue_k.shape}, H_bs {h_bs.shape}, nu {nu.shape}")
-    gain = 10.0 ** (g_tx_dbi / 20.0) * 10.0 ** (g_rx_dbi / 20.0)
-    return gain * ((h_ue_k * np.conj(nu)[None, :]) @ h_bs)
-
-
 def effective_channels(chset: ChannelSet, nu: np.ndarray, cfg: SystemConfig) -> list[np.ndarray]:
-    return [effective_channel(chset.h_bs_irs, h_k, nu, cfg.g_tx_dbi, cfg.g_rx_dbi)
-            for h_k in chset.h_irs_ue]
+    """Cascaded BS->IRS->user channel ``G_t G_r H_k^R Phi H^B`` of every user k."""
+    h_bs = chset.h_bs_irs
+    if nu.shape != (h_bs.shape[0],):
+        raise ValueError(f"shape mismatch: H_bs {h_bs.shape}, nu {nu.shape}")
+    gain = 10.0 ** (cfg.g_tx_dbi / 20.0) * 10.0 ** (cfg.g_rx_dbi / 20.0)
+    phase = np.conj(nu)[None, :]
+    return [gain * ((h_k * phase) @ h_bs) for h_k in chset.h_irs_ue]

@@ -32,7 +32,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="number of Monte Carlo seeds")
     parser.add_argument("--base-seed", type=int, default=0)
     parser.add_argument("--out", help="output CSV path (default: stdout)")
-    parser.add_argument("--trace", help="per-iteration phase-optimizer trace CSV")
+    parser.add_argument("--trace", help="per-iteration phase-optimizer trace CSV of every run")
     parser.add_argument("--report", choices=REPORTS,
                         help="emit a named report instead of a sweep")
     parser.add_argument("--timing", action="store_true",
@@ -120,9 +120,7 @@ def main(argv=None) -> int:
     else:
         sys.stdout.write(harness.records_csv_text(records))
     if args.trace:
-        traced = next((r for r in records if r.trace), None)
-        if traced is not None:
-            harness.write_trace(args.trace, traced.trace)
+        harness.write_trace(args.trace, records)
     return 2 if any(not r.ok for r in records) else 0
 
 

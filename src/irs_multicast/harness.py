@@ -200,14 +200,12 @@ def _hybridize(bf_digital: sm.BeamformerSet, cfg: SystemConfig,
     return sm.BeamformerSet(tx=tx.f_rf @ f_bb, combiners=combiners, rf=tuple(rf)), s2
 
 
-def _stage(shared: dict | None, key, compute):
-    """``compute()``, computed once per cell when ``shared`` is a memo.
+def _stage(shared: dict, key, compute):
+    """``compute()``, computed once per cell of the memo ``shared``.
 
     A stage that fails stores its exception, which every later scheme of the
     cell that needs the stage raises again.
     """
-    if shared is None:
-        return compute()
     if key not in shared:
         try:
             shared[key] = compute()
@@ -227,9 +225,10 @@ def _run(baseline: str, cfg: SystemConfig, rng: np.random.Generator,
     ``shared``, if given, is the stage memo of the run's (config, seed) cell
     (see :func:`sweep`); every run on it starts from a fresh generator of
     that seed. Its ``"channels"`` entry may come from another cell of the
-    seed with the same draw key.
+    seed with the same draw key. Without it the run has a memo of its own.
     """
     t0 = time.perf_counter()
+    shared = {} if shared is None else shared
     optimize, nulling, hybrid = SCHEMES[baseline]
     groups = cfg.groups()
     args = dict(seed=seed, baseline=baseline, sweep_var=sweep_var,
@@ -376,9 +375,13 @@ def _trace_fields(row: po.TraceRow) -> dict:
     return dict(zip(_TRACE_COLUMNS, dataclasses.astuple(row)))
 
 
-def write_trace(path, trace: list[po.TraceRow]) -> None:
-    """Write one optimizer trace as CSV, one row per accepted iteration."""
-    _write_report(path, [_trace_fields(t) for t in trace], _TRACE_COLUMNS)
+def write_trace(path, records: list[RunRecord]) -> None:
+    """Write the optimizer traces of ``records`` as CSV: one row per accepted
+    iteration of every traced run, keyed by seed, baseline and sweep value."""
+    rows = [dict(seed=r.seed, baseline=r.baseline, sweep_value=r.sweep_value,
+                 **_trace_fields(t))
+            for r in records for t in r.trace]
+    _write_report(path, rows, ("seed", "baseline", "sweep_value") + _TRACE_COLUMNS)
 
 
 _THEOREM1_COLUMNS = ("seed", "n_antennas", "user", "sigma_true_fnorm",

@@ -28,7 +28,6 @@ __all__ = [
     "FactorSettings",
     "FactorResult",
     "solve_baseband",
-    "rf_objective_grad",
     "factor",
     "normalize_power",
 ]
@@ -39,17 +38,9 @@ def solve_baseband(f_rf: np.ndarray, b: np.ndarray) -> np.ndarray:
     return mk.pseudo_inverse(f_rf) @ b
 
 
-def rf_objective_grad(x_mat: np.ndarray, f_bb: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Wirtinger gradient (2 d/dX*) of ``||B - X F_B||_F^2`` in matrix form."""
-    return -2.0 * (b - x_mat @ f_bb) @ f_bb.conj().T
-
-
 def _residual_grad(resid: np.ndarray, f_bb_h: np.ndarray) -> np.ndarray:
-    """:func:`rf_objective_grad` from ``R = B - X F_B`` and ``F_B^H`` at hand.
-
-    The same operations in the same order, so the result is bit-identical;
-    tests hold the two to ``np.array_equal``.
-    """
+    """Wirtinger gradient (2 d/dX*) of ``||B - X F_B||_F^2`` from the residual
+    ``R = B - X F_B`` and ``F_B^H``."""
     return -2.0 * resid @ f_bb_h
 
 
@@ -161,7 +152,7 @@ def _rf_descent(x: np.ndarray, f_bb: np.ndarray, b: np.ndarray,
     floor on these strongly coupled blocks.
 
     Iterate arithmetic follows the module's bit-exact contract. The gradient
-    is :func:`rf_objective_grad` divided by ``scale``, taken from the residual
+    is :func:`_residual_grad` divided by ``scale``, taken from the residual
     ``R = B - X F_B`` that the accepted Armijo trial already computed, and the
     tangent projection, BB step and retraction keep their operation order.
     ``q`` enters only comparisons.

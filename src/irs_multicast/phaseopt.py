@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelSet, SystemConfig, upa_response
+from .channel import ChannelSet, SystemConfig
 from .signalmodel import validate_groups
 
 __all__ = [
@@ -82,7 +82,8 @@ class CouplingSet:
 
 
 def coupling_vectors(chset: ChannelSet, cfg: SystemConfig, groups=None) -> CouplingSet:
-    """Build the stacked coupling vectors and SINR scales from the path geometry.
+    """Build the stacked coupling vectors and SINR scales from the path gains
+    and the paths' IRS steering stacks.
 
     Group h pairs its i-th diagonal stream with the sorted BS-side path
     h*zeta+i, so different groups align onto disjoint BS-side directions.
@@ -101,9 +102,7 @@ def coupling_vectors(chset: ChannelSet, cfg: SystemConfig, groups=None) -> Coupl
     alpha = cfg.g_tx_lin * math.sqrt(cfg.n_bs * cfg.n_irs / y) * bs.gains
     order_a = np.argsort(-np.abs(alpha), kind="stable")
     alpha_sorted = alpha[order_a]
-    arr_vecs = np.stack([
-        upa_response(bs.az_irs[j], bs.el_irs[j], cfg.f_y, cfg.f_z)
-        for j in order_a[:cfg.h_groups * zeta]])
+    arr_vecs = bs.a_irs[order_a[:cfg.h_groups * zeta]]
     group_of = {k: h for h, members in enumerate(groups) for k in members}
     c, b, beta_eff, diag_cols = [], [], [], []
     for k in range(cfg.k_users):
@@ -112,9 +111,7 @@ def coupling_vectors(chset: ChannelSet, cfg: SystemConfig, groups=None) -> Coupl
         beta = cfg.g_rx_lin * math.sqrt(cfg.n_irs * cfg.n_ue / ell) * up.gains
         order_b = np.argsort(-np.abs(beta), kind="stable")
         beta_sorted = beta[order_b]
-        dep_vecs = np.stack([
-            upa_response(up.az_irs[i], up.el_irs[i], cfg.f_y, cfg.f_z)
-            for i in order_b[:zeta]])
+        dep_vecs = up.a_irs[order_b[:zeta]]
         cols = np.arange(h * zeta, h * zeta + zeta)
         c.append(np.conj(dep_vecs) * arr_vecs[cols])
         scale = cfg.power_w / (len(groups[h]) * cfg.h_groups * zeta * cfg.noise_w)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import CONFIG_DIR
 from irs_multicast import channel as ch
 
 angles = st.floats(-np.pi / 2, np.pi / 2, allow_nan=False)
@@ -146,29 +147,109 @@ def test_config_invalid_json(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_bs_irs_single_unit_path_norm(desk_cfg):
+    # one path of unit gain: rank 1 and the norm of the link scale sqrt(N_B M / Y)
     cfg = dataclasses.replace(desk_cfg, paths_y=1)
-    paths = ch.PathSet(gains=np.array([1.0 + 0j]), az_irs=np.array([0.3]),
-                       el_irs=np.array([0.1]), endpoint=np.array([-0.2]))
-    h = ch.bs_irs_from_paths(paths, cfg)
+    a_irs = ch.upa_response(0.3, 0.1, cfg.f_y, cfg.f_z)[None, :]
+    a_bs = ch.ula_response(-0.2, cfg.n_bs)[None, :]
+    h = ch._path_sum(np.array([1.0 + 0j]), a_irs, a_bs, math.sqrt(cfg.n_bs * cfg.n_irs))
     assert h.shape == (cfg.n_irs, cfg.n_bs)
     assert math.isclose(np.linalg.norm(h), math.sqrt(cfg.n_bs * cfg.n_irs), rel_tol=1e-12)
     assert np.linalg.matrix_rank(h) == 1
+    # a drawn single-path link has the norm of its one gain times that scale
+    chset = ch.generate_channels(cfg, np.random.default_rng(0))
+    assert math.isclose(np.linalg.norm(chset.h_bs_irs),
+                        abs(chset.bs_paths.gains[0]) * math.sqrt(cfg.n_bs * cfg.n_irs),
+                        rel_tol=1e-12)
 
 
 def test_irs_user_single_unit_path_norm(desk_cfg):
     cfg = dataclasses.replace(desk_cfg, paths_l=1)
-    paths = ch.PathSet(gains=np.array([1.0 + 0j]), az_irs=np.array([-0.4]),
-                       el_irs=np.array([0.2]), endpoint=np.array([0.5]))
-    h = ch.irs_user_from_paths(paths, cfg)
+    a_ue = ch.ula_response(0.5, cfg.n_ue)[None, :]
+    a_irs = ch.upa_response(-0.4, 0.2, cfg.f_y, cfg.f_z)[None, :]
+    h = ch._path_sum(np.array([1.0 + 0j]), a_ue, a_irs, math.sqrt(cfg.n_irs * cfg.n_ue))
     assert h.shape == (cfg.n_ue, cfg.n_irs)
     assert math.isclose(np.linalg.norm(h), math.sqrt(cfg.n_irs * cfg.n_ue), rel_tol=1e-12)
+    chset = ch.generate_channels(cfg, np.random.default_rng(0))
+    for h_k, paths in zip(chset.h_irs_ue, chset.ue_paths):
+        assert h_k.shape == (cfg.n_ue, cfg.n_irs)
+        assert math.isclose(np.linalg.norm(h_k),
+                            abs(paths.gains[0]) * math.sqrt(cfg.n_irs * cfg.n_ue),
+                            rel_tol=1e-12)
 
 
 def test_bs_irs_rank_bounded_by_paths(desk_cfg):
     cfg = dataclasses.replace(desk_cfg, paths_y=7)
-    h, paths = ch.gen_bs_irs(cfg, np.random.default_rng(0))
-    assert paths.gains.shape == (7,)
-    assert np.linalg.matrix_rank(h) <= 7
+    chset = ch.generate_channels(cfg, np.random.default_rng(0))
+    assert chset.bs_paths.gains.shape == (7,)
+    assert chset.bs_paths.a_irs.shape == (7, cfg.n_irs)
+    assert chset.bs_paths.a_far.shape == (7, cfg.n_bs)
+    assert np.linalg.matrix_rank(chset.h_bs_irs) <= 7
+
+
+PRESETS = ("desk", "desk_multiuser", "full_scale")
+
+
+def _load(name):
+    return ch.load_config(CONFIG_DIR / f"{name}.json")
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_steering_stacks_are_the_per_path_responses(name):
+    cfg = _load(name)
+    chset = ch.generate_channels(cfg, np.random.default_rng(21))
+    links = [(chset.bs_paths, cfg.n_bs)] + [(p, cfg.n_ue) for p in chset.ue_paths]
+    for paths, n_far in links:
+        a_irs = np.stack([ch.upa_response(az, el, cfg.f_y, cfg.f_z)
+                          for az, el in zip(paths.az_irs, paths.el_irs)])
+        a_far = np.stack([ch.ula_response(r, n_far) for r in paths.endpoint])
+        assert np.array_equal(paths.a_irs, a_irs)
+        assert np.array_equal(paths.a_far, a_far)
+
+
+def _bs_irs_oracle(paths, cfg):
+    """The BS->IRS matrix as one outer product per path, built from the angles."""
+    scale = math.sqrt(cfg.n_bs * cfg.n_irs / cfg.paths_y)
+    h = np.zeros((cfg.n_irs, cfg.n_bs), dtype=np.complex128)
+    for gain, az, el, r_dep in zip(paths.gains, paths.az_irs, paths.el_irs, paths.endpoint):
+        a_irs = ch.upa_response(az, el, cfg.f_y, cfg.f_z)
+        a_bs = ch.ula_response(r_dep, cfg.n_bs)
+        h += gain * np.outer(a_irs, a_bs.conj())
+    return scale * h
+
+
+def _irs_user_oracle(paths, cfg):
+    """The IRS->user matrix as one outer product per path, built from the angles."""
+    scale = math.sqrt(cfg.n_irs * cfg.n_ue / cfg.paths_l)
+    h = np.zeros((cfg.n_ue, cfg.n_irs), dtype=np.complex128)
+    for gain, az, el, r_arr in zip(paths.gains, paths.az_irs, paths.el_irs, paths.endpoint):
+        a_ue = ch.ula_response(r_arr, cfg.n_ue)
+        a_irs = ch.upa_response(az, el, cfg.f_y, cfg.f_z)
+        h += gain * np.outer(a_ue, a_irs.conj())
+    return scale * h
+
+
+@pytest.mark.parametrize("name", PRESETS)
+def test_channel_matrices_equal_outer_product_loops(name):
+    cfg = _load(name)
+    for seed in range(2):
+        chset = ch.generate_channels(cfg, np.random.default_rng(seed))
+        assert np.array_equal(chset.h_bs_irs, _bs_irs_oracle(chset.bs_paths, cfg))
+        assert len(chset.h_irs_ue) == cfg.k_users
+        for h_k, paths in zip(chset.h_irs_ue, chset.ue_paths):
+            assert np.array_equal(h_k, _irs_user_oracle(paths, cfg))
+
+
+def test_path_set_checks_lengths_and_gains(desk_cfg):
+    chset = ch.generate_channels(desk_cfg, np.random.default_rng(0))
+    paths = chset.bs_paths
+    with pytest.raises(ValueError, match="one length"):
+        dataclasses.replace(paths, a_irs=paths.a_irs[1:])
+    with pytest.raises(ValueError, match="one length"):
+        dataclasses.replace(paths, a_far=paths.a_far[0])
+    gains = paths.gains.copy()
+    gains[1] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        dataclasses.replace(paths, gains=gains)
 
 
 def test_channel_determinism(desk_cfg):
@@ -246,19 +327,16 @@ def test_user_positions_in_disc(desk_cfg):
         assert z == cz
 
 
-def test_gen_irs_user_index_range(desk_cfg):
-    with pytest.raises(IndexError):
-        ch.gen_irs_user(desk_cfg, desk_cfg.k_users, np.random.default_rng(0))
-
-
 def test_gen_irs_user_explicit_position(desk_cfg):
+    # a user link's LOS ray follows the position it is drawn for
     pos = (5.0, 150.0, 1.8)
-    _, paths, used = ch.gen_irs_user(desk_cfg, 0, np.random.default_rng(0),
-                                     position=pos)
-    assert used == pos
+    paths = ch._draw_link(desk_cfg, np.random.default_rng(0), pos, desk_cfg.paths_l,
+                          desk_cfg.n_ue)
     direction = ch._unit_direction(desk_cfg.irs_pos, pos)
     az, el = ch._upa_angles(direction)
     assert paths.az_irs[0] == az and paths.el_irs[0] == el
+    assert paths.endpoint[0] == ch._ula_angle(ch._unit_direction(pos, desk_cfg.irs_pos))
+    assert paths.a_far.shape == (desk_cfg.paths_l, desk_cfg.n_ue)
 
 
 # ---------------------------------------------------------------------------
@@ -268,16 +346,16 @@ def test_gen_irs_user_explicit_position(desk_cfg):
 def test_effective_channel_identity_phases(desk_cfg):
     chset = ch.generate_channels(desk_cfg, np.random.default_rng(1))
     nu = np.ones(desk_cfg.n_irs, dtype=complex)
-    h = ch.effective_channel(chset.h_bs_irs, chset.h_irs_ue[0], nu,
-                             desk_cfg.g_tx_dbi, desk_cfg.g_rx_dbi)
+    h = ch.effective_channels(chset, nu, desk_cfg)[0]
     expected = desk_cfg.g_tx_lin * chset.h_irs_ue[0] @ chset.h_bs_irs
     np.testing.assert_allclose(h, expected, rtol=1e-12)
 
 
 def test_effective_channel_zero_dbi_gain_is_one(desk_cfg):
-    chset = ch.generate_channels(desk_cfg, np.random.default_rng(2))
-    nu = ch.random_phase_vector(desk_cfg.n_irs, np.random.default_rng(3))
-    h = ch.effective_channel(chset.h_bs_irs, chset.h_irs_ue[0], nu, 0.0, 0.0)
+    cfg = dataclasses.replace(desk_cfg, g_tx_dbi=0.0, g_rx_dbi=0.0)
+    chset = ch.generate_channels(cfg, np.random.default_rng(2))
+    nu = ch.random_phase_vector(cfg.n_irs, np.random.default_rng(3))
+    h = ch.effective_channels(chset, nu, cfg)[0]
     direct = (chset.h_irs_ue[0] * np.conj(nu)[None, :]) @ chset.h_bs_irs
     np.testing.assert_allclose(h, direct, rtol=1e-12)
 
@@ -285,8 +363,7 @@ def test_effective_channel_zero_dbi_gain_is_one(desk_cfg):
 def test_effective_channel_matches_diagonal_product(desk_cfg):
     chset = ch.generate_channels(desk_cfg, np.random.default_rng(4))
     nu = ch.random_phase_vector(desk_cfg.n_irs, np.random.default_rng(5))
-    h = ch.effective_channel(chset.h_bs_irs, chset.h_irs_ue[1], nu,
-                             desk_cfg.g_tx_dbi, desk_cfg.g_rx_dbi)
+    h = ch.effective_channels(chset, nu, desk_cfg)[1]
     phi = np.diag(np.conj(nu))
     brute = desk_cfg.g_tx_lin * desk_cfg.g_rx_lin * chset.h_irs_ue[1] @ phi @ chset.h_bs_irs
     np.testing.assert_allclose(h, brute, rtol=1e-12)
@@ -295,19 +372,19 @@ def test_effective_channel_matches_diagonal_product(desk_cfg):
 def test_effective_channel_shape_mismatch(desk_cfg):
     chset = ch.generate_channels(desk_cfg, np.random.default_rng(6))
     with pytest.raises(ValueError, match="shape"):
-        ch.effective_channel(chset.h_bs_irs, chset.h_irs_ue[0],
-                             np.ones(desk_cfg.n_irs - 1, dtype=complex), 0.0, 0.0)
+        ch.effective_channels(chset, np.ones(desk_cfg.n_irs - 1, dtype=complex), desk_cfg)
 
 
 def test_effective_channel_rank_one_in_each_phase(desk_cfg):
     # Perturbing a single reflecting element changes the cascade by a rank-1 term.
-    chset = ch.generate_channels(desk_cfg, np.random.default_rng(7))
+    cfg = dataclasses.replace(desk_cfg, g_tx_dbi=0.0, g_rx_dbi=0.0)
+    chset = ch.generate_channels(cfg, np.random.default_rng(7))
     rng = np.random.default_rng(8)
-    nu = ch.random_phase_vector(desk_cfg.n_irs, rng)
+    nu = ch.random_phase_vector(cfg.n_irs, rng)
     nu2 = nu.copy()
     nu2[5] = np.exp(-1j * rng.uniform(0, 2 * np.pi))
-    h1 = ch.effective_channel(chset.h_bs_irs, chset.h_irs_ue[0], nu, 0.0, 0.0)
-    h2 = ch.effective_channel(chset.h_bs_irs, chset.h_irs_ue[0], nu2, 0.0, 0.0)
+    h1 = ch.effective_channels(chset, nu, cfg)[0]
+    h2 = ch.effective_channels(chset, nu2, cfg)[0]
     assert np.linalg.matrix_rank(h2 - h1, tol=1e-12 * np.linalg.norm(h1)) == 1
 
 

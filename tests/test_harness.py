@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import json
 import math
@@ -542,13 +543,29 @@ def test_cli_partial_failure_exit_code(tmp_path):
 
 
 def test_cli_trace_dump(tmp_path):
+    # every run that optimizes its phases writes its trace, keyed by seed,
+    # baseline and sweep value, one row per iteration
     out = tmp_path / "out.csv"
     trace = tmp_path / "trace.csv"
-    code = cli_main(["--baselines", "proposed", "--seeds", "1",
+    code = cli_main(["--sweep", "power", "--sweep-values", "30,50",
+                     "--baselines", "proposed,b,d", "--seeds", "2",
                      "--out", str(out), "--trace", str(trace)])
     assert code == 0
-    assert trace.read_text().splitlines()[0] == \
-        "iter,f_value,step_size,grad_norm,backtracks"
+    with open(trace) as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["seed", "baseline", "sweep_value", "iter", "f_value",
+                             "step_size", "grad_norm", "backtracks"]
+    with open(out) as fh:
+        runs = list(csv.DictReader(fh))
+    want = {(r["seed"], r["baseline"], r["sweep_value"]): int(r["s1_iters"])
+            for r in runs if r["baseline"] != "b"}
+    assert len(want) == 8
+    got = {}
+    for row in rows:
+        key = (row["seed"], row["baseline"], row["sweep_value"])
+        got[key] = got.get(key, 0) + 1
+        assert int(row["iter"]) == got[key]
+    assert got == want
 
 
 def test_cli_report_theorem1(tmp_path):

@@ -313,13 +313,13 @@ def test_optimizer_converges_within_tens_of_iterations(desk_cfg):
 
 
 def test_optimizer_writes_trace_csv(tmp_path, desk_cfg):
-    _, cs, rng = make_coupling(desk_cfg, 37)
-    res = po.optimize_phases(cs, desk_cfg.groups(), unit_phases(desk_cfg.n_irs, rng))
+    rec = harness.run_proposed(desk_cfg, np.random.default_rng(37), seed=37)
     path = tmp_path / "trace.csv"
-    harness.write_trace(path, res.trace)
+    harness.write_trace(path, [rec])
     lines = path.read_text().splitlines()
-    assert lines[0] == "iter,f_value,step_size,grad_norm,backtracks"
-    assert len(lines) == len(res.trace) + 1
+    assert lines[0] == "seed,baseline,sweep_value,iter,f_value,step_size,grad_norm,backtracks"
+    assert len(lines) == len(rec.trace) + 1 == rec.s1_iters + 1
+    assert lines[1].startswith("37,proposed,0.0,1,")
 
 
 def test_offdiag_small_relative_to_diagonal_after_optimization(desk_cfg):
