@@ -224,7 +224,7 @@ def _run(baseline: str, cfg: SystemConfig, rng: np.random.Generator,
 
     ``shared``, if given, is the stage memo of the run's (config, seed) cell
     (see :func:`sweep`); every run on it starts from a fresh generator of
-    that seed. Its ``"channels"`` entry may come from another cell of the
+    that seed. Its ``_PER_DRAW`` entries may come from another cell of the
     seed with the same draw key. Without it the run has a memo of its own.
     """
     t0 = time.perf_counter()
@@ -297,37 +297,45 @@ def run_baseline(baseline: str, cfg: SystemConfig, rng: np.random.Generator,
     return _run(baseline, cfg, rng, **kw)
 
 
+# Stages that read only the draw (and the antenna gains, which no sweep
+# varies): the channels with the random phase vector, and the effective
+# channels at that vector.
+_PER_DRAW = ("channels", ("h_eff", False))
+
+
 def sweep(spec: ExperimentSpec) -> list[RunRecord]:
     """Cartesian product (sweep value x baseline x seed), deterministic order.
 
     Every (value, baseline, seed) run has its own RNG stream seeded by
     base_seed + seed index, so matched seeds share channel realizations
     across baselines and sweep values. Runs go seed by seed. A seed draws
-    its channels once for every sweep value with the same
+    its channels, and builds the effective channels at its random phase
+    vector, once for every sweep value with the same
     :func:`~irs_multicast.channel.draw_key` (all of a power or streams
     sweep; each value of an elements or groups sweep draws its own), and the
     draws are dropped when the seed is done. The baselines of one (value,
     seed) cell run back to back and share the other stages they have in
-    common: one phase optimization, one set of effective channels per phase
-    source and one BD build per (phase source, nulling) pair. Each stage is
-    identical to what the run would compute on its own, and a failed stage
-    fails every run that needs it alike. A run's ``wall_ms`` counts only the
-    stages it computed itself, so the first run that needs a seed's draw
-    carries it, and the first baseline of a cell the cell's shared stages.
+    common: one phase optimization, one set of effective channels at the
+    optimized phases and one BD build per (phase source, nulling) pair. Each
+    stage is identical to what the run would compute on its own, and a
+    failed stage fails every run that needs it alike. A run's ``wall_ms``
+    counts only the stages it computed itself, so the first run that needs a
+    seed's draw carries it, and the first baseline of a cell the cell's
+    shared stages.
     Rows come back sorted by (sweep value, baseline, seed).
     """
     cells = [(value, cfg, draw_key(cfg)) for value, cfg in spec.configs()]
     records = []
     for idx in range(spec.n_seeds):
         seed = spec.base_seed + idx
-        draws = {}  # this seed's "channels" stages, by draw key
+        draws = {}  # this seed's per-draw stages, by draw key
         for value, cfg, key in cells:
-            shared = {"channels": draws[key]} if key in draws else {}
+            shared = dict(draws.get(key, {}))
             records += [_run(baseline, cfg, np.random.default_rng(seed),
                              sweep_var=spec.sweep_var, sweep_value=value, seed=seed,
                              measure_walltime=spec.measure_walltime, shared=shared)
                         for baseline in spec.baselines]
-            draws[key] = shared["channels"]
+            draws[key] = {stage: shared[stage] for stage in _PER_DRAW if stage in shared}
     records.sort(key=lambda r: (r.sweep_value, r.baseline, r.seed))
     return records
 

@@ -2,16 +2,20 @@
 
 Alternates Riemannian descent on the RF matrix entries (the complex circle
 manifold, reusing the phase-optimizer's tangent projection and retraction)
-with the least-squares baseband update ``F_B = pinv(F_R) B``. The same
+with the least-squares baseband update ``F_B = pinv(F_R) B``. With at least
+twice as many RF chains as target columns no alternation is needed: the
+two-phase split writes an exact ``F_R`` and ``F_B`` in closed form. The same
 :func:`factor` serves the transmit beamformer and every receive combiner.
 
-Bit-exact contract: the iterates (gradient, tangent projection,
-Barzilai-Borwein step, retraction, pseudo-inverse) are computed with a fixed
-sequence of floating-point operations. The descent is chaotic: scaling the
-gradient by 1 + 1e-15 moves rf-limited sweep rates by up to ~2e-3 relative.
-Work may be removed around that sequence (a residual reused, a constant
-hoisted, a dispatch skipped) but never reordered inside it. The Armijo
-objective ``q`` is compared only.
+Bit-exact contract, for the phase-copy start and the alternation only: the
+iterates (gradient, tangent projection, Barzilai-Borwein step, retraction,
+pseudo-inverse) are computed with a fixed sequence of floating-point
+operations. The descent is chaotic: scaling the gradient by 1 + 1e-15 moves
+rf-limited sweep rates by up to ~2e-3 relative. Work may be removed around
+that sequence (a residual reused, a constant hoisted, a dispatch skipped) but
+never reordered inside it. The Armijo objective ``q`` is compared only. The
+closed-form split is outside the contract: only the rate evaluation follows
+it, which does not amplify a last-bit change.
 """
 
 from __future__ import annotations
@@ -88,47 +92,50 @@ def _phase_copy_init(b: np.ndarray, n_rf: int, rng: np.random.Generator) -> np.n
     return x
 
 
-def _two_phase_split_init(b: np.ndarray, n_rf: int,
-                          rng: np.random.Generator) -> np.ndarray:
-    """Exact warm start when ``n_rf >= 2 * cols``.
+def _two_phase_split(b: np.ndarray, n_rf: int,
+                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Exact factorization ``B = F_R F_B`` in closed form when ``n_rf >= 2 * cols``.
 
     Every complex entry v with |v| <= 2c splits as c(e^{j(a+t)} + e^{j(a-t)})
-    with a = arg v and t = arccos(|v| / 2c), so a pair of constant-modulus
-    columns reproduces each target column exactly; the least-squares baseband
-    recovers the pairing, leaving only rounding in the starting residual.
+    with a = arg v and t = arccos(|v| / 2c). With 2c the peak modulus of
+    target column i, its split pair goes to RF columns i and cols+i, and
+    ``F_B`` holds c at rows i and cols+i of column i; every other entry of
+    ``F_B`` is zero, so the remaining RF columns keep their random draw.
 
     A column whose entries all have the peak modulus, to within
     ``_EQUAL_MODULUS`` relative, has t ~ 0: the pair would be two
-    (near-)identical columns and F_R rank-deficient or ill-conditioned. Its
-    phases alone then reproduce it, and the partner column keeps its random
-    draw.
+    (near-)identical columns. Its phases alone then reproduce it, ``F_B``
+    holds the peak at row i, and the partner column keeps its random draw. A
+    zero column keeps both draws and a zero ``F_B`` column.
     """
     n, cols = b.shape
     x = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (n, n_rf)))
-    for i in range(cols):
-        col = b[:, i]
-        peak = float(np.max(np.abs(col)))
-        if peak == 0.0:
-            continue
-        c = peak / 2.0
-        ang = np.angle(col)
-        ratio = np.clip(np.abs(col) / (2.0 * c), 0.0, 1.0)
-        if ratio.min() >= 1.0 - _EQUAL_MODULUS:
-            x[:, i] = np.exp(1j * ang)
-            continue
-        t = np.arccos(ratio)
-        x[:, i] = np.exp(1j * (ang + t))
-        x[:, cols + i] = np.exp(1j * (ang - t))
-    return x
+    mag = np.abs(b)
+    peak = mag.max(axis=0)
+    live = peak > 0.0
+    ratio = np.clip(mag / np.where(live, peak, 1.0), 0.0, 1.0)
+    split = live & (ratio.min(axis=0) < 1.0 - _EQUAL_MODULUS)
+    ang = np.angle(b)
+    t = np.where(split, np.arccos(ratio), 0.0)
+    idx = np.arange(cols)
+    x[:, idx[live]] = np.exp(1j * (ang + t))[:, live]
+    x[:, cols + idx[split]] = np.exp(1j * (ang - t))[:, split]
+    f_bb = np.zeros((n_rf, cols), dtype=np.complex128)
+    f_bb[idx, idx] = np.where(split, peak / 2.0, peak)
+    f_bb[cols + idx[split], idx[split]] = peak[split] / 2.0
+    return x, f_bb
 
 
 def _init_rf(b: np.ndarray, n_rf: int, rng: np.random.Generator,
-             init_mode: str) -> np.ndarray:
+             init_mode: str) -> tuple[np.ndarray, np.ndarray]:
+    """Starting RF matrix and its baseband: the exact split when the chains
+    allow it, else the phase copy and its least-squares baseband."""
     if init_mode not in ("auto", "phase_copy"):
         raise ValueError(f"unknown init mode {init_mode!r}")
     if init_mode == "auto" and n_rf >= 2 * b.shape[1]:
-        return _two_phase_split_init(b, n_rf, rng)
-    return _phase_copy_init(b, n_rf, rng)
+        return _two_phase_split(b, n_rf, rng)
+    x = _phase_copy_init(b, n_rf, rng)
+    return x, solve_baseband(x, b)
 
 
 def _fro_norm(m: np.ndarray) -> float:
@@ -198,7 +205,9 @@ def factor(b: np.ndarray, n_rf: int, settings: FactorSettings | None = None,
     Serves both the transmit beamformer and each receive combiner; no power
     constraint applies here (see :func:`normalize_power`). The
     relative-residual trace is non-increasing: the manifold steps are
-    Armijo-guarded and the baseband update is the exact least squares.
+    Armijo-guarded and the baseband update is the exact least squares. When
+    ``n_rf >= 2 * cols`` (``init_mode="auto"``) the closed-form split is exact
+    to rounding and no alternation runs.
     """
     st = settings or FactorSettings()
     rng = rng or np.random.default_rng(0)
@@ -211,8 +220,7 @@ def factor(b: np.ndarray, n_rf: int, settings: FactorSettings | None = None,
     if b_norm == 0.0:
         raise ValueError("zero target matrix")
     scale = max(b_norm ** 2, 1e-300)
-    x = _init_rf(b, n_rf, rng, st.init_mode)
-    f_bb = solve_baseband(x, b)
+    x, f_bb = _init_rf(b, n_rf, rng, st.init_mode)
     residuals = [_fro_norm(b - x @ f_bb) / b_norm]
     alternations = 0
     if residuals[0] > _FLOOR:

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -79,6 +80,18 @@ class CouplingSet:
     diag_cols: np.ndarray      # (K, zeta) BS-side column index per stream
     zeta: int
     bw_hz: float
+    # The last (key, value) of _stream_rates: the descent evaluates each
+    # accepted point twice, by objective_f in the line search and by
+    # euclidean_grad at the next iteration. Keyed by the values it reads, b
+    # and d, never by object ids; dataclasses.replace starts a new memo.
+    _rates_memo: list = field(default_factory=lambda: [None, None], init=False,
+                              repr=False, compare=False)
+
+    @cached_property
+    def grad_c(self) -> np.ndarray:
+        """Gradient coefficients ``bw_hz * (2 b / ln 2) * c``, (K, zeta, M),
+        formed once per coupling set; each entry is the loops' product."""
+        return (self.bw_hz * (2.0 * self.b / LN2))[..., None] * self.c
 
 
 def coupling_vectors(chset: ChannelSet, cfg: SystemConfig, groups=None) -> CouplingSet:
@@ -145,8 +158,17 @@ def sigma_approx(coupling: CouplingSet, nu: np.ndarray) -> np.ndarray:
 
 def _stream_rates(coupling: CouplingSet, d: np.ndarray) -> tuple[np.ndarray, list[float]]:
     """Squared stream gains ``|d|^2`` (K, zeta) and each user's rate in
-    bit/s/Hz, ``sum_i log2(1 + b_i |d_i|^2)`` summed in stream order."""
+    bit/s/Hz, ``sum_i log2(1 + b_i |d_i|^2)`` summed in stream order.
+
+    The result is shared with the next call on equal ``b`` and ``d``; callers
+    only read it.
+    """
+    memo = coupling._rates_memo
+    key = (d.shape, coupling.b.tobytes(), d.tobytes())
+    if key == memo[0]:
+        return memo[1]
     sq = np.array([m ** 2 for m in np.hypot(d.real, d.imag).ravel().tolist()]).reshape(d.shape)
+    sq.flags.writeable = False
     terms = (1.0 + coupling.b * sq).tolist()
     rates = []
     for row in terms:
@@ -154,6 +176,7 @@ def _stream_rates(coupling: CouplingSet, d: np.ndarray) -> tuple[np.ndarray, lis
         for t in row:
             rate += math.log2(t)
         rates.append(rate)
+    memo[:] = key, (sq, rates)
     return sq, rates
 
 
@@ -188,11 +211,10 @@ def euclidean_grad(coupling: CouplingSet, nu: np.ndarray, groups) -> np.ndarray:
     sq, rates = _stream_rates(coupling, d)
     users = [k for k, _ in _pick(groups, rates)]
     b_sel = coupling.b[users].ravel()
-    coef = coupling.bw_hz * (2.0 * b_sel / LN2)
     den = 1.0 + b_sel * sq[users].ravel()
-    c_sel = coupling.c[users].reshape(len(b_sel), -1)
+    gc_sel = coupling.grad_c[users].reshape(len(b_sel), -1)
     d_sel = d[users].ravel()
-    terms = coef[:, None] * c_sel * np.conj(d_sel)[:, None] / den[:, None]
+    terms = gc_sel * np.conj(d_sel)[:, None] / den[:, None]
     return -terms.sum(axis=0)
 
 

@@ -126,17 +126,24 @@ def test_sweep_computes_shared_stages_once_per_cell(monkeypatch):
                         counted("channels", harness.generate_channels))
     monkeypatch.setattr(harness.po, "optimize_phases",
                         counted("phases", harness.po.optimize_phases))
-    monkeypatch.setattr(harness, "effective_channels",
-                        counted("h_eff", harness.effective_channels))
+    phase_vectors = []
+
+    def h_eff(chset, nu, cfg):
+        phase_vectors.append(nu.tobytes())
+        return ch.effective_channels(chset, nu, cfg)
+
+    monkeypatch.setattr(harness, "effective_channels", counted("h_eff", h_eff))
     monkeypatch.setattr(harness.bd, "build_beamformers",
                         counted("bd", harness.bd.build_beamformers))
     records = harness.sweep(small_spec(baselines=harness.BASELINES))
     seeds, cells = 2, 2 * 2  # cells: sweep values x seeds
     assert len(records) == 6 * cells and all(r.ok for r in records)
-    # one channel draw per seed serves both powers; effective channels once
-    # per cell and phase vector (optimized, random), read by BD and by the
-    # rate oracle alike
-    assert calls == {"channels": seeds, "phases": cells, "h_eff": 2 * cells, "bd": 3 * cells}
+    # one channel draw per seed serves both powers, and so do the effective
+    # channels at its random phase vector; those at the optimized phases are
+    # built once per cell; BD and the rate oracle read the same ones
+    assert calls == {"channels": seeds, "phases": cells, "h_eff": seeds + cells,
+                     "bd": 3 * cells}
+    assert len(set(phase_vectors)) == len(phase_vectors)
     # the traces of proposed, a, d and e are equal but not one list
     traces = [r.trace for r in records if r.sweep_value == 50.0 and r.seed == 0 and r.trace]
     assert len(traces) == 4 and all(t == traces[0] for t in traces)

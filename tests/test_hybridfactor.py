@@ -108,8 +108,9 @@ def test_two_phase_split_copies_columns_equal_to_rounding():
     for seed in range(40):
         b = (np.exp(1j * rng.uniform(0, 2 * np.pi, 4)) / 2.0).reshape(4, 1)
         spread += int(np.ptp(np.abs(b)) > 0.0)
-        x = hf._init_rf(b, 2, np.random.default_rng(seed), "auto")
+        x, f_bb = hf._init_rf(b, 2, np.random.default_rng(seed), "auto")
         np.testing.assert_array_equal(x[:, 0], np.exp(1j * np.angle(b[:, 0])))
+        np.testing.assert_array_equal(f_bb, [[np.max(np.abs(b))], [0.0]])
         res = hf.factor(b, 2, rng=np.random.default_rng(seed))
         assert res.alternations == 0
         assert res.final_residual <= hf._FLOOR
@@ -121,7 +122,7 @@ def test_two_phase_split_keeps_the_partner_draw():
     # every split column is as before: x[:, i] = e^{j(a+t)}, x[:, cols+i] = e^{j(a-t)}
     rng = np.random.default_rng(2)
     b = np.hstack([0.5 * np.array([[1.0], [1j], [-1.0], [-1j]]), random_complex(rng, 4, 1)])
-    x = hf._init_rf(b, 5, np.random.default_rng(3), "auto")
+    x, _ = hf._init_rf(b, 5, np.random.default_rng(3), "auto")
     draw = np.exp(1j * np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, (4, 5)))
     np.testing.assert_array_equal(x[:, 2], draw[:, 2])
     np.testing.assert_array_equal(x[:, 4], draw[:, 4])
@@ -129,6 +130,72 @@ def test_two_phase_split_keeps_the_partner_draw():
     t = np.arccos(np.clip(np.abs(col) / np.max(np.abs(col)), 0.0, 1.0))
     np.testing.assert_array_equal(x[:, 1], np.exp(1j * (np.angle(col) + t)))
     np.testing.assert_array_equal(x[:, 3], np.exp(1j * (np.angle(col) - t)))
+
+
+def _split_target(rng, rows):
+    # a generic column, an equal-modulus column and a zero column
+    return np.hstack([random_complex(rng, rows, 1),
+                      0.5 * np.exp(1j * rng.uniform(0, 2 * np.pi, (rows, 1))),
+                      np.zeros((rows, 1))])
+
+
+@pytest.mark.parametrize("n_rf", [6, 8])
+def test_two_phase_split_writes_the_baseband_in_closed_form(n_rf):
+    # n_rf = 2*cols and > 2*cols: F_B has c = peak/2 at rows i and cols+i of a
+    # split column i, the peak at row i of an equal-modulus column, zeros else
+    b = _split_target(np.random.default_rng(7), 8)
+    x, f_bb = hf._init_rf(b, n_rf, np.random.default_rng(8), "auto")
+    peak = np.max(np.abs(b), axis=0)
+    want = np.zeros((n_rf, 3), dtype=complex)
+    want[0, 0] = want[3, 0] = peak[0] / 2.0
+    want[1, 1] = peak[1]
+    np.testing.assert_array_equal(f_bb, want)
+    draw = np.exp(1j * np.random.default_rng(8).uniform(0.0, 2.0 * np.pi, (8, n_rf)))
+    # the equal-modulus partner, the zero column's pair and the spare chains
+    # keep the random draw
+    for j in [2, 4, 5] + list(range(6, n_rf)):
+        np.testing.assert_array_equal(x[:, j], draw[:, j])
+    np.testing.assert_allclose(np.abs(x), 1.0, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(x @ f_bb, b, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_rf", [6, 7, 8])
+def test_two_phase_split_is_exact_without_pseudo_inverse(monkeypatch, n_rf):
+    calls = []
+    real = hf.mk.pseudo_inverse
+
+    def spy(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(hf.mk, "pseudo_inverse", spy)
+    for seed in range(10):
+        rng = np.random.default_rng(60 + seed)
+        b = _split_target(rng, 8) if seed % 2 else random_complex(rng, 8, 3)
+        res = hf.factor(b, n_rf, rng=rng)
+        assert res.alternations == 0 and len(res.residuals) == 1
+        assert res.residuals[0] <= 1e-12
+        np.testing.assert_allclose(
+            np.linalg.norm(b - res.f_rf @ res.f_bb) / np.linalg.norm(b), res.residuals[0],
+            rtol=0, atol=1e-15)
+    assert calls == []
+    # the phase-copy start still takes the least-squares baseband
+    hf.factor(random_complex(np.random.default_rng(1), 8, 3), 5, rng=np.random.default_rng(2))
+    assert calls[0] == (8, 5)
+
+
+@pytest.mark.parametrize("rows, cols, n_rf", [(8, 3, 6), (16, 2, 7), (16, 4, 6)])
+def test_factor_leaves_the_generator_where_the_one_draw_did(rows, cols, n_rf):
+    # exactly one (rows, n_rf) uniform draw per call on either start, so the
+    # next factor call of a run (the combiners after the precoder) sees the
+    # stream it always saw
+    b = random_complex(np.random.default_rng(9), rows, cols)
+    rng = np.random.default_rng(10)
+    res = hf.factor(b, n_rf, hf.FactorSettings(max_alternations=0), rng=rng)
+    ref = np.random.default_rng(10)
+    ref.uniform(0.0, 2.0 * np.pi, (rows, n_rf))
+    assert rng.bit_generator.state == ref.bit_generator.state
+    assert res.alternations == 0
 
 
 def test_descent_only_regime_monotone_fit():
@@ -151,7 +218,7 @@ def _reference_factor(b, n_rf, st, rng):
     """
     b = np.asarray(b, dtype=np.complex128)
     b_norm = float(np.linalg.norm(b, "fro"))
-    x = hf._init_rf(b, n_rf, rng, st.init_mode)
+    x, _ = hf._init_rf(b, n_rf, rng, st.init_mode)
     f_bb = hf.solve_baseband(x, b)
     residuals = [float(np.linalg.norm(b - x @ f_bb, "fro")) / b_norm]
     backtracks = 0

@@ -435,3 +435,149 @@ def test_stream_rates_bit_identical_on_many_gains(desk_cfg):
             assert sq[k, i] == abs(d[k, i]) ** 2
             rate += math.log2(1.0 + cs.b[k, i] * abs(d[k, i]) ** 2)
         assert rates[k] == rate
+
+
+# ---------------------------------------------------------------------------
+# The descent as it was before the gradient coefficients were stored and each
+# accepted point was evaluated once, kept as the oracle for optimize_phases
+# ---------------------------------------------------------------------------
+
+def _prior_rates(coupling, d):
+    sq = np.array([m ** 2 for m in np.hypot(d.real, d.imag).ravel().tolist()]).reshape(d.shape)
+    rates = []
+    for row in (1.0 + coupling.b * sq).tolist():
+        rate = 0.0
+        for t in row:
+            rate += math.log2(t)
+        rates.append(rate)
+    return sq, rates
+
+
+def _prior_pick(groups, rates):
+    return [min(members, key=lambda j: (rates[j], j)) for members in groups]
+
+
+def _prior_objective(coupling, nu, groups):
+    rates = _prior_rates(coupling, np.vecdot(nu, coupling.c))[1]
+    return -coupling.bw_hz * sum(rates[k] for k in _prior_pick(groups, rates))
+
+
+def _prior_grad(coupling, nu, groups):
+    d = np.vecdot(nu, coupling.c)
+    sq, rates = _prior_rates(coupling, d)
+    users = _prior_pick(groups, rates)
+    b_sel = coupling.b[users].ravel()
+    coef = coupling.bw_hz * (2.0 * b_sel / po.LN2)
+    den = 1.0 + b_sel * sq[users].ravel()
+    c_sel = coupling.c[users].reshape(len(b_sel), -1)
+    d_sel = d[users].ravel()
+    terms = coef[:, None] * c_sel * np.conj(d_sel)[:, None] / den[:, None]
+    return -terms.sum(axis=0)
+
+
+def _prior_optimize(coupling, groups, nu0):
+    """Returns the result and its call counts: [1 + line-search trials,
+    iterations entered]."""
+    nu = po.retract(np.asarray(nu0, dtype=np.complex128).copy())
+    w = coupling.bw_hz
+    calls = [0, 0]
+
+    def f_norm(x):
+        calls[0] += 1
+        return _prior_objective(coupling, x, groups) / w
+
+    f_cur = f_norm(nu)
+    trace, converged = [], False
+    nu_prev = rgrad_prev = None
+    step_trial = 1.0
+    for iteration in range(1, 501):
+        calls[1] += 1
+        grad = _prior_grad(coupling, nu, groups) / w
+        rgrad = po.tangent_project(grad, nu)
+        gnorm_sq = float((np.abs(rgrad) ** 2).sum())
+        gnorm = math.sqrt(gnorm_sq)
+        if gnorm < 1e-14:
+            converged = True
+            break
+        if nu_prev is not None:
+            s = nu - nu_prev
+            denom = abs(float((s * np.conj(rgrad - rgrad_prev)).real.sum()))
+            if denom > 1e-300:
+                step_trial = float((np.abs(s) ** 2).sum()) / denom
+        step = step_trial
+        accepted = False
+        f_new = f_cur
+        for backtracks in range(31):
+            cand = po.retract(nu - step * rgrad)
+            f_cand = f_norm(cand)
+            if f_cand <= f_cur - 1e-4 * step * gnorm_sq:
+                accepted = True
+                f_new = f_cand
+                break
+            step *= 0.5
+        if not accepted:
+            converged = True
+            break
+        nu_prev, rgrad_prev = nu, rgrad
+        nu = cand
+        trace.append(po.TraceRow(iteration=iteration, f_value=f_new * w, step_size=step,
+                                 grad_norm=gnorm * w, backtracks=backtracks))
+        rel_change = abs(f_new - f_cur) / max(abs(f_cur), 1e-300)
+        f_cur = f_new
+        if rel_change < 1e-6:
+            converged = True
+            break
+    return po.OptimizeResult(nu=nu, f_value=f_cur * w, iterations=len(trace),
+                             trace=trace, converged=converged), calls
+
+
+@pytest.mark.parametrize("preset", ["desk", "desk_multiuser", "full_scale"])
+def test_descent_bit_identical_to_prior_descent(monkeypatch, preset):
+    # two powers share each draw and start point, as in a power sweep, so a
+    # memo keyed by anything but the values it reads would show
+    calls = [0, 0]
+
+    def counted(idx, fn):
+        def wrapper(*args):
+            calls[idx] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(po, "objective_f", counted(0, po.objective_f))
+    monkeypatch.setattr(po, "euclidean_grad", counted(1, po.euclidean_grad))
+    base = ch.load_config(CONFIG_DIR / f"{preset}.json")
+    for seed in range(3):
+        rng = np.random.default_rng(400 + seed)
+        chset = ch.generate_channels(base, rng)
+        nu0 = unit_phases(base.n_irs, rng)
+        for power in (30.0, 50.0):
+            cfg = dataclasses.replace(base, power_dbm=power)
+            cs = po.coupling_vectors(chset, cfg, cfg.groups())
+            want, want_calls = _prior_optimize(cs, cfg.groups(), nu0)
+            calls[:] = [0, 0]
+            got = po.optimize_phases(cs, cfg.groups(), nu0)
+            assert np.array_equal(got.nu, want.nu)
+            assert got.f_value == want.f_value
+            assert got.trace == want.trace and got.iterations > 0
+            assert got.converged == want.converged
+            # objective_f: the start plus one per line-search trial;
+            # euclidean_grad: one per iteration entered
+            assert calls == want_calls
+            assert calls[1] in (got.iterations, got.iterations + 1)
+
+
+def test_kernels_read_no_stale_rates_across_coupling_sets(desk_cfg):
+    # a power sweep frees each seed's coupling set before it builds the next
+    # from the same draw (the next one often at the same address), and every
+    # power starts from the same phases
+    groups = desk_cfg.groups()
+    chset, _, rng = make_coupling(desk_cfg, 410)
+    nu0 = unit_phases(desk_cfg.n_irs, rng)
+    cfgs = [dataclasses.replace(desk_cfg, power_dbm=p) for p in (20.0, 30.0, 40.0, 50.0)]
+
+    def check(cs):
+        assert po.objective_f(cs, nu0, groups) == _prior_objective(cs, nu0, groups)
+        assert np.array_equal(po.euclidean_grad(cs, nu0, groups), _prior_grad(cs, nu0, groups))
+
+    for cfg in cfgs:
+        check(po.coupling_vectors(chset, cfg, groups))
