@@ -1,9 +1,10 @@
 """Block-diagonalization beamformers and their closed-form rate.
 
-Each group transmits inside the null space of every other group's effective
-channel; the per-user SVD inside that null space then diagonalizes the own
-link. The closed-form log-det rate this yields is checked against the
-signal-level oracle in the test suite.
+Each group transmits inside the null space of the other groups' effective
+channels, the rows of ``h_eff[others]`` stacked into one matrix; the per-user
+SVD inside that null space then diagonalizes the own link. The closed-form
+log-det rate this yields is checked against the signal-level oracle in the
+test suite.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ from .signalmodel import BeamformerSet, validate_groups
 __all__ = [
     "BdInfeasibleError",
     "BdDecomposition",
-    "stack_other_groups",
-    "null_projector",
     "decompose",
     "build_beamformers",
     "bd_rate_closed_form",
@@ -35,41 +34,23 @@ class BdInfeasibleError(RuntimeError):
 class BdDecomposition:
     """Per-group null bases V0 and each user's leading SVD factors of H_k V0.
 
-    User k's factors live in its group's null basis: U1 (N_U x zeta), the
-    singular values ``s1[k]`` and V1 (n_h x zeta). Without nulling a group
-    has no basis (``v0[h]`` is None) and the factors are those of H_k itself.
+    User k's factors live in its group's null basis: ``u1[k]`` (N_U x zeta),
+    the singular values ``s1[k]`` and ``v1[k]`` (n_h x zeta). The null
+    dimension n_h differs from group to group, so ``v0`` and ``v1`` stay
+    tuples. Without nulling a group has no basis (``v0[h]`` is None) and the
+    factors are those of H_k itself.
     """
 
     v0: tuple[np.ndarray | None, ...]   # per group: null basis of the other groups' channels
-    u1: tuple[np.ndarray, ...]          # per user
+    u1: np.ndarray                      # (K, N_U, zeta)
     s1: np.ndarray                      # (K, zeta)
     v1: tuple[np.ndarray, ...]          # per user
 
 
-def stack_other_groups(h_eff: list[np.ndarray], groups, h: int) -> np.ndarray:
-    """Vertically stack the effective channels of every user outside group ``h``."""
-    if not 0 <= h < len(groups):
-        raise ValueError(f"group index {h} out of range")
-    others = sorted(k for g, members in enumerate(groups) if g != h for k in members)
-    n_bs = h_eff[0].shape[1]
-    if not others:
-        return np.zeros((0, n_bs), dtype=np.complex128)
-    return np.vstack([h_eff[k] for k in others])
-
-
-def null_projector(h_tilde: np.ndarray, n_bs: int) -> np.ndarray:
-    """Orthonormal basis of null(h_tilde); errors out when no null space is left."""
-    if h_tilde.shape[1] != n_bs:
-        raise ValueError(f"expected {n_bs} columns, got {h_tilde.shape[1]}")
-    v0 = mk.nullspace_basis(h_tilde)
-    if v0.shape[1] == 0:
-        raise BdInfeasibleError("insufficient BS antennas for BD")
-    return v0
-
-
-def decompose(h_eff: list[np.ndarray], groups, cfg: SystemConfig,
+def decompose(h_eff: np.ndarray, groups, cfg: SystemConfig,
               nulling: bool = True) -> BdDecomposition:
-    """Per-group null bases and per-user SVD factors (Lemma-1 raw material).
+    """Per-group null bases and per-user SVD factors (Lemma-1 raw material)
+    of the effective channels ``h_eff`` (K, N_U, N_B).
 
     With ``nulling=False`` the inter-group null projection is dropped and
     each user's factors come from its raw effective channel.
@@ -82,13 +63,17 @@ def decompose(h_eff: list[np.ndarray], groups, cfg: SystemConfig,
     """
     validate_groups(groups, cfg.k_users)
     zeta = cfg.zeta
-    v0s = []
-    u1, v1 = [None] * cfg.k_users, [None] * cfg.k_users
-    s1 = np.empty((cfg.k_users, zeta))
+    k_users, n_ue, n_bs = h_eff.shape
+    v0s, v1 = [], [None] * k_users
+    u1 = np.empty((k_users, n_ue, zeta), dtype=np.complex128)
+    s1 = np.empty((k_users, zeta))
     for h, members in enumerate(groups):
         v0 = None
         if nulling:
-            v0 = null_projector(stack_other_groups(h_eff, groups, h), cfg.n_bs)
+            others = sorted(k for g, rest in enumerate(groups) if g != h for k in rest)
+            v0 = mk.nullspace_basis(h_eff[others].reshape(-1, n_bs))
+            if v0.shape[1] == 0:
+                raise BdInfeasibleError("insufficient BS antennas for BD")
             if v0.shape[1] < zeta:
                 raise BdInfeasibleError(
                     f"group {h}: null space dimension {v0.shape[1]} < zeta={zeta}")
@@ -111,10 +96,10 @@ def decompose(h_eff: list[np.ndarray], groups, cfg: SystemConfig,
                         " (effective channel collapses in the other groups' null space)")
             u1[k], s1[k], v1[k] = res.u[:, :zeta], res.s[:zeta], res.vh[:zeta, :].conj().T
         v0s.append(v0)
-    return BdDecomposition(v0=tuple(v0s), u1=tuple(u1), s1=s1, v1=tuple(v1))
+    return BdDecomposition(v0=tuple(v0s), u1=u1, s1=s1, v1=tuple(v1))
 
 
-def build_beamformers(h_eff: list[np.ndarray], groups, cfg: SystemConfig,
+def build_beamformers(h_eff: np.ndarray, groups, cfg: SystemConfig,
                       nulling: bool = True) -> tuple[BeamformerSet, BdDecomposition]:
     """Construct the fully digital Lemma-1 beamformers on the effective
     channels ``h_eff`` (:func:`~irs_multicast.channel.effective_channels` at
@@ -138,7 +123,7 @@ def build_beamformers(h_eff: list[np.ndarray], groups, cfg: SystemConfig,
     if realized == 0.0:
         raise BdInfeasibleError("degenerate geometry: zero transmit beamformer")
     b = b * np.sqrt(cfg.power_w / realized)
-    return BeamformerSet(tx=b, combiners=list(decomp.u1)), decomp
+    return BeamformerSet(tx=b, combiners=decomp.u1), decomp
 
 
 def bd_rate_closed_form(decomp: BdDecomposition, groups, cfg: SystemConfig) -> np.ndarray:

@@ -236,13 +236,15 @@ def upa_response(theta: float, eta: float, f_y: int, f_z: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PathSet:
-    """Per-path gains, angles and steering vectors of one link; index 0 is the LOS ray.
+    """Per-path gains, angles and steering vectors of a link; path 0 is the LOS ray.
 
     ``az_irs``/``el_irs`` are the IRS-side azimuth/elevation (arrival for the
     BS link, departure for a user link); ``endpoint`` is the single ULA angle
-    at the far end (BS departure or user arrival). ``a_irs`` (n, M) and
-    ``a_far`` (n, N) hold each path's UPA response at the IRS and ULA response
-    at the far end, one row per path.
+    at the far end (BS departure or user arrival). ``a_irs`` (..., n, M) and
+    ``a_far`` (..., n, N) hold each path's UPA response at the IRS and ULA
+    response at the far end, one row per path. The BS link has shape (n,)
+    gains and angles; the users' links share one set with a leading user
+    axis, (K, n).
     """
 
     gains: np.ndarray
@@ -253,10 +255,9 @@ class PathSet:
     a_far: np.ndarray
 
     def __post_init__(self):
-        n = self.gains.shape[0]
-        if not (self.az_irs.shape == self.el_irs.shape == self.endpoint.shape == (n,)
-                and self.a_irs.ndim == self.a_far.ndim == 2
-                and len(self.a_irs) == len(self.a_far) == n):
+        shape = self.gains.shape
+        if not (self.az_irs.shape == self.el_irs.shape == self.endpoint.shape == shape
+                and self.a_irs.shape[:-1] == self.a_far.shape[:-1] == shape):
             raise ValueError("path arrays must share one length")
         if not np.all(np.isfinite(self.gains)):
             raise ValueError("path gains must be finite")
@@ -264,13 +265,15 @@ class PathSet:
 
 @dataclass(frozen=True)
 class ChannelSet:
-    """One realization: BS->IRS matrix, per-user IRS->user matrices, and paths."""
+    """One realization: the BS->IRS matrix (M, N_B), the IRS->user matrices
+    stacked along the user axis (K, N_U, M), the paths behind them and the
+    user positions (K, 3)."""
 
     h_bs_irs: np.ndarray
-    h_irs_ue: tuple[np.ndarray, ...]
+    h_irs_ue: np.ndarray
     bs_paths: PathSet
-    ue_paths: tuple[PathSet, ...]
-    user_positions: tuple[tuple[float, float, float], ...]
+    ue_paths: PathSet
+    user_positions: np.ndarray
 
 
 def _unit_direction(src, dst) -> np.ndarray:
@@ -354,16 +357,18 @@ def generate_channels(cfg: SystemConfig, rng: np.random.Generator) -> ChannelSet
     user its position, uniform in the configured disc, and its link.
     """
     bs_paths = _draw_link(cfg, rng, cfg.bs_pos, cfg.paths_y, cfg.n_bs)
-    ue_paths, positions = [], []
+    links, positions = [], []
     for _ in range(cfg.k_users):
         positions.append(_draw_user_position(cfg, rng))
-        ue_paths.append(_draw_link(cfg, rng, positions[-1], cfg.paths_l, cfg.n_ue))
+        links.append(_draw_link(cfg, rng, positions[-1], cfg.paths_l, cfg.n_ue))
     h_bs = _path_sum(bs_paths.gains, bs_paths.a_irs, bs_paths.a_far,
                      math.sqrt(cfg.n_bs * cfg.n_irs / cfg.paths_y))
     ue_scale = math.sqrt(cfg.n_irs * cfg.n_ue / cfg.paths_l)
-    h_ue = tuple(_path_sum(p.gains, p.a_far, p.a_irs, ue_scale) for p in ue_paths)
+    h_ue = np.stack([_path_sum(p.gains, p.a_far, p.a_irs, ue_scale) for p in links])
+    ue_paths = PathSet(**{f.name: np.stack([getattr(p, f.name) for p in links])
+                          for f in dataclasses.fields(PathSet)})
     return ChannelSet(h_bs_irs=h_bs, h_irs_ue=h_ue, bs_paths=bs_paths,
-                      ue_paths=tuple(ue_paths), user_positions=tuple(positions))
+                      ue_paths=ue_paths, user_positions=np.array(positions))
 
 
 # The config fields that generate_channels and random_phase_vector (of
@@ -389,11 +394,10 @@ def random_phase_vector(m: int, rng: np.random.Generator) -> np.ndarray:
     return np.exp(-1j * rng.uniform(0.0, 2.0 * np.pi, m))
 
 
-def effective_channels(chset: ChannelSet, nu: np.ndarray, cfg: SystemConfig) -> list[np.ndarray]:
-    """Cascaded BS->IRS->user channel ``G_t G_r H_k^R Phi H^B`` of every user k."""
+def effective_channels(chset: ChannelSet, nu: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """Cascaded BS->IRS->user channels ``G_t G_r H_k^R Phi H^B``, (K, N_U, N_B)."""
     h_bs = chset.h_bs_irs
     if nu.shape != (h_bs.shape[0],):
         raise ValueError(f"shape mismatch: H_bs {h_bs.shape}, nu {nu.shape}")
     gain = 10.0 ** (cfg.g_tx_dbi / 20.0) * 10.0 ** (cfg.g_rx_dbi / 20.0)
-    phase = np.conj(nu)[None, :]
-    return [gain * ((h_k * phase) @ h_bs) for h_k in chset.h_irs_ue]
+    return gain * ((chset.h_irs_ue * np.conj(nu)) @ h_bs)

@@ -155,7 +155,6 @@ class RunRecord:
     sweep_var: str
     sweep_value: float
     sum_rate_bps: float
-    group_rates: tuple[float, ...]
     s1_iters: int
     s2_iters: int
     energy_eff_bps_per_w: float
@@ -197,7 +196,8 @@ def _hybridize(bf_digital: sm.BeamformerSet, cfg: SystemConfig,
         rf.append(rx.f_rf)
         combiners.append(rx.f_rf @ rx.f_bb)
         s2 = max(s2, rx.alternations)
-    return sm.BeamformerSet(tx=tx.f_rf @ f_bb, combiners=combiners, rf=tuple(rf)), s2
+    return sm.BeamformerSet(tx=tx.f_rf @ f_bb, combiners=np.stack(combiners),
+                            rf=tuple(rf)), s2
 
 
 def _stage(shared: dict, key, compute):
@@ -232,7 +232,7 @@ def _run(baseline: str, cfg: SystemConfig, rng: np.random.Generator,
     optimize, nulling, hybrid = SCHEMES[baseline]
     groups = cfg.groups()
     args = dict(seed=seed, baseline=baseline, sweep_var=sweep_var,
-                sweep_value=sweep_value, sum_rate_bps=0.0, group_rates=(),
+                sweep_value=sweep_value, sum_rate_bps=0.0,
                 s1_iters=0, s2_iters=0, energy_eff_bps_per_w=0.0, status="ok")
 
     def draw():
@@ -268,9 +268,7 @@ def _run(baseline: str, cfg: SystemConfig, rng: np.random.Generator,
         elif not nulling:
             # stand-in for an external algorithm, flagged as such in the CSV
             args["status"] = "ok;surrogate"
-        args.update(sum_rate_bps=report.sum_rate,
-                    group_rates=tuple(report.group_rates),
-                    s1_iters=s1, s2_iters=s2,
+        args.update(sum_rate_bps=report.sum_rate, s1_iters=s1, s2_iters=s2,
                     energy_eff_bps_per_w=_energy_efficiency(report.sum_rate, cfg),
                     report=report, trace=list(trace), bd_s1=decomp.s1,
                     sigma_approx=approx)

@@ -111,29 +111,24 @@ def coupling_vectors(chset: ChannelSet, cfg: SystemConfig, groups=None) -> Coupl
     if cfg.h_groups * zeta > y:
         raise ValueError(
             f"group-blocked pairing needs Y >= H*zeta ({cfg.h_groups * zeta}), got Y={y}")
-    bs = chset.bs_paths
+    bs, up = chset.bs_paths, chset.ue_paths
     alpha = cfg.g_tx_lin * math.sqrt(cfg.n_bs * cfg.n_irs / y) * bs.gains
     order_a = np.argsort(-np.abs(alpha), kind="stable")
     alpha_sorted = alpha[order_a]
     arr_vecs = bs.a_irs[order_a[:cfg.h_groups * zeta]]
-    group_of = {k: h for h, members in enumerate(groups) for k in members}
-    c, b, beta_eff, diag_cols = [], [], [], []
-    for k in range(cfg.k_users):
-        h = group_of[k]
-        up = chset.ue_paths[k]
-        beta = cfg.g_rx_lin * math.sqrt(cfg.n_irs * cfg.n_ue / ell) * up.gains
-        order_b = np.argsort(-np.abs(beta), kind="stable")
-        beta_sorted = beta[order_b]
-        dep_vecs = up.a_irs[order_b[:zeta]]
-        cols = np.arange(h * zeta, h * zeta + zeta)
-        c.append(np.conj(dep_vecs) * arr_vecs[cols])
-        scale = cfg.power_w / (len(groups[h]) * cfg.h_groups * zeta * cfg.noise_w)
-        b.append(scale * np.abs(alpha_sorted[cols] * beta_sorted[:zeta]) ** 2)
-        beta_eff.append(beta_sorted)
-        diag_cols.append(cols)
-    return CouplingSet(c=np.stack(c), b=np.stack(b), alpha_eff=alpha_sorted,
-                       beta_eff=np.stack(beta_eff), diag_cols=np.stack(diag_cols),
-                       zeta=zeta, bw_hz=cfg.bw_hz)
+    group_of = np.empty(cfg.k_users, dtype=int)
+    for h, members in enumerate(groups):
+        group_of[list(members)] = h
+    beta = cfg.g_rx_lin * math.sqrt(cfg.n_irs * cfg.n_ue / ell) * up.gains
+    order_b = np.argsort(-np.abs(beta), axis=1, kind="stable")
+    beta_sorted = np.take_along_axis(beta, order_b, axis=1)
+    dep_vecs = np.take_along_axis(up.a_irs, order_b[:, :zeta, None], axis=1)
+    cols = group_of[:, None] * zeta + np.arange(zeta)
+    sizes = np.array([len(members) for members in groups])[group_of]
+    scale = cfg.power_w / (sizes * cfg.h_groups * zeta * cfg.noise_w)
+    b = scale[:, None] * np.abs(alpha_sorted[cols] * beta_sorted[:, :zeta]) ** 2
+    return CouplingSet(c=np.conj(dep_vecs) * arr_vecs[cols], b=b, alpha_eff=alpha_sorted,
+                       beta_eff=beta_sorted, diag_cols=cols, zeta=zeta, bw_hz=cfg.bw_hz)
 
 
 def _stream_gains(coupling: CouplingSet, nu: np.ndarray) -> np.ndarray:

@@ -44,13 +44,13 @@ class BeamformerSet:
     """Composed transmit/receive beamformers and their constant-modulus factors.
 
     ``tx`` is the N_B x H*zeta transmit matrix (F_R F_B when hybrid) and
-    ``combiners[k]`` user k's N_U x zeta combiner (W_R,k W_B,k when hybrid).
-    ``rf`` holds the analog factors the unit-modulus constraint applies to;
-    it is empty for a fully digital set.
+    ``combiners`` the (K, N_U, zeta) stack of every user's combiner
+    (W_R,k W_B,k when hybrid). ``rf`` holds the analog factors the
+    unit-modulus constraint applies to; it is empty for a fully digital set.
     """
 
     tx: np.ndarray
-    combiners: list[np.ndarray]
+    combiners: np.ndarray
     rf: tuple[np.ndarray, ...] = ()
 
 
@@ -65,7 +65,6 @@ class RateReport:
     user_rates: np.ndarray      # (K,) bit/s
     group_rates: np.ndarray     # (H,) min over members
     sum_rate: float
-    noise_w: float
 
     def interference_ratio(self) -> np.ndarray:
         """max(I, J) relative to desired signal power, per stream."""
@@ -96,26 +95,27 @@ def user_rate(sinrs: np.ndarray, bw_hz: float) -> float:
     return float(bw_hz * np.sum(np.log2(1.0 + np.asarray(sinrs))))
 
 
-def sum_rate(bf: BeamformerSet, h_eff: list[np.ndarray], cfg: SystemConfig,
+def sum_rate(bf: BeamformerSet, h_eff: np.ndarray, cfg: SystemConfig,
              groups=None) -> RateReport:
     """Evaluate the full multicast objective: sum over groups of min member rate,
-    on the effective channels ``h_eff`` (one N_U x N_B matrix per user)."""
+    on the effective channels ``h_eff`` (K, N_U, N_B)."""
     groups = cfg.groups() if groups is None else groups
     validate_groups(groups, cfg.k_users)
     k_users, zeta = cfg.k_users, cfg.zeta
     sig = np.zeros((k_users, zeta))
     intra = np.zeros((k_users, zeta))
     inter = np.zeros((k_users, zeta))
+    # every user's zeta x H*zeta stream gains W_k^H H_k B
+    gains = np.conj(bf.combiners).swapaxes(1, 2) @ h_eff @ bf.tx
     for h, members in enumerate(groups):
         for k in members:
-            gains = bf.combiners[k].conj().T @ h_eff[k] @ bf.tx
-            sig[k], intra[k], inter[k] = _stream_terms(gains, h, zeta)
+            sig[k], intra[k], inter[k] = _stream_terms(gains[k], h, zeta)
     sinr = sig / (intra + inter + cfg.noise_w)
     rates = np.array([user_rate(sinr[k], cfg.bw_hz) for k in range(k_users)])
     group_rates = np.array([min(rates[k] for k in members) for members in groups])
     return RateReport(sinr=sinr, signal=sig, intra=intra, inter=inter,
                       user_rates=rates, group_rates=group_rates,
-                      sum_rate=float(group_rates.sum()), noise_w=cfg.noise_w)
+                      sum_rate=float(group_rates.sum()))
 
 
 # Tolerances of ConstraintReport.ok().

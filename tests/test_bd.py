@@ -20,50 +20,39 @@ def build_at_random_nu(cfg, seed, **kw):
     return h_eff, bf, decomp
 
 
-def test_stack_other_groups_single_group(desk_cfg):
-    h_eff = [random_complex(np.random.default_rng(0), 4, 8)]
-    out = bd.stack_other_groups(h_eff, ((0,),), 0)
-    assert out.shape == (0, 8)
+def test_one_group_gets_the_identity_null_basis(desk_cfg):
+    # no other group constrains the BS: the null basis is the identity and
+    # the factors are the raw SVD's
+    cfg = dataclasses.replace(desk_cfg, k_users=1, h_groups=1, group_sizes=(1,),
+                              m_bs=4, m_ue=4)
+    h_eff = random_complex(np.random.default_rng(3), cfg.n_ue, cfg.n_bs)[None]
+    decomp = bd.decompose(h_eff, cfg.groups(), cfg)
+    np.testing.assert_array_equal(decomp.v0[0], np.eye(cfg.n_bs))
+    res = mk.svd(h_eff[0])
+    np.testing.assert_array_equal(decomp.u1[0], res.u[:, :cfg.zeta])
+    np.testing.assert_array_equal(decomp.s1[0], res.s[:cfg.zeta])
+    np.testing.assert_array_equal(decomp.v1[0], res.vh[:cfg.zeta].conj().T)
 
 
-def test_stack_other_groups_two_singletons():
-    h_eff = [random_complex(np.random.default_rng(i), 4, 8) for i in range(2)]
-    out = bd.stack_other_groups(h_eff, ((0,), (1,)), 0)
-    np.testing.assert_array_equal(out, h_eff[1])
+def test_other_groups_spanning_the_bs_space_leave_no_null_space(desk_cfg):
+    # user 1's n_ue = n_bs rows span C^{N_B}, so group 0 has nothing to send in
+    rng = np.random.default_rng(2)
+    h_eff = np.stack([random_complex(rng, desk_cfg.n_ue, desk_cfg.n_bs) for _ in range(2)])
+    with pytest.raises(bd.BdInfeasibleError, match="^insufficient BS antennas for BD$"):
+        bd.decompose(h_eff, desk_cfg.groups(), desk_cfg)
 
 
-def test_stack_other_groups_row_count():
-    n_ue, n_bs = 3, 10
-    h_eff = [random_complex(np.random.default_rng(i), n_ue, n_bs) for i in range(6)]
-    groups = ((0, 1), (2,), (3, 4, 5))
-    out = bd.stack_other_groups(h_eff, groups, 1)
-    assert out.shape == (5 * n_ue, n_bs)
-    np.testing.assert_array_equal(out[:n_ue], h_eff[0])  # ascending user order
-
-
-def test_null_projector_empty_constraint():
-    v0 = bd.null_projector(np.zeros((0, 6)), 6)
-    np.testing.assert_array_equal(v0, np.eye(6))
-
-
-def test_null_projector_axis_row():
-    h = np.zeros((1, 5), dtype=complex)
-    h[0, 0] = 1.0
-    v0 = bd.null_projector(h, 5)
-    assert v0.shape == (5, 4)
-    assert np.allclose(v0[0, :], 0.0, atol=1e-12)
-
-
-def test_null_projector_residual(desk_cfg):
-    rng = np.random.default_rng(1)
-    h = random_complex(rng, 6, 3) @ random_complex(rng, 3, 16)
-    v0 = bd.null_projector(h, 16)
-    assert np.linalg.norm(h @ v0) < 1e-9 * np.linalg.norm(h)
-
-
-def test_null_projector_no_null_space():
-    with pytest.raises(bd.BdInfeasibleError, match="insufficient"):
-        bd.null_projector(random_complex(np.random.default_rng(2), 8, 8), 8)
+def test_null_space_thinner_than_the_streams_is_rejected(desk_cfg):
+    # user 1's rows span all but one dimension: a 1-dimensional null space
+    # cannot carry zeta = 2 streams
+    rng = np.random.default_rng(4)
+    n = desk_cfg.n_bs
+    h1 = random_complex(rng, desk_cfg.n_ue, n - 1) @ random_complex(rng, n - 1, n)
+    h_eff = np.stack([random_complex(rng, desk_cfg.n_ue, n), h1])
+    assert desk_cfg.zeta == 2
+    with pytest.raises(bd.BdInfeasibleError,
+                       match="^group 0: null space dimension 1 < zeta=2$"):
+        bd.decompose(h_eff, desk_cfg.groups(), desk_cfg)
 
 
 def test_single_user_degenerates_to_eigen_beamforming(desk_cfg):
@@ -165,7 +154,7 @@ def test_unitary_left_multiplication_preserves_singulars(desk_cfg):
     groups = desk_cfg.groups()
     decomp = bd.decompose(h_eff, groups, desk_cfg)
     q, _ = np.linalg.qr(random_complex(rng, desk_cfg.n_ue, desk_cfg.n_ue))
-    h_rot = [q @ h for h in h_eff]
+    h_rot = q @ h_eff
     decomp_rot = bd.decompose(h_rot, groups, desk_cfg)
     assert decomp.s1.shape == (desk_cfg.k_users, desk_cfg.zeta)
     np.testing.assert_allclose(decomp.s1, decomp_rot.s1, rtol=1e-9)
@@ -225,7 +214,7 @@ def planted_projection(s_proj, n=16):
     u0, _ = np.linalg.qr(random_complex(rng, n, 6))
     h0 = u0[:, :4] @ rows[:4] + s_proj * (u0[:, 4:6] @ rows[4:6])
     h1 = random_complex(rng, n, 4) @ rows[:4] + random_complex(rng, n, 2) @ rows[6:8]
-    return [h0, h1]
+    return np.stack([h0, h1])
 
 
 @pytest.mark.parametrize("s_proj, feasible",
@@ -238,7 +227,7 @@ def test_rank_test_keeps_the_exact_decision(desk_cfg, monkeypatch, s_proj, feasi
     h_eff = planted_projection(s_proj)
     assert math.isclose(np.linalg.norm(h_eff[0], 2), 1.0, rel_tol=1e-12)
     assert math.isclose(np.linalg.norm(h_eff[0]), 2.0, rel_tol=1e-12)
-    proj = h_eff[0] @ bd.null_projector(h_eff[1], desk_cfg.n_bs)
+    proj = h_eff[0] @ mk.nullspace_basis(h_eff[1])
     s = mk.svd(proj).s[desk_cfg.zeta - 1]
     tol = mk.default_rank_tol(proj.shape)
     # the decision of the exact test alone, against tol * ||H_0||_2

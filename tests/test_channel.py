@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, user_paths
 from irs_multicast import channel as ch
 
 angles = st.floats(-np.pi / 2, np.pi / 2, allow_nan=False)
@@ -170,7 +170,7 @@ def test_irs_user_single_unit_path_norm(desk_cfg):
     assert h.shape == (cfg.n_ue, cfg.n_irs)
     assert math.isclose(np.linalg.norm(h), math.sqrt(cfg.n_irs * cfg.n_ue), rel_tol=1e-12)
     chset = ch.generate_channels(cfg, np.random.default_rng(0))
-    for h_k, paths in zip(chset.h_irs_ue, chset.ue_paths):
+    for h_k, paths in zip(chset.h_irs_ue, user_paths(chset)):
         assert h_k.shape == (cfg.n_ue, cfg.n_irs)
         assert math.isclose(np.linalg.norm(h_k),
                             abs(paths.gains[0]) * math.sqrt(cfg.n_irs * cfg.n_ue),
@@ -197,7 +197,7 @@ def _load(name):
 def test_steering_stacks_are_the_per_path_responses(name):
     cfg = _load(name)
     chset = ch.generate_channels(cfg, np.random.default_rng(21))
-    links = [(chset.bs_paths, cfg.n_bs)] + [(p, cfg.n_ue) for p in chset.ue_paths]
+    links = [(chset.bs_paths, cfg.n_bs)] + [(p, cfg.n_ue) for p in user_paths(chset)]
     for paths, n_far in links:
         a_irs = np.stack([ch.upa_response(az, el, cfg.f_y, cfg.f_z)
                           for az, el in zip(paths.az_irs, paths.el_irs)])
@@ -235,7 +235,7 @@ def test_channel_matrices_equal_outer_product_loops(name):
         chset = ch.generate_channels(cfg, np.random.default_rng(seed))
         assert np.array_equal(chset.h_bs_irs, _bs_irs_oracle(chset.bs_paths, cfg))
         assert len(chset.h_irs_ue) == cfg.k_users
-        for h_k, paths in zip(chset.h_irs_ue, chset.ue_paths):
+        for h_k, paths in zip(chset.h_irs_ue, user_paths(chset)):
             assert np.array_equal(h_k, _irs_user_oracle(paths, cfg))
 
 
@@ -250,6 +250,9 @@ def test_path_set_checks_lengths_and_gains(desk_cfg):
     gains[1] = np.nan
     with pytest.raises(ValueError, match="finite"):
         dataclasses.replace(paths, gains=gains)
+    users = chset.ue_paths
+    with pytest.raises(ValueError, match="one length"):
+        dataclasses.replace(users, a_irs=users.a_irs[:, 1:])
 
 
 def test_channel_determinism(desk_cfg):
@@ -279,7 +282,7 @@ def _draw(cfg, seed=3):
     rng = np.random.default_rng(seed)
     chset = ch.generate_channels(cfg, rng)
     nu = ch.random_phase_vector(cfg.n_irs, rng)
-    paths = [getattr(p, f.name) for p in (chset.bs_paths, *chset.ue_paths)
+    paths = [getattr(p, f.name) for p in (chset.bs_paths, chset.ue_paths)
              for f in dataclasses.fields(p)]
     arrays = [chset.h_bs_irs, *chset.h_irs_ue, np.array(chset.user_positions), nu, *paths]
     return arrays, rng.bit_generator.state
@@ -313,7 +316,7 @@ def test_fields_outside_the_draw_key_leave_the_draw_unchanged(multiuser_cfg, cha
 
 def test_nlos_angles_within_sampling_ranges(desk_cfg):
     chset = ch.generate_channels(desk_cfg, np.random.default_rng(11))
-    for paths in (chset.bs_paths, *chset.ue_paths):
+    for paths in (chset.bs_paths, *user_paths(chset)):
         assert np.all(np.abs(paths.az_irs[1:]) < np.pi / 2)
         assert np.all(np.abs(paths.el_irs[1:]) < np.pi / 4)
         assert np.all(np.abs(paths.endpoint[1:]) < np.pi / 2)

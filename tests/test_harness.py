@@ -261,7 +261,7 @@ def _check_failure_contract(cfg, seed):
     for rec in records:
         assert rec.status in _STATUSES or rec.status.startswith(_FAILURE_PREFIXES)
         if rec.ok:
-            rates = (rec.sum_rate_bps, *rec.group_rates)
+            rates = (rec.sum_rate_bps, *rec.report.group_rates)
             assert all(math.isfinite(r) and r >= 0.0 for r in rates)
         _assert_same_record(rec, harness.run_baseline(
             rec.baseline, cfg, np.random.default_rng(seed), seed=seed))
@@ -302,7 +302,7 @@ def test_run_proposed_multiuser_smoke(multiuser_cfg):
     assert rec.sum_rate_bps > 0
     assert rec.s1_iters >= 1
     assert 0 <= rec.s2_iters <= 100  # exact-split warm starts can need none
-    assert len(rec.group_rates) == multiuser_cfg.h_groups
+    assert len(rec.report.group_rates) == multiuser_cfg.h_groups
 
 
 def test_baselines_b_c_share_phase_draw(desk_cfg):

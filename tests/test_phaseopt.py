@@ -10,7 +10,7 @@ from irs_multicast import channel as ch
 from irs_multicast import harness
 from irs_multicast import phaseopt as po
 
-from conftest import CONFIG_DIR
+from conftest import CONFIG_DIR, user_paths
 
 
 def single_user_cfg(desk_cfg, zeta=1):
@@ -37,7 +37,7 @@ def sorted_steering(cfg, chset, k):
     def vectors(paths, order):
         return [ch.upa_response(paths.az_irs[i], paths.el_irs[i], cfg.f_y, cfg.f_z)
                 for i in order]
-    bs, up = chset.bs_paths, chset.ue_paths[k]
+    bs, up = chset.bs_paths, user_paths(chset)[k]
     alpha = cfg.g_tx_lin * math.sqrt(cfg.n_bs * cfg.n_irs / cfg.paths_y) * bs.gains
     beta = cfg.g_rx_lin * math.sqrt(cfg.n_irs * cfg.n_ue / cfg.paths_l) * up.gains
     return (vectors(up, np.argsort(-np.abs(beta), kind="stable")),
