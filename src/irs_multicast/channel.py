@@ -206,28 +206,37 @@ def load_config(path) -> SystemConfig:
 # Array responses
 # ---------------------------------------------------------------------------
 
-def ula_response(angle_rad: float, n: int) -> np.ndarray:
-    """Normalized ULA steering vector; element n' carries phase 2*pi*d/lambda*(n'-1)*sin(r)."""
+def ula_response(angle_rad, n: int) -> np.ndarray:
+    """Normalized ULA steering vector; element n' carries phase 2*pi*d/lambda*(n'-1)*sin(r).
+
+    A scalar angle gives an (n,) vector; an array of angles of shape S gives
+    one vector per angle, shape S + (n,). Each entry is the scalar call's.
+    """
     if n < 1:
         raise ValueError("ULA needs at least one antenna")
     idx = np.arange(n)
-    return np.exp(2j * np.pi * D_OVER_LAMBDA * idx * np.sin(angle_rad)) / math.sqrt(n)
+    sin = np.sin(np.asarray(angle_rad, dtype=float)[..., None])
+    return np.exp(2j * np.pi * D_OVER_LAMBDA * idx * sin) / math.sqrt(n)
 
 
-def upa_response(theta: float, eta: float, f_y: int, f_z: int) -> np.ndarray:
+def upa_response(theta, eta, f_y: int, f_z: int) -> np.ndarray:
     """Normalized UPA steering vector.
 
     Element (f1, f2) carries phase
     ``2*pi*d/lambda*((f1-1)*cos(eta)*sin(theta) + (f2-1)*sin(eta))``; the
-    flat index runs with the vertical index f2 fastest.
+    flat index runs with the vertical index f2 fastest. Scalar angles give an
+    (f_y*f_z,) vector; arrays of angles of one shape S give one vector per
+    angle pair, shape S + (f_y*f_z,). Each entry is the scalar call's.
     """
     if f_y < 1 or f_z < 1:
         raise ValueError("UPA needs at least one element per dimension")
+    theta = np.asarray(theta, dtype=float)[..., None, None]
+    eta = np.asarray(eta, dtype=float)[..., None, None]
     f1 = np.arange(f_y)[:, None]
     f2 = np.arange(f_z)[None, :]
     phase = f1 * (np.cos(eta) * np.sin(theta)) + f2 * np.sin(eta)
     grid = np.exp(2j * np.pi * D_OVER_LAMBDA * phase)
-    return grid.reshape(f_y * f_z) / math.sqrt(f_y * f_z)
+    return grid.reshape(grid.shape[:-2] + (f_y * f_z,)) / math.sqrt(f_y * f_z)
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +337,9 @@ def _draw_link(cfg: SystemConfig, rng: np.random.Generator, far_pos,
         az[1:] = rng.uniform(-np.pi / 2, np.pi / 2, n_nlos)
         el[1:] = rng.uniform(-np.pi / 4, np.pi / 4, n_nlos)
         endpoint[1:] = rng.uniform(-np.pi / 2, np.pi / 2, n_nlos)
-    a_irs = np.stack([upa_response(t, e, cfg.f_y, cfg.f_z) for t, e in zip(az, el)])
-    a_far = np.stack([ula_response(r, n_far) for r in endpoint])
     return PathSet(gains=gains, az_irs=az, el_irs=el, endpoint=endpoint,
-                   a_irs=a_irs, a_far=a_far)
+                   a_irs=upa_response(az, el, cfg.f_y, cfg.f_z),
+                   a_far=ula_response(endpoint, n_far))
 
 
 def _path_sum(gains: np.ndarray, left: np.ndarray, right: np.ndarray,

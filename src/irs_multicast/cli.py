@@ -63,11 +63,11 @@ def _run_report(args, cfg) -> int:
     if args.report == "cdf" and args.seeds < 2:
         raise ConfigError("report cdf needs at least 2 seeds")
     # the rules the report's sweeps apply: known baselines, at least one seed,
-    # strictly increasing power values
+    # a non-negative base seed, strictly increasing power values
     spec = harness.ExperimentSpec(sweep_var="power",
                                   sweep_values=_parse_values(args.sweep_values),
                                   baselines=tuple(args.baselines.split(",")),
-                                  n_seeds=args.seeds)
+                                  n_seeds=args.seeds, base_seed=args.base_seed)
     records = []
     try:
         if args.report == "theorem1":

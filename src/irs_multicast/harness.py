@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bd, hybridfactor as hf, phaseopt as po, signalmodel as sm
-from .channel import (ConfigError, SystemConfig, draw_key, effective_channels,
+from .channel import (ConfigError, SystemConfig, _integer, draw_key, effective_channels,
                       generate_channels, random_phase_vector)
 
 __all__ = [
@@ -119,6 +119,8 @@ class ExperimentSpec:
             raise ConfigError(f"repeated baseline in {','.join(self.baselines)}")
         if self.n_seeds < 1:
             raise ConfigError("need at least one seed")
+        if self.base_seed < 0:
+            raise ConfigError(f"base seed must be >= 0, got {self.base_seed}")
 
     def configs(self) -> list[tuple[float, SystemConfig]]:
         """Materialize (sweep value, config) pairs; invalid points fail fast."""
@@ -127,25 +129,24 @@ class ExperimentSpec:
 
 
 def apply_sweep(cfg: SystemConfig, var: str, value: float) -> SystemConfig:
+    """``cfg`` at one sweep value; a count sweep (elements, streams, groups)
+    takes whole values only, so no row is labeled with a count never run."""
     if var == "none":
         return cfg
     if var == "power":
         return dataclasses.replace(cfg, power_dbm=float(value))
+    if var not in SWEEP_CHOICES:
+        raise ConfigError(f"unknown sweep variable {var!r}")
+    count = _integer(f"{var} sweep value", value)
     if var == "elements":
-        m = int(round(value))
-        side = math.isqrt(m)
-        if side * side != m:
-            raise ConfigError(f"element count {m} is not a square (square UPA assumed)")
-        return dataclasses.replace(cfg, n_irs=m, f_y=side, f_z=side)
+        side = math.isqrt(max(count, 0))
+        if side * side != count:
+            raise ConfigError(f"element count {count} is not a square (square UPA assumed)")
+        return dataclasses.replace(cfg, n_irs=count, f_y=side, f_z=side)
     if var == "streams":
-        zeta = int(round(value))
-        return dataclasses.replace(cfg, zeta=zeta)
-    if var == "groups":
-        h = int(round(value))
-        # Singleton groups: the sweep isolates the group-count effect.
-        return dataclasses.replace(cfg, h_groups=h, k_users=h,
-                                   group_sizes=(1,) * h)
-    raise ConfigError(f"unknown sweep variable {var!r}")
+        return dataclasses.replace(cfg, zeta=count)
+    # Singleton groups: the sweep isolates the group-count effect.
+    return dataclasses.replace(cfg, h_groups=count, k_users=count, group_sizes=(1,) * count)
 
 
 @dataclass

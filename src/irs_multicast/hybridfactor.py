@@ -13,9 +13,12 @@ pseudo-inverse) are computed with a fixed sequence of floating-point
 operations. The descent is chaotic: scaling the gradient by 1 + 1e-15 moves
 rf-limited sweep rates by up to ~2e-3 relative. Work may be removed around
 that sequence (a residual reused, a constant hoisted, a dispatch skipped) but
-never reordered inside it. The Armijo objective ``q`` is compared only. The
-closed-form split is outside the contract: only the rate evaluation follows
-it, which does not amplify a last-bit change.
+never reordered inside it. The gradient's factor -2 is folded into ``F_B^H``
+once per descent: short of overflow and subnormals, a power-of-two scale
+commutes with every rounding of the product, so the gradient keeps its bits.
+The Armijo objective ``q`` is compared only. The closed-form split is outside
+the contract: only the rate evaluation follows it, which does not amplify a
+last-bit change.
 """
 
 from __future__ import annotations
@@ -40,12 +43,6 @@ __all__ = [
 def solve_baseband(f_rf: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Frobenius-optimal baseband for fixed RF: ``pinv(F_R) @ B``."""
     return mk.pseudo_inverse(f_rf) @ b
-
-
-def _residual_grad(resid: np.ndarray, f_bb_h: np.ndarray) -> np.ndarray:
-    """Wirtinger gradient (2 d/dX*) of ``||B - X F_B||_F^2`` from the residual
-    ``R = B - X F_B`` and ``F_B^H``."""
-    return -2.0 * resid @ f_bb_h
 
 
 # Relative modulus spread below which the two-phase split copies a target
@@ -159,27 +156,29 @@ def _rf_descent(x: np.ndarray, f_bb: np.ndarray, b: np.ndarray,
     floor on these strongly coupled blocks.
 
     Iterate arithmetic follows the module's bit-exact contract. The gradient
-    is :func:`_residual_grad` divided by ``scale``, taken from the residual
+    is the Wirtinger gradient (2 d/dX*) of ``||B - X F_B||_F^2``,
+    ``-2 R F_B^H``, divided by ``scale``, taken from the residual
     ``R = B - X F_B`` that the accepted Armijo trial already computed, and the
     tangent projection, BB step and retraction keep their operation order.
     ``q`` enters only comparisons.
     """
-    f_bb_h = f_bb.conj().T
+    # the gradient's -2, folded into F_B^H once (see the module's contract)
+    f_bb_h2 = -2.0 * f_bb.conj().T
     resid = b - x @ f_bb
     q_cur = _fro_norm(resid) ** 2 / scale
     x_prev = grad_prev = None
     step_trial = _INITIAL_STEP
     for _ in range(_INNER_STEPS):
-        grad = _residual_grad(resid, f_bb_h) / scale
+        grad = resid @ f_bb_h2 / scale
         rgrad = tangent_project(grad, x)
-        gnorm_sq = float((np.abs(rgrad) ** 2).sum())
+        gnorm_sq = float(np.add.reduce(np.abs(rgrad) ** 2, None))
         if gnorm_sq < 1e-30:
             break
         if x_prev is not None:
             s = x - x_prev
-            denom = abs(float((s * (rgrad - grad_prev).conj()).real.sum()))
+            denom = abs(float(np.add.reduce((s * (rgrad - grad_prev).conj()).real, None)))
             if denom > 1e-300:
-                step_trial = float((np.abs(s) ** 2).sum()) / denom
+                step_trial = float(np.add.reduce(np.abs(s) ** 2, None)) / denom
         step = step_trial
         for _ in range(_MAX_BACKTRACKS + 1):
             cand = retract(x - step * rgrad)

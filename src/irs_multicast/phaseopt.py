@@ -10,7 +10,7 @@ Bit-exact contract: the descent is chaotic (a 1e-15 relative change of the
 objective moves ~20% of full-scale sweep rates by more than 1e-9), so the
 stacked objective and gradient reproduce the per-stream scalar loops they
 replaced bit for bit, and tests hold them to those loops. Measured on
-numpy 2.4, three rules keep them so:
+numpy 2.4, four rules keep them so:
 
 - stream moduli are ``np.hypot(d.real, d.imag)``, which equals the builtin
   ``abs()`` of a complex scalar; array ``np.abs`` and ``np.abs`` of a numpy
@@ -20,7 +20,13 @@ numpy 2.4, three rules keep them so:
   differ on about 0.1% of entries;
 - rates take ``math.log2`` of Python floats, summed per user in stream
   order; array ``np.log2`` differs on 0.01-0.06% of entries, depending on
-  the inputs.
+  the inputs;
+- numpy divides a complex array by a real one as a complex division by a
+  zero imaginary part, whose algorithm (Smith's) multiplies each component
+  by the divisor's reciprocal. So the gradient scales its float64 view in
+  place by ``1 / den`` and the descent by ``1 / bw_hz``: the same bits
+  without the complex division. Dividing each component by the divisor
+  differs on about 25% of entries.
 
 The gradient terms are one stacked product in the loops' operation order,
 summed over streams along axis 0, which adds them in the loops' order too.
@@ -30,7 +36,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -53,6 +58,10 @@ __all__ = [
 LN2 = math.log(2.0)
 # Distance from the unit circle within which retract() leaves an entry as is.
 _CIRCLE_TOL = 4.0 * np.finfo(float).eps
+
+# Bare ufuncs and reductions of the per-iteration arithmetic, looked up once.
+_abs, _where, _add_reduce = np.abs, np.where, np.add.reduce
+_min_reduce, _max_reduce = np.minimum.reduce, np.maximum.reduce
 
 # Stopping rule and Armijo line search of the phase descent.
 _TOL = 1e-6             # stop on relative objective change below this
@@ -86,12 +95,10 @@ class CouplingSet:
     # and d, never by object ids; dataclasses.replace starts a new memo.
     _rates_memo: list = field(default_factory=lambda: [None, None], init=False,
                               repr=False, compare=False)
-
-    @cached_property
-    def grad_c(self) -> np.ndarray:
-        """Gradient coefficients ``bw_hz * (2 b / ln 2) * c``, (K, zeta, M),
-        formed once per coupling set; each entry is the loops' product."""
-        return (self.bw_hz * (2.0 * self.b / LN2))[..., None] * self.c
+    # euclidean_grad's stream rows per tuple of bottleneck users: b and the
+    # gradient coefficients bw_hz * (2 b / ln 2) * c, each entry the loops'
+    # product, formed once per coupling set and users.
+    _grad_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
 def coupling_vectors(chset: ChannelSet, cfg: SystemConfig, groups=None) -> CouplingSet:
@@ -205,12 +212,17 @@ def euclidean_grad(coupling: CouplingSet, nu: np.ndarray, groups) -> np.ndarray:
     d = _stream_gains(coupling, nu)
     sq, rates = _stream_rates(coupling, d)
     users = [k for k, _ in _pick(groups, rates)]
-    b_sel = coupling.b[users].ravel()
+    key = tuple(users)
+    if key not in coupling._grad_rows:
+        b_sel = coupling.b[users].ravel()
+        coef = coupling.bw_hz * (2.0 * b_sel / LN2)
+        coupling._grad_rows[key] = b_sel, coef[:, None] * coupling.c[users].reshape(len(b_sel), -1)
+    b_sel, gc_sel = coupling._grad_rows[key]
     den = 1.0 + b_sel * sq[users].ravel()
-    gc_sel = coupling.grad_c[users].reshape(len(b_sel), -1)
-    d_sel = d[users].ravel()
-    terms = gc_sel * np.conj(d_sel)[:, None] / den[:, None]
-    return -terms.sum(axis=0)
+    terms = gc_sel * np.conj(d[users].ravel())[:, None]
+    re_im = terms.view(np.float64)
+    re_im *= (1.0 / den)[:, None]    # terms / den[:, None], bit for bit
+    return -_add_reduce(terms, 0)
 
 
 def tangent_project(grad: np.ndarray, nu: np.ndarray) -> np.ndarray:
@@ -226,14 +238,13 @@ def retract(nu_bar: np.ndarray) -> np.ndarray:
     Entries already on the circle to within a few ulp pass through unchanged,
     which makes the retraction exactly idempotent.
     """
-    mags = np.abs(nu_bar)
+    mags = _abs(nu_bar)
     # a zero or nan magnitude fails the lower bound, an infinite one the
     # upper; bare ufunc reductions, since every line-search trial retracts
-    if not (np.minimum.reduce(mags, None) >= 1e-300
-            and np.maximum.reduce(mags, None) < math.inf):
+    if not (_min_reduce(mags, None) >= 1e-300 and _max_reduce(mags, None) < math.inf):
         raise ValueError("retraction singularity: zero-magnitude or non-finite entry")
-    on_circle = np.abs(mags - 1.0) <= _CIRCLE_TOL
-    return np.where(on_circle, nu_bar, nu_bar / mags)
+    on_circle = _abs(mags - 1.0) <= _CIRCLE_TOL
+    return _where(on_circle, nu_bar, nu_bar / mags)
 
 
 @dataclass(frozen=True)
@@ -263,6 +274,7 @@ def optimize_phases(coupling: CouplingSet, groups, nu0: np.ndarray) -> OptimizeR
     """
     nu = retract(np.asarray(nu0, dtype=np.complex128).copy())
     w = coupling.bw_hz
+    inv_w = 1.0 / w
 
     def f_norm(x):
         return objective_f(coupling, x, groups) / w
@@ -273,9 +285,11 @@ def optimize_phases(coupling: CouplingSet, groups, nu0: np.ndarray) -> OptimizeR
     nu_prev = rgrad_prev = None
     step_trial = _INITIAL_STEP
     for iteration in range(1, _MAX_ITERS + 1):
-        grad = euclidean_grad(coupling, nu, groups) / w
+        grad = euclidean_grad(coupling, nu, groups)
+        re_im = grad.view(np.float64)
+        re_im *= inv_w    # grad / w, bit for bit
         rgrad = tangent_project(grad, nu)
-        gnorm_sq = float((np.abs(rgrad) ** 2).sum())
+        gnorm_sq = float(_add_reduce(_abs(rgrad) ** 2, None))
         gnorm = math.sqrt(gnorm_sq)
         if gnorm < 1e-14:
             converged = True
@@ -287,9 +301,9 @@ def optimize_phases(coupling: CouplingSet, groups, nu0: np.ndarray) -> OptimizeR
             # trace stays monotone.
             s = nu - nu_prev
             y = rgrad - rgrad_prev
-            denom = abs(float((s * np.conj(y)).real.sum()))
+            denom = abs(float(_add_reduce((s * np.conj(y)).real, None)))
             if denom > 1e-300:
-                step_trial = float((np.abs(s) ** 2).sum()) / denom
+                step_trial = float(_add_reduce(_abs(s) ** 2, None)) / denom
         step = step_trial
         accepted = False
         f_new = f_cur

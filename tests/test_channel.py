@@ -61,6 +61,19 @@ def test_upa_zero_dim_rejected():
         ch.upa_response(0.0, 0.0, 0, 4)
 
 
+def test_responses_broadcast_over_angle_arrays():
+    # one call per angle array, each row the scalar call's bits
+    rng = np.random.default_rng(22)
+    theta, eta = rng.uniform(-np.pi / 2, np.pi / 2, (2, 2, 3))
+    upa = ch.upa_response(theta, eta, 4, 3)
+    ula = ch.ula_response(theta, 5)
+    assert upa.shape == (2, 3, 12) and ula.shape == (2, 3, 5)
+    for idx in np.ndindex(theta.shape):
+        assert np.array_equal(upa[idx], ch.upa_response(float(theta[idx]), float(eta[idx]), 4, 3))
+        assert np.array_equal(ula[idx], ch.ula_response(float(theta[idx]), 5))
+    assert ch.upa_response(0.1, 0.2, 4, 3).shape == (12,)
+
+
 # ---------------------------------------------------------------------------
 # SystemConfig
 # ---------------------------------------------------------------------------

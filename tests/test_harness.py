@@ -59,6 +59,28 @@ def test_apply_sweep():
     assert cfg.power_dbm == 37.0
 
 
+@pytest.mark.parametrize("var, value", [("elements", 16.4), ("streams", 1.4),
+                                        ("groups", 0.6), ("groups", 2.5)])
+def test_apply_sweep_rejects_fractional_counts(var, value):
+    # these ran the rounded count (16, 1, 1, 2) under the unrounded label
+    with pytest.raises(ch.ConfigError, match=f"{var} sweep value must be an integer"):
+        harness.apply_sweep(harness.DESK_CONFIG, var, value)
+    cfg = harness.apply_sweep(harness.DESK_CONFIG, var, round(value))
+    assert cfg == harness.apply_sweep(harness.DESK_CONFIG, var, float(round(value)))
+
+
+def test_apply_sweep_rejects_a_negative_element_count():
+    # math.isqrt raised a bare ValueError here
+    with pytest.raises(ch.ConfigError, match="not a square"):
+        harness.apply_sweep(harness.DESK_CONFIG, "elements", -16)
+
+
+def test_spec_rejects_a_negative_base_seed():
+    with pytest.raises(ch.ConfigError, match="base seed must be >= 0"):
+        harness.ExperimentSpec(base_seed=-1)
+    assert harness.ExperimentSpec(base_seed=0).base_seed == 0
+
+
 def test_sweep_row_count_contract():
     records = harness.sweep(small_spec(n_seeds=3, baselines=("proposed",)))
     assert len(records) == 2 * 1 * 3
@@ -536,6 +558,22 @@ def test_cli_config_error_exit_code(tmp_path):
     # a repeated baseline ran the same cell twice
     assert cli_main(["--baselines", "c,c", "--out", str(tmp_path / "o.csv")]) == 1
     assert not (tmp_path / "o.csv").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--base-seed", "-1", "--seeds", "1"],
+    ["--report", "cdf", "--base-seed", "-1", "--seeds", "2"],
+    ["--sweep", "elements", "--sweep-values", "16.4", "--seeds", "1"],
+    ["--sweep", "streams", "--sweep-values", "1.4", "--seeds", "1"],
+    ["--sweep", "groups", "--sweep-values", "0.6", "--seeds", "1"],
+])
+def test_cli_rejects_negative_seeds_and_fractional_counts(tmp_path, capsys, args):
+    # a negative base seed ended in a numpy traceback (exit 2 as "invalid"
+    # in a report); a fractional count wrote ok rows of the rounded count
+    out = tmp_path / "o.csv"
+    assert cli_main(args + ["--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
 
 
 def test_cli_partial_failure_exit_code(tmp_path):

@@ -437,6 +437,22 @@ def test_stream_rates_bit_identical_on_many_gains(desk_cfg):
         assert rates[k] == rate
 
 
+def test_real_divisor_is_the_reciprocal_product():
+    # the contract's fourth rule: numpy divides a complex array by a real one
+    # as each component times the reciprocal, so euclidean_grad and the
+    # descent scale the float64 view by 1 / den and 1 / bw_hz in place
+    rng = np.random.default_rng(330)
+    shape = (1000, 128)
+    x = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) \
+        * 10.0 ** rng.uniform(-12, 12, shape)
+    w = harness.DESK_CONFIG.bw_hz
+    for r in (10.0 ** rng.uniform(0, 12, (shape[0], 1)), np.full((shape[0], 1), w), w):
+        scaled = x.copy()
+        re_im = scaled.view(np.float64)
+        re_im *= 1.0 / r
+        assert np.array_equal(scaled, x / r)
+
+
 # ---------------------------------------------------------------------------
 # The descent as it was before the gradient coefficients were stored and each
 # accepted point was evaluated once, kept as the oracle for optimize_phases
