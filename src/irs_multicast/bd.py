@@ -15,7 +15,7 @@ import numpy as np
 
 from . import matrixkit as mk
 from .channel import SystemConfig
-from .signalmodel import BeamformerSet, validate_groups
+from .signalmodel import BeamformerSet, stream_snr_scale, validate_groups
 
 __all__ = [
     "BdInfeasibleError",
@@ -61,7 +61,7 @@ def decompose(h_eff: np.ndarray, groups, cfg: SystemConfig,
         When a group has no null space left or a user's projected channel
         cannot carry ``zeta`` streams.
     """
-    validate_groups(groups, cfg.k_users)
+    group_of = validate_groups(groups, cfg.k_users)
     zeta = cfg.zeta
     k_users, n_ue, n_bs = h_eff.shape
     v0s, v1 = [], [None] * k_users
@@ -70,8 +70,7 @@ def decompose(h_eff: np.ndarray, groups, cfg: SystemConfig,
     for h, members in enumerate(groups):
         v0 = None
         if nulling:
-            others = sorted(k for g, rest in enumerate(groups) if g != h for k in rest)
-            v0 = mk.nullspace_basis(h_eff[others].reshape(-1, n_bs))
+            v0 = mk.nullspace_basis(h_eff[group_of != h].reshape(-1, n_bs))
             if v0.shape[1] == 0:
                 raise BdInfeasibleError("insufficient BS antennas for BD")
             if v0.shape[1] < zeta:
@@ -129,12 +128,8 @@ def build_beamformers(h_eff: np.ndarray, groups, cfg: SystemConfig,
 def bd_rate_closed_form(decomp: BdDecomposition, groups, cfg: SystemConfig) -> np.ndarray:
     """Per-user log-det rates from the projected singular values.
 
-    ``R_k = W * log2 det(I + P/(|H_h| H zeta sigma^2) * S1^2)`` evaluated as a
-    sum of scalar logs.
+    ``R_k = W * log2 det(I + scale_k * S1^2)`` evaluated as a sum of scalar
+    logs, with each user's :func:`~irs_multicast.signalmodel.stream_snr_scale`.
     """
-    rates = np.zeros(cfg.k_users)
-    for members in groups:
-        scale = cfg.power_w / (len(members) * cfg.h_groups * cfg.zeta * cfg.noise_w)
-        for k in members:
-            rates[k] = cfg.bw_hz * np.sum(np.log2(1.0 + scale * decomp.s1[k] ** 2))
-    return rates
+    scale = stream_snr_scale(validate_groups(groups, cfg.k_users), cfg)
+    return cfg.bw_hz * np.sum(np.log2(1.0 + scale[:, None] * decomp.s1 ** 2), axis=1)

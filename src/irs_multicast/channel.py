@@ -123,6 +123,8 @@ class SystemConfig:
         if self.bw_hz <= 0:
             raise ConfigError(f"bw_hz must be positive, got {self.bw_hz}")
         object.__setattr__(self, "seed", _integer("seed", self.seed))
+        if self.seed != 0:
+            raise ConfigError(f"seed={self.seed} seeds no run: runs take --base-seed")
         for name in _COUNT_FIELDS:
             value = _integer(name, getattr(self, name))
             object.__setattr__(self, name, value)

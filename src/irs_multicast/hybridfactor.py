@@ -216,8 +216,8 @@ def factor(b: np.ndarray, n_rf: int, settings: FactorSettings | None = None,
     if n_rf < 1:
         raise ValueError("need at least one RF chain")
     b_norm = _fro_norm(b)
-    if b_norm == 0.0:
-        raise ValueError("zero target matrix")
+    if not 0.0 < b_norm < math.inf:   # zero, or a nan or inf entry
+        raise ValueError(f"target matrix norm {b_norm!r} must be finite and > 0")
     scale = max(b_norm ** 2, 1e-300)
     x, f_bb = _init_rf(b, n_rf, rng, st.init_mode)
     residuals = [_fro_norm(b - x @ f_bb) / b_norm]

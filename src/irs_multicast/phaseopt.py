@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelSet, SystemConfig
-from .signalmodel import validate_groups
+from .signalmodel import stream_snr_scale, validate_groups
 
 __all__ = [
     "CouplingSet",
@@ -109,7 +109,7 @@ def coupling_vectors(chset: ChannelSet, cfg: SystemConfig, groups=None) -> Coupl
     h*zeta+i, so different groups align onto disjoint BS-side directions.
     """
     groups = cfg.groups() if groups is None else groups
-    validate_groups(groups, cfg.k_users)
+    group_of = validate_groups(groups, cfg.k_users)
     zeta = cfg.zeta
     y, ell = cfg.paths_y, cfg.paths_l
     if zeta > min(y, ell):
@@ -123,16 +123,12 @@ def coupling_vectors(chset: ChannelSet, cfg: SystemConfig, groups=None) -> Coupl
     order_a = np.argsort(-np.abs(alpha), kind="stable")
     alpha_sorted = alpha[order_a]
     arr_vecs = bs.a_irs[order_a[:cfg.h_groups * zeta]]
-    group_of = np.empty(cfg.k_users, dtype=int)
-    for h, members in enumerate(groups):
-        group_of[list(members)] = h
     beta = cfg.g_rx_lin * math.sqrt(cfg.n_irs * cfg.n_ue / ell) * up.gains
     order_b = np.argsort(-np.abs(beta), axis=1, kind="stable")
     beta_sorted = np.take_along_axis(beta, order_b, axis=1)
     dep_vecs = np.take_along_axis(up.a_irs, order_b[:, :zeta, None], axis=1)
     cols = group_of[:, None] * zeta + np.arange(zeta)
-    sizes = np.array([len(members) for members in groups])[group_of]
-    scale = cfg.power_w / (sizes * cfg.h_groups * zeta * cfg.noise_w)
+    scale = stream_snr_scale(group_of, cfg)
     b = scale[:, None] * np.abs(alpha_sorted[cols] * beta_sorted[:, :zeta]) ** 2
     return CouplingSet(c=np.conj(dep_vecs) * arr_vecs[cols], b=b, alpha_eff=alpha_sorted,
                        beta_eff=beta_sorted, diag_cols=cols, zeta=zeta, bw_hz=cfg.bw_hz)
@@ -183,7 +179,7 @@ def _stream_rates(coupling: CouplingSet, d: np.ndarray) -> tuple[np.ndarray, lis
 
 
 def _pick(groups, rates: list[float]) -> list[tuple[int, float]]:
-    # the lowest rate per group; ties go to the lowest user index
+    """Per group: (bottleneck user, its rate); ties go to the lowest index."""
     out = []
     for members in groups:
         k = min(members, key=lambda j: (rates[j], j))
@@ -191,15 +187,10 @@ def _pick(groups, rates: list[float]) -> list[tuple[int, float]]:
     return out
 
 
-def _bottlenecks(coupling: CouplingSet, d: np.ndarray, groups) -> list[tuple[int, float]]:
-    """Per group: (bottleneck user, its rate in bit/s/Hz) at the stream gains
-    ``d`` of :func:`_stream_gains`; ties go to the lowest index."""
-    return _pick(groups, _stream_rates(coupling, d)[1])
-
-
 def objective_f(coupling: CouplingSet, nu: np.ndarray, groups) -> float:
     """Negated approximate sum rate (bit/s): the quantity descent minimizes."""
-    total = sum(rate for _, rate in _bottlenecks(coupling, _stream_gains(coupling, nu), groups))
+    rates = _stream_rates(coupling, _stream_gains(coupling, nu))[1]
+    total = sum(rate for _, rate in _pick(groups, rates))
     return -coupling.bw_hz * total
 
 

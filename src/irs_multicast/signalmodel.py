@@ -18,25 +18,35 @@ __all__ = [
     "RateReport",
     "ConstraintReport",
     "validate_groups",
-    "user_rate",
+    "stream_snr_scale",
     "sum_rate",
     "check_constraints",
 ]
 
 
-def validate_groups(groups, k_users: int) -> None:
-    seen: set[int] = set()
-    for members in groups:
+def validate_groups(groups, k_users: int) -> np.ndarray:
+    """Check that ``groups`` partitions users 0..K-1 and return the membership
+    vector ``group_of`` (K,): ``group_of[k]`` is the index of user k's group."""
+    group_of = np.full(k_users, -1)
+    for h, members in enumerate(groups):
         if len(members) == 0:
             raise ValueError("empty group")
         for k in members:
             if not 0 <= k < k_users:
                 raise ValueError(f"user index {k} out of range")
-            if k in seen:
+            if group_of[k] >= 0:
                 raise ValueError(f"user {k} appears in more than one group")
-            seen.add(k)
-    if len(seen) != k_users:
+            group_of[k] = h
+    if np.any(group_of < 0):
         raise ValueError("groups must cover every user exactly once")
+    return group_of
+
+
+def stream_snr_scale(group_of: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """Each user's per-stream SNR scale ``P/(|G_h| H zeta sigma^2)`` (K,): Lemma 1's
+    P/(H zeta) per stream, shared by the |G_h| members of the user's group h."""
+    sizes = np.bincount(group_of)[group_of]
+    return cfg.power_w / (sizes * cfg.h_groups * cfg.zeta * cfg.noise_w)
 
 
 @dataclass
@@ -72,46 +82,31 @@ class RateReport:
         return np.maximum(self.intra, self.inter) / sig
 
 
-def _stream_terms(gains_k: np.ndarray, group_h: int, zeta: int):
-    """Split the per-user gain matrix (zeta x H*zeta) into signal/I/J powers.
+def sum_rate(bf: BeamformerSet, h_eff: np.ndarray, cfg: SystemConfig,
+             groups=None) -> RateReport:
+    """Evaluate the full multicast objective: sum over groups of min member rate,
+    on the effective channels ``h_eff`` (K, N_U, N_B).
 
     Interference sums run over the explicit off-diagonal entries (not
     total-minus-diagonal, which cancels interference 1e16x below the signal).
     """
-    power = np.abs(gains_k) ** 2
-    own = power[:, group_h * zeta:(group_h + 1) * zeta]
-    signal = np.diagonal(own).copy()
-    off = own.copy()
-    np.fill_diagonal(off, 0.0)
-    intra = off.sum(axis=1)
-    other = np.ones(power.shape[1], dtype=bool)
-    other[group_h * zeta:(group_h + 1) * zeta] = False
-    inter = power[:, other].sum(axis=1)
-    return signal, intra, inter
-
-
-def user_rate(sinrs: np.ndarray, bw_hz: float) -> float:
-    """Shannon rate summed over streams: W * sum_i log2(1 + xi_i)."""
-    return float(bw_hz * np.sum(np.log2(1.0 + np.asarray(sinrs))))
-
-
-def sum_rate(bf: BeamformerSet, h_eff: np.ndarray, cfg: SystemConfig,
-             groups=None) -> RateReport:
-    """Evaluate the full multicast objective: sum over groups of min member rate,
-    on the effective channels ``h_eff`` (K, N_U, N_B)."""
     groups = cfg.groups() if groups is None else groups
-    validate_groups(groups, cfg.k_users)
-    k_users, zeta = cfg.k_users, cfg.zeta
-    sig = np.zeros((k_users, zeta))
-    intra = np.zeros((k_users, zeta))
-    inter = np.zeros((k_users, zeta))
-    # every user's zeta x H*zeta stream gains W_k^H H_k B
+    group_of = validate_groups(groups, cfg.k_users)
+    zeta = cfg.zeta
+    # every user's zeta x H*zeta stream gains W_k^H H_k B, as powers with the
+    # columns of the user's own group first, then the other groups' in order
     gains = np.conj(bf.combiners).swapaxes(1, 2) @ h_eff @ bf.tx
-    for h, members in enumerate(groups):
-        for k in members:
-            sig[k], intra[k], inter[k] = _stream_terms(gains[k], h, zeta)
+    in_group = np.arange(gains.shape[2]) // zeta == group_of[:, None]
+    order = np.argsort(~in_group, axis=1, kind="stable")
+    power = np.take_along_axis(np.abs(gains) ** 2, order[:, None, :], axis=2)
+    diag = np.arange(zeta)
+    sig = power[:, diag, diag]
+    power[:, diag, diag] = 0.0
+    intra = power[..., :zeta].sum(axis=2)
+    inter = power[..., zeta:].sum(axis=2)
     sinr = sig / (intra + inter + cfg.noise_w)
-    rates = np.array([user_rate(sinr[k], cfg.bw_hz) for k in range(k_users)])
+    # Shannon rate summed over streams: W * sum_i log2(1 + xi_i)
+    rates = cfg.bw_hz * np.sum(np.log2(1.0 + sinr), axis=1)
     group_rates = np.array([min(rates[k] for k in members) for members in groups])
     return RateReport(sinr=sinr, signal=sig, intra=intra, inter=inter,
                       user_rates=rates, group_rates=group_rates,

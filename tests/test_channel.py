@@ -315,7 +315,7 @@ def test_draw_reads_exactly_the_draw_key_fields(multiuser_cfg):
 @pytest.mark.parametrize("change", [
     dict(power_dbm=20.0), dict(noise_dbm=-80.0), dict(bw_hz=1e8), dict(g_tx_dbi=10.0),
     dict(g_rx_dbi=3.0), dict(zeta=1), dict(m_bs=12), dict(m_ue=6),
-    dict(h_groups=1, group_sizes=(4,)), dict(group_sizes=(1, 3)), dict(seed=5),
+    dict(h_groups=1, group_sizes=(4,)), dict(group_sizes=(1, 3)),
 ])
 def test_fields_outside_the_draw_key_leave_the_draw_unchanged(multiuser_cfg, change):
     other = dataclasses.replace(multiuser_cfg, **change)

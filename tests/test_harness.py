@@ -560,6 +560,25 @@ def test_cli_config_error_exit_code(tmp_path):
     assert not (tmp_path / "o.csv").exists()
 
 
+def test_config_seed_other_than_zero_is_a_config_error(tmp_path, capsys):
+    # nothing reads the config seed (runs take --base-seed), so "seed": 5
+    # silently ran what "seed": 0 runs
+    with pytest.raises(ch.ConfigError, match="--base-seed"):
+        dataclasses.replace(harness.DESK_CONFIG, seed=5)
+    doc = dataclasses.asdict(harness.DESK_CONFIG)
+    doc["seed"] = 5
+    path = tmp_path / "seed_5.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o.csv"
+    assert cli_main(["--config", str(path), "--out", str(out)]) == 1
+    assert "--base-seed" in capsys.readouterr().err
+    assert not out.exists()
+    # the presets and the benchmark's config carry 0 and load
+    for preset in (*sorted(CONFIG_DIR.glob("*.json")),
+                   CONFIG_DIR.parent / "bench" / "rf_limited.json"):
+        assert ch.load_config(preset).seed == 0
+
+
 @pytest.mark.parametrize("args", [
     ["--base-seed", "-1", "--seeds", "1"],
     ["--report", "cdf", "--base-seed", "-1", "--seeds", "2"],

@@ -333,6 +333,20 @@ def test_factor_rejects_bad_input():
         hf.factor(np.ones((4, 2), dtype=complex), 0)
 
 
+@pytest.mark.parametrize("n_rf", [4, 3])   # the exact split and the phase-copy start
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_factor_rejects_a_non_finite_target_before_drawing(n_rf, bad):
+    # a nan returned residuals [nan] and a non-finite F_B; an inf raised only
+    # on the phase-copy start, from the pseudo-inverse
+    b = random_complex(np.random.default_rng(8), 16, 2)
+    b[3, 1] = bad
+    rng = np.random.default_rng(9)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="must be finite"):
+        hf.factor(b, n_rf, rng=rng)
+    assert rng.bit_generator.state == state
+
+
 def test_normalize_power():
     rng = np.random.default_rng(7)
     f_rf = unit_modulus(rng, 8, 4)

@@ -192,7 +192,7 @@ def test_gradient_uses_bottleneck_user(multiuser_cfg):
     groups = multiuser_cfg.groups()
     nu = unit_phases(multiuser_cfg.n_irs, rng)
     grad = po.euclidean_grad(cs, nu, groups)
-    picks = po._bottlenecks(cs, po._stream_gains(cs, nu), groups)
+    picks = _bottlenecks(cs, po._stream_gains(cs, nu), groups)
     manual = np.zeros_like(nu)
     for (k, rate), members in zip(picks, groups):
         rates = {j: sum(math.log2(1 + cs.b[j, i] * abs(np.conj(nu) @ cs.c[j, i]) ** 2)
@@ -356,6 +356,11 @@ def _reference_stream_gains(coupling, nu):
     return d
 
 
+def _bottlenecks(coupling, d, groups):
+    """Per group: (bottleneck user, its rate) as objective_f picks them."""
+    return po._pick(groups, po._stream_rates(coupling, d)[1])
+
+
 def _reference_bottlenecks(coupling, d, groups):
     out = []
     for members in groups:
@@ -389,7 +394,7 @@ def _reference_grad(coupling, nu, groups):
 def assert_kernels_match_reference(cs, nu, groups):
     d = po._stream_gains(cs, nu)
     assert np.array_equal(d, _reference_stream_gains(cs, nu))
-    assert po._bottlenecks(cs, d, groups) == _reference_bottlenecks(cs, d, groups)
+    assert _bottlenecks(cs, d, groups) == _reference_bottlenecks(cs, d, groups)
     assert po.objective_f(cs, nu, groups) == _reference_objective(cs, nu, groups)
     assert np.array_equal(po.euclidean_grad(cs, nu, groups), _reference_grad(cs, nu, groups))
 
@@ -417,7 +422,7 @@ def test_kernels_bit_identical_on_a_planted_tie(multiuser_cfg):
     nu = unit_phases(multiuser_cfg.n_irs, rng)
     for groups in (((0, 1), (2, 3)), ((1, 0), (3, 2))):
         d = po._stream_gains(cs, nu)
-        assert po._bottlenecks(cs, d, groups)[0][0] == 0
+        assert _bottlenecks(cs, d, groups)[0][0] == 0
         assert_kernels_match_reference(cs, nu, groups)
 
 

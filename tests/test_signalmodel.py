@@ -54,6 +54,13 @@ def test_validate_groups_rejects_overlap():
         sm.validate_groups(((0,),), 2)
 
 
+def test_validate_groups_returns_the_membership_vector():
+    assert sm.validate_groups(((0, 1), (2,)), 3).tolist() == [0, 0, 1]
+    # groups and members listed out of order
+    group_of = sm.validate_groups(((4, 2), (0,), (3, 1)), 5)
+    assert group_of.tolist() == [1, 2, 0, 2, 0]
+
+
 def test_single_group_single_stream_sinr_is_signal_over_noise(desk_cfg):
     cfg = dataclasses.replace(desk_cfg, h_groups=1, k_users=1, group_sizes=(1,),
                               zeta=1, m_bs=4, m_ue=4)
@@ -93,11 +100,19 @@ def test_stream_sinr_matches_naive_loops(multiuser_cfg):
                 assert math.isclose(sinr, ref, rel_tol=1e-10)
 
 
-def test_user_rate_values():
-    assert sm.user_rate(np.zeros(3), 1e6) == 0.0
-    assert math.isclose(sm.user_rate(np.array([1.0]), 1.0), 1.0)
-    bw = 251.1886e6  # log2(1+3) = 2
-    assert math.isclose(sm.user_rate(np.array([3.0]), bw), 2 * bw)
+def test_user_rate_values(desk_cfg):
+    # one user, two streams on an identity link at 1 W noise: SINR 0 gives
+    # 0 bit/s, SINR 1 over 1 Hz gives 1 bit/s per stream, SINR 3 gives 2 bits
+    eye = np.eye(desk_cfg.n_bs, dtype=complex)
+    h_eff, combiners = eye[None], eye[None, :, :2]
+    for bw, tx_scale, per_stream in ((1e6, 0.0, 0.0), (1.0, 1.0, 1.0),
+                                     (251.1886e6, math.sqrt(3.0), 2.0)):
+        cfg = dataclasses.replace(desk_cfg, k_users=1, h_groups=1, group_sizes=(1,),
+                                  noise_dbm=30.0, bw_hz=bw)
+        bf = sm.BeamformerSet(tx=tx_scale * eye[:, :2], combiners=combiners)
+        rep = sm.sum_rate(bf, h_eff, cfg)
+        assert math.isclose(rep.user_rates[0], 2 * per_stream * bw)
+        assert math.isclose(rep.sum_rate, 2 * per_stream * bw)
 
 
 def test_sum_rate_singleton_groups_sums_user_rates(desk_cfg):

@@ -31,10 +31,18 @@ CONFIGS = {"desk": CONFIG_DIR / "desk.json",
            "rf_limited": BENCH_DIR / "rf_limited.json"}
 SEEDS = (0, 1, 2)
 CASES = [(name, seed) for name in CONFIGS for seed in SEEDS]
+# desk_multiuser with three groups of unequal size, which no preset has
+UNEVEN = dict(k_users=5, h_groups=3, group_sizes=(2, 1, 2), paths_y=14)
+
+
+def _config(name):
+    if name == "uneven":
+        return dataclasses.replace(ch.load_config(CONFIGS["desk_multiuser"]), **UNEVEN)
+    return ch.load_config(CONFIGS[name])
 
 
 def _draw(name, seed):
-    cfg = ch.load_config(CONFIGS[name])
+    cfg = _config(name)
     rng = np.random.default_rng(seed)
     chset = ch.generate_channels(cfg, rng)
     return cfg, chset, ch.random_phase_vector(cfg.n_irs, rng), rng
@@ -94,13 +102,52 @@ def _hybridize_per_user(tx, combiners, cfg, rng):
     return tx_f.f_rf @ f_bb, out, rf
 
 
+def _stream_terms(gains_k, group_h, zeta):
+    """Split one user's gain matrix (zeta x H*zeta) into signal/I/J powers."""
+    power = np.abs(gains_k) ** 2
+    own = power[:, group_h * zeta:(group_h + 1) * zeta]
+    signal = np.diagonal(own).copy()
+    off = own.copy()
+    np.fill_diagonal(off, 0.0)
+    intra = off.sum(axis=1)
+    other = np.ones(power.shape[1], dtype=bool)
+    other[group_h * zeta:(group_h + 1) * zeta] = False
+    inter = power[:, other].sum(axis=1)
+    return signal, intra, inter
+
+
+def _sum_rate_per_user(bf, h_eff, cfg, groups):
+    """Every RateReport field, user by user."""
+    k_users, zeta = cfg.k_users, cfg.zeta
+    sig, intra, inter = (np.zeros((k_users, zeta)) for _ in range(3))
+    gains = np.conj(bf.combiners).swapaxes(1, 2) @ h_eff @ bf.tx
+    for h, members in enumerate(groups):
+        for k in members:
+            sig[k], intra[k], inter[k] = _stream_terms(gains[k], h, zeta)
+    sinr = sig / (intra + inter + cfg.noise_w)
+    rates = np.array([float(cfg.bw_hz * np.sum(np.log2(1.0 + np.asarray(sinr[k]))))
+                      for k in range(k_users)])
+    group_rates = np.array([min(rates[k] for k in members) for members in groups])
+    return dict(sinr=sinr, signal=sig, intra=intra, inter=inter, user_rates=rates,
+                group_rates=group_rates, sum_rate=float(group_rates.sum()))
+
+
+def _bd_rate_per_group(decomp, groups, cfg):
+    rates = np.zeros(cfg.k_users)
+    for members in groups:
+        scale = cfg.power_w / (len(members) * cfg.h_groups * cfg.zeta * cfg.noise_w)
+        for k in members:
+            rates[k] = cfg.bw_hz * np.sum(np.log2(1.0 + scale * decomp.s1[k] ** 2))
+    return rates
+
+
 def _stream_powers_per_user(combiners, h_eff, tx, groups, zeta):
     k_users = len(combiners)
     sig, intra, inter = (np.zeros((k_users, zeta)) for _ in range(3))
     for h, members in enumerate(groups):
         for k in members:
             gains = combiners[k].conj().T @ h_eff[k] @ tx
-            sig[k], intra[k], inter[k] = sm._stream_terms(gains, h, zeta)
+            sig[k], intra[k], inter[k] = _stream_terms(gains, h, zeta)
     return sig, intra, inter
 
 
@@ -195,3 +242,24 @@ def test_oracle_and_hybrid_equal_the_per_user_forms(name, seed, nulling, monkeyp
         assert np.array_equal(report.signal, sig)
         assert np.array_equal(report.intra, intra)
         assert np.array_equal(report.inter, inter)
+
+
+@pytest.mark.parametrize("name, seed", CASES + [("uneven", seed) for seed in SEEDS])
+@pytest.mark.parametrize("nulling", [True, False])
+def test_rate_oracle_and_closed_form_equal_the_per_user_loops(name, seed, nulling,
+                                                              monkeypatch):
+    monkeypatch.setattr(hf, "FactorSettings",
+                        functools.partial(hf.FactorSettings, max_alternations=10))
+    cfg, chset, nu, rng = _draw(name, seed)
+    groups = cfg.groups()
+    h_eff = ch.effective_channels(chset, nu, cfg)
+    bf, decomp = bd.build_beamformers(h_eff, groups, cfg, nulling)
+    assert np.array_equal(bd.bd_rate_closed_form(decomp, groups, cfg),
+                          _bd_rate_per_group(decomp, groups, cfg))
+    hybrid, _ = harness._hybridize(bf, cfg, rng)
+    # also with the groups listed in reverse and their members reversed
+    for grouping in (groups, tuple(tuple(reversed(m)) for m in reversed(groups))):
+        for beams in (bf, hybrid):
+            report = sm.sum_rate(beams, h_eff, cfg, grouping)
+            for field, want in _sum_rate_per_user(beams, h_eff, cfg, grouping).items():
+                assert np.array_equal(getattr(report, field), want), field
