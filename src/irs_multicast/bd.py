@@ -61,7 +61,7 @@ def decompose(h_eff: np.ndarray, groups, cfg: SystemConfig,
         When a group has no null space left or a user's projected channel
         cannot carry ``zeta`` streams.
     """
-    group_of = validate_groups(groups, cfg.k_users)
+    group_of = validate_groups(groups, cfg)
     zeta = cfg.zeta
     k_users, n_ue, n_bs = h_eff.shape
     v0s, v1 = [], [None] * k_users
@@ -131,5 +131,5 @@ def bd_rate_closed_form(decomp: BdDecomposition, groups, cfg: SystemConfig) -> n
     ``R_k = W * log2 det(I + scale_k * S1^2)`` evaluated as a sum of scalar
     logs, with each user's :func:`~irs_multicast.signalmodel.stream_snr_scale`.
     """
-    scale = stream_snr_scale(validate_groups(groups, cfg.k_users), cfg)
+    scale = stream_snr_scale(validate_groups(groups, cfg), cfg)
     return cfg.bw_hz * np.sum(np.log2(1.0 + scale[:, None] * decomp.s1 ** 2), axis=1)

@@ -409,5 +409,4 @@ def effective_channels(chset: ChannelSet, nu: np.ndarray, cfg: SystemConfig) -> 
     h_bs = chset.h_bs_irs
     if nu.shape != (h_bs.shape[0],):
         raise ValueError(f"shape mismatch: H_bs {h_bs.shape}, nu {nu.shape}")
-    gain = 10.0 ** (cfg.g_tx_dbi / 20.0) * 10.0 ** (cfg.g_rx_dbi / 20.0)
-    return gain * ((chset.h_irs_ue * np.conj(nu)) @ h_bs)
+    return cfg.g_tx_lin * cfg.g_rx_lin * ((chset.h_irs_ue * np.conj(nu)) @ h_bs)

@@ -202,17 +202,18 @@ def _hybridize(bf_digital: sm.BeamformerSet, cfg: SystemConfig,
 
 
 def _stage(shared: dict, key, compute):
-    """``compute()``, computed once per cell of the memo ``shared``.
+    """``compute()``, computed once per ``key`` of the memo ``shared``.
 
-    A stage that fails stores its exception, which every later scheme of the
-    cell that needs the stage raises again.
+    A stage that fails stores its exception, which every later run on the
+    memo that needs the stage raises again.
     """
-    if key not in shared:
+    out = shared.get(key)  # no stage returns None
+    if out is None:
         try:
-            shared[key] = compute()
+            out = compute()
         except (bd.BdInfeasibleError, ValueError) as exc:
-            shared[key] = exc
-    out = shared[key]
+            out = exc
+        shared[key] = out
     if isinstance(out, Exception):
         raise out
     return out
@@ -223,10 +224,11 @@ def _run(baseline: str, cfg: SystemConfig, rng: np.random.Generator,
          measure_walltime: bool = False, shared: dict | None = None) -> RunRecord:
     """One scheme on one channel draw.
 
-    ``shared``, if given, is the stage memo of the run's (config, seed) cell
-    (see :func:`sweep`); every run on it starts from a fresh generator of
-    that seed. Its ``_PER_DRAW`` entries may come from another cell of the
-    seed with the same draw key. Without it the run has a memo of its own.
+    ``shared``, if given, is the stage memo of the run's seed, which the
+    seed's other runs read and fill too (see :func:`sweep`); every run on it
+    starts from a fresh generator of that seed. Each key names every input
+    of its stage, so a run takes from it only what it would compute itself.
+    Without it the run has a memo of its own.
     """
     t0 = time.perf_counter()
     shared = {} if shared is None else shared
@@ -248,15 +250,17 @@ def _run(baseline: str, cfg: SystemConfig, rng: np.random.Generator,
         return opt.nu, opt.iterations, opt.trace, po.sigma_approx(coupling, opt.nu)
 
     try:
-        chset, nu, state = _stage(shared, "channels", draw)
+        key = draw_key(cfg)
+        chset, nu, state = _stage(shared, ("channels", key), draw)
         # the hybrid step draws on from where the channel draw left off
         rng.bit_generator.state = state
         s1, trace, approx = 0, [], None
         if optimize:
-            nu, s1, trace, approx = _stage(shared, "phases", phases)
-        h_eff = _stage(shared, ("h_eff", optimize),
-                       lambda: effective_channels(chset, nu, cfg))
-        bf, decomp = _stage(shared, ("bd", optimize, nulling),
+            nu, s1, trace, approx = _stage(shared, ("phases", cfg), phases)
+        # the effective channels read the phase vector and the antenna gains
+        h_key = cfg if optimize else (key, cfg.g_tx_dbi, cfg.g_rx_dbi)
+        h_eff = _stage(shared, ("h_eff", h_key), lambda: effective_channels(chset, nu, cfg))
+        bf, decomp = _stage(shared, ("bd", cfg, optimize, nulling),
                             lambda: bd.build_beamformers(h_eff, groups, cfg, nulling))
         s2 = 0
         if hybrid:
@@ -296,45 +300,34 @@ def run_baseline(baseline: str, cfg: SystemConfig, rng: np.random.Generator,
     return _run(baseline, cfg, rng, **kw)
 
 
-# Stages that read only the draw (and the antenna gains, which no sweep
-# varies): the channels with the random phase vector, and the effective
-# channels at that vector.
-_PER_DRAW = ("channels", ("h_eff", False))
-
-
 def sweep(spec: ExperimentSpec) -> list[RunRecord]:
     """Cartesian product (sweep value x baseline x seed), deterministic order.
 
     Every (value, baseline, seed) run has its own RNG stream seeded by
     base_seed + seed index, so matched seeds share channel realizations
-    across baselines and sweep values. Runs go seed by seed. A seed draws
-    its channels, and builds the effective channels at its random phase
-    vector, once for every sweep value with the same
-    :func:`~irs_multicast.channel.draw_key` (all of a power or streams
-    sweep; each value of an elements or groups sweep draws its own), and the
-    draws are dropped when the seed is done. The baselines of one (value,
-    seed) cell run back to back and share the other stages they have in
-    common: one phase optimization, one set of effective channels at the
-    optimized phases and one BD build per (phase source, nulling) pair. Each
-    stage is identical to what the run would compute on its own, and a
-    failed stage fails every run that needs it alike. A run's ``wall_ms``
-    counts only the stages it computed itself, so the first run that needs a
-    seed's draw carries it, and the first baseline of a cell the cell's
-    shared stages.
+    across baselines and sweep values. Runs go seed by seed, and every run
+    of a seed reads and fills one stage memo, which is dropped when the seed
+    is done. A memo key names every input of its stage (see :func:`_run`):
+    the seed's channels, and the effective channels at its random phase
+    vector, serve every sweep value with the same draw key (all of a power
+    or streams sweep; each value of an elements or groups sweep draws its
+    own), and the baselines of one (value, seed) cell share one phase
+    optimization, one set of effective channels at the optimized phases and
+    one BD build per (phase source, nulling) pair. Each stage is identical
+    to what the run would compute on its own, and a failed stage fails every
+    run that needs it alike. A run's ``wall_ms`` counts only the stages it
+    computed itself, so the first run that needs a stage carries it.
     Rows come back sorted by (sweep value, baseline, seed).
     """
-    cells = [(value, cfg, draw_key(cfg)) for value, cfg in spec.configs()]
+    cells = spec.configs()
     records = []
     for idx in range(spec.n_seeds):
         seed = spec.base_seed + idx
-        draws = {}  # this seed's per-draw stages, by draw key
-        for value, cfg, key in cells:
-            shared = dict(draws.get(key, {}))
-            records += [_run(baseline, cfg, np.random.default_rng(seed),
-                             sweep_var=spec.sweep_var, sweep_value=value, seed=seed,
-                             measure_walltime=spec.measure_walltime, shared=shared)
-                        for baseline in spec.baselines]
-            draws[key] = {stage: shared[stage] for stage in _PER_DRAW if stage in shared}
+        shared = {}
+        records += [_run(baseline, cfg, np.random.default_rng(seed),
+                         sweep_var=spec.sweep_var, sweep_value=value, seed=seed,
+                         measure_walltime=spec.measure_walltime, shared=shared)
+                    for value, cfg in cells for baseline in spec.baselines]
     records.sort(key=lambda r: (r.sweep_value, r.baseline, r.seed))
     return records
 

@@ -108,8 +108,7 @@ def coupling_vectors(chset: ChannelSet, cfg: SystemConfig, groups=None) -> Coupl
     Group h pairs its i-th diagonal stream with the sorted BS-side path
     h*zeta+i, so different groups align onto disjoint BS-side directions.
     """
-    groups = cfg.groups() if groups is None else groups
-    group_of = validate_groups(groups, cfg.k_users)
+    group_of = validate_groups(groups, cfg)
     zeta = cfg.zeta
     y, ell = cfg.paths_y, cfg.paths_l
     if zeta > min(y, ell):

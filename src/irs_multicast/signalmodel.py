@@ -24,15 +24,19 @@ __all__ = [
 ]
 
 
-def validate_groups(groups, k_users: int) -> np.ndarray:
-    """Check that ``groups`` partitions users 0..K-1 and return the membership
-    vector ``group_of`` (K,): ``group_of[k]`` is the index of user k's group."""
-    group_of = np.full(k_users, -1)
+def validate_groups(groups, cfg: SystemConfig) -> np.ndarray:
+    """Check that ``groups`` (``cfg.groups()`` if None) partitions users
+    0..K-1 into ``cfg.h_groups`` groups and return the membership vector
+    ``group_of`` (K,): ``group_of[k]`` is the index of user k's group."""
+    groups = cfg.groups() if groups is None else groups
+    if len(groups) != cfg.h_groups:
+        raise ValueError(f"{len(groups)} groups given, the config has h_groups={cfg.h_groups}")
+    group_of = np.full(cfg.k_users, -1)
     for h, members in enumerate(groups):
         if len(members) == 0:
             raise ValueError("empty group")
         for k in members:
-            if not 0 <= k < k_users:
+            if not 0 <= k < cfg.k_users:
                 raise ValueError(f"user index {k} out of range")
             if group_of[k] >= 0:
                 raise ValueError(f"user {k} appears in more than one group")
@@ -90,8 +94,7 @@ def sum_rate(bf: BeamformerSet, h_eff: np.ndarray, cfg: SystemConfig,
     Interference sums run over the explicit off-diagonal entries (not
     total-minus-diagonal, which cancels interference 1e16x below the signal).
     """
-    groups = cfg.groups() if groups is None else groups
-    group_of = validate_groups(groups, cfg.k_users)
+    group_of = validate_groups(groups, cfg)
     zeta = cfg.zeta
     # every user's zeta x H*zeta stream gains W_k^H H_k B, as powers with the
     # columns of the user's own group first, then the other groups' in order
@@ -107,7 +110,8 @@ def sum_rate(bf: BeamformerSet, h_eff: np.ndarray, cfg: SystemConfig,
     sinr = sig / (intra + inter + cfg.noise_w)
     # Shannon rate summed over streams: W * sum_i log2(1 + xi_i)
     rates = cfg.bw_hz * np.sum(np.log2(1.0 + sinr), axis=1)
-    group_rates = np.array([min(rates[k] for k in members) for members in groups])
+    group_rates = np.full(cfg.h_groups, np.inf)
+    np.minimum.at(group_rates, group_of, rates)
     return RateReport(sinr=sinr, signal=sig, intra=intra, inter=inter,
                       user_rates=rates, group_rates=group_rates,
                       sum_rate=float(group_rates.sum()))

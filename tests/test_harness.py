@@ -113,6 +113,7 @@ def _assert_same_record(got, want):
 
 
 @pytest.mark.parametrize("config, var", [("desk.json", "power"),
+                                         ("desk.json", "groups"),
                                          ("desk_multiuser.json", "elements"),
                                          ("desk_multiuser.json", "streams"),
                                          ("full_scale.json", "power"),
@@ -133,6 +134,20 @@ def test_sweep_shared_stages_match_independent_runs(config, var):
         _assert_same_record(rec, alone)
     assert any(r.ok for r in records) == (config != "table2_faithful.json")
     assert any(r.trace for r in records) == (config != "table2_faithful.json")
+
+
+def test_runs_on_one_memo_take_only_the_stages_they_would_compute():
+    # two configs apart only in the receive antenna gain, which the draw key
+    # leaves out, share the channel draw and nothing the gain enters: the
+    # phases, the effective channels and the BD builds
+    cfg = harness.DESK_CONFIG
+    shared = {}
+    for c in (cfg, dataclasses.replace(cfg, g_rx_dbi=3.0)):
+        for baseline in harness.BASELINES:
+            rec = harness._run(baseline, c, np.random.default_rng(0), shared=shared)
+            assert rec.ok
+            _assert_same_record(rec, harness._run(baseline, c, np.random.default_rng(0)))
+    assert sum(key[0] == "channels" for key in shared) == 1
 
 
 def test_sweep_computes_shared_stages_once_per_cell(monkeypatch):

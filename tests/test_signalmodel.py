@@ -4,7 +4,9 @@ import math
 import numpy as np
 import pytest
 
+from irs_multicast import bd
 from irs_multicast import channel as ch
+from irs_multicast import phaseopt as po
 from irs_multicast import signalmodel as sm
 
 from conftest import random_complex
@@ -45,20 +47,44 @@ def test_groups_from_sizes(desk_cfg):
     assert cfg.groups() == ((0, 1), (2,), (3, 4, 5))
 
 
-def test_validate_groups_rejects_overlap():
+def test_validate_groups_rejects_overlap(desk_cfg):
     with pytest.raises(ValueError, match="more than one"):
-        sm.validate_groups(((0, 1), (1,)), 2)
+        sm.validate_groups(((0, 1), (1,)), desk_cfg)
     with pytest.raises(ValueError, match="empty"):
-        sm.validate_groups(((0,), ()), 1)
+        sm.validate_groups(((0,), ()), desk_cfg)
+    one_group = dataclasses.replace(desk_cfg, h_groups=1, group_sizes=(2,))
     with pytest.raises(ValueError, match="every user"):
-        sm.validate_groups(((0,),), 2)
+        sm.validate_groups(((0,),), one_group)
 
 
-def test_validate_groups_returns_the_membership_vector():
-    assert sm.validate_groups(((0, 1), (2,)), 3).tolist() == [0, 0, 1]
-    # groups and members listed out of order
-    group_of = sm.validate_groups(((4, 2), (0,), (3, 1)), 5)
+def test_validate_groups_returns_the_membership_vector(desk_cfg):
+    cfg = dataclasses.replace(desk_cfg, k_users=3, group_sizes=(2, 1))
+    assert sm.validate_groups(((0, 1), (2,)), cfg).tolist() == [0, 0, 1]
+    # groups and members listed out of order, and the config's own groups
+    cfg = dataclasses.replace(desk_cfg, k_users=5, h_groups=3, group_sizes=(2, 1, 2))
+    group_of = sm.validate_groups(((4, 2), (0,), (3, 1)), cfg)
     assert group_of.tolist() == [1, 2, 0, 2, 0]
+    assert sm.validate_groups(None, cfg).tolist() == [0, 0, 1, 2, 2]
+
+
+@pytest.mark.parametrize("entry", ["coupling_vectors", "decompose", "bd_rate_closed_form",
+                                   "sum_rate"])
+def test_group_count_other_than_the_config_is_rejected(multiuser_cfg, entry):
+    # one group of all four users on a two-group config ran to a 16x2
+    # transmit matrix and a rate; every entry point that takes groups
+    # holds them to the config's h_groups
+    cfg = multiuser_cfg
+    rng = np.random.default_rng(11)
+    chset = ch.generate_channels(cfg, rng)
+    h_eff = ch.effective_channels(chset, ch.random_phase_vector(cfg.n_irs, rng), cfg)
+    bf, decomp = bd.build_beamformers(h_eff, cfg.groups(), cfg)
+    call = {"coupling_vectors": lambda g: po.coupling_vectors(chset, cfg, g),
+            "decompose": lambda g: bd.decompose(h_eff, g, cfg),
+            "bd_rate_closed_form": lambda g: bd.bd_rate_closed_form(decomp, g, cfg),
+            "sum_rate": lambda g: sm.sum_rate(bf, h_eff, cfg, g)}[entry]
+    call(cfg.groups())
+    with pytest.raises(ValueError, match="1 groups given, the config has h_groups=2"):
+        call(((0, 1, 2, 3),))
 
 
 def test_single_group_single_stream_sinr_is_signal_over_noise(desk_cfg):
