@@ -7,14 +7,23 @@ Exit codes: 0 full success, 1 configuration error, 2 partial run failures
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from . import harness
 from .bd import BdInfeasibleError
 from .channel import ConfigError, load_config
 
-REPORTS = ("theorem1", "cdf", "energy", "convergence")
+# Each report: the sweep its --sweep-values feed, and how it runs a spec.
+REPORTS = {
+    "theorem1": ("none", lambda spec, out: harness.theorem1_report(
+        spec.config, spec.n_seeds, out, base_seed=spec.base_seed)),
+    "cdf": ("none", lambda spec, out: harness.cdf_report(
+        spec.config, spec.n_seeds, spec.baselines, out, spec.base_seed)),
+    "energy": ("power", lambda spec, out: harness.energy_report(
+        spec.config, spec.sweep_values, spec.n_seeds, spec.baselines, out, spec.base_seed)),
+    "convergence": ("none", lambda spec, out: harness.convergence_report(
+        spec.config, spec.n_seeds, out, spec.base_seed)),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,73 +53,42 @@ def _parse_values(text: str | None) -> tuple[float, ...]:
     if not text:
         return ()
     try:
-        values = tuple(float(v) for v in text.split(","))
+        return tuple(float(v) for v in text.split(","))
     except ValueError:
-        values = ()
-    if not values or not all(math.isfinite(v) for v in values):
-        raise ConfigError(f"bad sweep values {text!r}")
-    return values
+        raise ConfigError(f"bad sweep values {text!r}") from None
 
 
-def _run_report(args, cfg) -> int:
-    """Write the named report.
-
-    Bad arguments raise ConfigError up front (exit 1). Once the report runs,
-    a failure inside it, an infeasible internal sweep point included, exits 2
-    with one labeled stderr line. So does a report with failed runs behind
-    its rows; its CSV still holds the rows it has.
-    """
-    if args.report == "cdf" and args.seeds < 2:
-        raise ConfigError("report cdf needs at least 2 seeds")
-    # the rules the report's sweeps apply: known baselines, at least one seed,
-    # a non-negative base seed, strictly increasing power values
-    spec = harness.ExperimentSpec(sweep_var="power",
-                                  sweep_values=_parse_values(args.sweep_values),
-                                  baselines=tuple(args.baselines.split(",")),
-                                  n_seeds=args.seeds, base_seed=args.base_seed)
-    records = []
+def _run_report(name: str, spec: harness.ExperimentSpec, out) -> int:
+    """Write the named report; a failure inside it, or failed runs behind its
+    rows (its CSV still holds the rows it has), exits 2 with one stderr line."""
     try:
-        if args.report == "theorem1":
-            harness.theorem1_report(cfg, seeds=args.seeds, out_path=args.out,
-                                    base_seed=args.base_seed)
-        elif args.report == "cdf":
-            _, records = harness.cdf_report(cfg, seeds=args.seeds, baselines=spec.baselines,
-                                            out_path=args.out, base_seed=args.base_seed)
-        elif args.report == "energy":
-            _, records = harness.energy_report(
-                cfg, spec.sweep_values, seeds=args.seeds, baselines=spec.baselines,
-                out_path=args.out, base_seed=args.base_seed)
-        elif args.report == "convergence":
-            _, records = harness.convergence_report(cfg, seeds=args.seeds, out_path=args.out,
-                                                    base_seed=args.base_seed)
-        harness.check_runs(records)
+        REPORTS[name][1](spec, out)
     except harness.ReportRunsFailed as exc:
-        print(f"report {args.report}: {exc}", file=sys.stderr)
+        print(f"report {name}: {exc}", file=sys.stderr)
         return 2
+    except ConfigError:
+        raise
     except (ValueError, BdInfeasibleError) as exc:
-        category = "bd-infeasible" if isinstance(exc, BdInfeasibleError) else "invalid"
-        print(f"report {args.report} failed: {category} ({exc})", file=sys.stderr)
+        print(f"report {name} failed: {harness._failure(exc)}", file=sys.stderr)
         return 2
-    if args.out is None:
-        print(f"report {args.report} computed (use --out to persist)", file=sys.stderr)
+    if out is None:
+        print(f"report {name} computed (use --out to persist)", file=sys.stderr)
     return 0
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config) if args.config else harness.DESK_CONFIG
-        if args.report:
-            return _run_report(args, cfg)
         spec = harness.ExperimentSpec(
-            config=cfg,
-            sweep_var=args.sweep or "none",
+            config=load_config(args.config) if args.config else harness.DESK_CONFIG,
+            sweep_var=REPORTS[args.report][0] if args.report else args.sweep or "none",
             sweep_values=_parse_values(args.sweep_values),
             baselines=tuple(args.baselines.split(",")),
             n_seeds=args.seeds,
             base_seed=args.base_seed,
             measure_walltime=args.timing)
+        if args.report:
+            return _run_report(args.report, spec, args.out)
         records = harness.sweep(spec)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

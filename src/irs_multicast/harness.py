@@ -201,6 +201,12 @@ def _hybridize(bf_digital: sm.BeamformerSet, cfg: SystemConfig,
                             rf=tuple(rf)), s2
 
 
+def _failure(exc: Exception) -> str:
+    """The failure label of a stage exception: its category, then its message."""
+    category = "bd-infeasible" if isinstance(exc, bd.BdInfeasibleError) else "invalid"
+    return f"{category} ({exc})"
+
+
 def _stage(shared: dict, key, compute):
     """``compute()``, computed once per ``key`` of the memo ``shared``.
 
@@ -277,10 +283,8 @@ def _run(baseline: str, cfg: SystemConfig, rng: np.random.Generator,
                     energy_eff_bps_per_w=_energy_efficiency(report.sum_rate, cfg),
                     report=report, trace=list(trace), bd_s1=decomp.s1,
                     sigma_approx=approx)
-    except bd.BdInfeasibleError as exc:
-        args["status"] = f"failed:bd-infeasible ({exc})"
-    except ValueError as exc:
-        args["status"] = f"failed:invalid ({exc})"
+    except (bd.BdInfeasibleError, ValueError) as exc:
+        args["status"] = f"failed:{_failure(exc)}"
     wall = (time.perf_counter() - t0) * 1000.0 if measure_walltime else 0.0
     # status is one CSV field; keep the schema intact whatever the message
     args["status"] = args["status"].replace(",", ";").replace("\n", " ")
@@ -354,8 +358,8 @@ def write_records_csv(path, records: list[RunRecord]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Reports. cdf, energy and convergence are views of sweep records: each
-# returns its rows and the records behind them, failed runs included.
+# Reports are views of sweep records. Each writes the rows it has, then
+# raises ReportRunsFailed if any run behind them failed, and returns them.
 # ---------------------------------------------------------------------------
 
 def _write_report(out_path, rows: list[dict], fieldnames=None) -> None:
@@ -437,7 +441,7 @@ def theorem1_report(cfg: SystemConfig, seeds: int, out_path=None,
 
 
 def cdf_report(cfg: SystemConfig, seeds: int, baselines=("proposed", "b"),
-               out_path=None, base_seed: int = 0) -> tuple[list[dict], list[RunRecord]]:
+               out_path=None, base_seed: int = 0) -> list[dict]:
     """Sorted empirical sum-rate samples (failed runs give none) with
     cumulative fractions per baseline."""
     if seeds < 2:
@@ -450,12 +454,13 @@ def cdf_report(cfg: SystemConfig, seeds: int, baselines=("proposed", "b"),
         rows += [dict(baseline=baseline, sum_rate_bps=rate, cum_frac=(i + 1) / len(rates))
                  for i, rate in enumerate(rates)]
     _write_report(out_path, rows, ["baseline", "sum_rate_bps", "cum_frac"])
-    return rows, records
+    check_runs(records)
+    return rows
 
 
 def energy_report(cfg: SystemConfig, power_values, seeds: int,
                   baselines=("proposed", "b"), out_path=None,
-                  base_seed: int = 0) -> tuple[list[dict], list[RunRecord]]:
+                  base_seed: int = 0) -> list[dict]:
     """Energy efficiency (rate over total consumed power) across a power sweep.
 
     ``power_values`` must increase strictly; rows follow them, then the
@@ -470,11 +475,12 @@ def energy_report(cfg: SystemConfig, power_values, seeds: int,
                  energy_eff_bps_per_w=r.energy_eff_bps_per_w, status=r.status)
             for r in records]
     _write_report(out_path, rows)
-    return rows, records
+    check_runs(records)
+    return rows
 
 
 def convergence_report(cfg: SystemConfig, seeds: int, out_path=None,
-                       base_seed: int = 0) -> tuple[list[dict], list[RunRecord]]:
+                       base_seed: int = 0) -> list[dict]:
     """Optimizer traces (objective per iteration) of the proposed scheme, and
     its iteration counts over the default groups sweep (H = 1, 2, 3), less
     the group counts the config's RF chains cannot carry."""
@@ -495,4 +501,5 @@ def convergence_report(cfg: SystemConfig, seeds: int, out_path=None,
                   **dict.fromkeys(_TRACE_COLUMNS, ""), s1_iters=r.s1_iters)
              for r in by_groups]
     _write_report(out_path, rows)
-    return rows, runs + by_groups
+    check_runs(runs + by_groups)
+    return rows

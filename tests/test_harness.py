@@ -460,24 +460,23 @@ def test_theorem1_report_skips_antenna_counts_the_rf_chains_exceed(tmp_path, cap
     rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert sorted({int(row[1]) for row in rows}) == [32, 64]
     assert len(rows) == 2 * 2 * desk_cfg.k_users
-    # no antenna count left: one labeled line, exit 2, no CSV
+    # no antenna count left: a configuration error, one line, exit 1, no CSV
     doc.update(n_bs=65, n_ue=65, m_bs=65)
     path.write_text(json.dumps(doc))
     out = tmp_path / "none.csv"
     capsys.readouterr()
     assert cli_main(["--report", "theorem1", "--config", str(path), "--seeds", "1",
-                     "--out", str(out)]) == 2
+                     "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("report theorem1 failed: invalid (RF chain bounds violated")
+    assert err.startswith("config error: RF chain bounds violated")
     assert err.count("\n") == 1
     assert not out.exists()
 
 
 def test_cdf_report(tmp_path, desk_cfg):
-    rows, records = harness.cdf_report(desk_cfg, seeds=3, baselines=("b",),
-                                       out_path=tmp_path / "cdf.csv")
-    assert len(rows) == 3
-    assert [(r.baseline, r.seed) for r in records] == [("b", 0), ("b", 1), ("b", 2)]
+    rows = harness.cdf_report(desk_cfg, seeds=3, baselines=("b",),
+                              out_path=tmp_path / "cdf.csv")
+    assert [r["baseline"] for r in rows] == ["b"] * 3
     assert rows[-1]["cum_frac"] == 1.0
     assert rows[0]["sum_rate_bps"] <= rows[-1]["sum_rate_bps"]
     with pytest.raises(ch.ConfigError):
@@ -487,8 +486,8 @@ def test_cdf_report(tmp_path, desk_cfg):
 def test_energy_report_rises_then_falls(desk_cfg):
     # figure-9 shape: static power dominates at low P (efficiency grows with
     # the rate), transmit power dominates at high P (efficiency decays)
-    rows, _ = harness.energy_report(desk_cfg, (20.0, 40.0, 50.0), seeds=4,
-                                    baselines=("proposed",))
+    rows = harness.energy_report(desk_cfg, (20.0, 40.0, 50.0), seeds=4,
+                                 baselines=("proposed",))
     eff = {}
     for row in rows:
         eff.setdefault(row["power_dbm"], []).append(row["energy_eff_bps_per_w"])
@@ -501,14 +500,14 @@ def test_energy_report_rises_then_falls(desk_cfg):
 def test_energy_report_keeps_caller_baseline_order(desk_cfg):
     # sweep sorts its records by baseline name; the report keeps the
     # caller's order, here the default one
-    rows, records = harness.energy_report(desk_cfg, (40.0, 50.0), seeds=2)
+    rows = harness.energy_report(desk_cfg, (40.0, 50.0), seeds=2)
     assert [(r["power_dbm"], r["baseline"], r["seed"]) for r in rows] == [
         (p, b, s) for p in (40.0, 50.0) for b in ("proposed", "b") for s in (0, 1)]
-    assert all(r.ok for r in records)
+    assert all(r["status"] == "ok" for r in rows)
 
 
 def test_cdf_proposed_dominates_random_phases(desk_cfg):
-    rows, _ = harness.cdf_report(desk_cfg, seeds=50, baselines=("proposed", "b"))
+    rows = harness.cdf_report(desk_cfg, seeds=50, baselines=("proposed", "b"))
     assert sum(1 for r in rows if r["baseline"] == "proposed") == 50
     prop = np.array([r["sum_rate_bps"] for r in rows if r["baseline"] == "proposed"])
     rand = np.array([r["sum_rate_bps"] for r in rows if r["baseline"] == "b"])
@@ -517,16 +516,17 @@ def test_cdf_proposed_dominates_random_phases(desk_cfg):
 
 
 def test_convergence_report(tmp_path, desk_cfg):
-    rows, records = harness.convergence_report(desk_cfg, seeds=4,
-                                               out_path=tmp_path / "conv.csv")
-    assert len(records) == 4 + 3 * 4 and all(r.ok for r in records)
+    # returning, not raising ReportRunsFailed, means all 4 + 3 * 4 runs are ok
+    rows = harness.convergence_report(desk_cfg, seeds=4, out_path=tmp_path / "conv.csv")
     kinds = {row["kind"] for row in rows}
     assert kinds == {"trace", "groups"}
     trace_rows = [r for r in rows if r["kind"] == "trace"]
+    assert {r["seed"] for r in trace_rows} == {0, 1, 2, 3}
     for seed in {r["seed"] for r in trace_rows}:
         f_vals = [r["f_value"] for r in trace_rows if r["seed"] == seed]
         assert all(b <= a for a, b in zip(f_vals, f_vals[1:]))
     group_rows = [r for r in rows if r["kind"] == "groups"]
+    assert len(group_rows) == 3 * 4
     assert {r["h_groups"] for r in group_rows} == {1, 2, 3}
     assert all(1 <= r["s1_iters"] <= 500 for r in group_rows)
     # iteration cost stays in the same band as groups are added (the
@@ -706,6 +706,20 @@ def test_cli_report_failure_is_labeled_not_raised(tmp_path, capsys):
     assert cli_main(["--report", "cdf", "--seeds", "2", "--baselines", "zz"]) == 1
     assert cli_main(["--report", "energy", "--sweep-values", "30,nan"]) == 1
     assert cli_main(["--report", "energy", "--sweep-values", "50,20"]) == 1
+
+
+@pytest.mark.parametrize("exc, label", [
+    (harness.bd.BdInfeasibleError("injected"), "bd-infeasible"),
+    (ValueError("injected"), "invalid"),
+])
+def test_cli_report_failure_carries_the_run_label(monkeypatch, capsys, exc, label):
+    # a report that fails outside its runs names the category a run would
+    def fail(spec):
+        raise exc
+
+    monkeypatch.setattr(harness, "sweep", fail)
+    assert cli_main(["--report", "cdf", "--seeds", "2"]) == 2
+    assert capsys.readouterr().err == f"report cdf failed: {label} (injected)\n"
 
 
 def test_cli_report_exit_code_counts_failed_runs(tmp_path, capsys):
