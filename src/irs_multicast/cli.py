@@ -7,27 +7,37 @@ Exit codes: 0 full success, 1 configuration error, 2 partial run failures
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import harness
 from .bd import BdInfeasibleError
 from .channel import ConfigError, load_config
 
-# Each report: the sweep its --sweep-values feed, and how it runs a spec.
+# Each report: the sweep its --sweep-values feed, whether it reads
+# --baselines, and how it runs a spec.
 REPORTS = {
-    "theorem1": ("none", lambda spec, out: harness.theorem1_report(
+    "theorem1": ("none", False, lambda spec, out: harness.theorem1_report(
         spec.config, spec.n_seeds, out, base_seed=spec.base_seed)),
-    "cdf": ("none", lambda spec, out: harness.cdf_report(
+    "cdf": ("none", True, lambda spec, out: harness.cdf_report(
         spec.config, spec.n_seeds, spec.baselines, out, spec.base_seed)),
-    "energy": ("power", lambda spec, out: harness.energy_report(
+    "energy": ("power", True, lambda spec, out: harness.energy_report(
         spec.config, spec.sweep_values, spec.n_seeds, spec.baselines, out, spec.base_seed)),
-    "convergence": ("none", lambda spec, out: harness.convergence_report(
+    "convergence": ("none", False, lambda spec, out: harness.convergence_report(
         spec.config, spec.n_seeds, out, spec.base_seed)),
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error is a configuration error (exit 1), not argparse's exit 2."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    # optional flags default to None, so that "given" means passed
+    parser = _Parser(
         prog="simulate",
         description="IRS-assisted mmWave multicast MIMO link-level simulator")
     parser.add_argument("--config", help="scenario JSON (defaults to the desk-scale preset)")
@@ -35,8 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="sweep variable")
     parser.add_argument("--sweep-values",
                         help="comma-separated sweep values (defaults per sweep kind)")
-    parser.add_argument("--baselines", default="proposed",
-                        help="comma-separated subset of proposed,a,b,c,d,e")
+    parser.add_argument("--baselines",
+                        help="comma-separated subset of proposed,a,b,c,d,e (default: proposed)")
     parser.add_argument("--seeds", type=int, default=1, metavar="N",
                         help="number of Monte Carlo seeds")
     parser.add_argument("--base-seed", type=int, default=0)
@@ -44,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--trace", help="per-iteration phase-optimizer trace CSV of every run")
     parser.add_argument("--report", choices=REPORTS,
                         help="emit a named report instead of a sweep")
-    parser.add_argument("--timing", action="store_true",
+    parser.add_argument("--timing", action="store_true", default=None,
                         help="record wall-clock ms per run (breaks byte determinism)")
     return parser
 
@@ -58,11 +68,39 @@ def _parse_values(text: str | None) -> tuple[float, ...]:
         raise ConfigError(f"bad sweep values {text!r}") from None
 
 
+def _spec(args) -> harness.ExperimentSpec:
+    sweep_var = args.sweep or "none"
+    if args.report:
+        sweep_var, reads_baselines, _ = REPORTS[args.report]
+        unread = {"--sweep": args.sweep, "--trace": args.trace, "--timing": args.timing,
+                  "--baselines": None if reads_baselines else args.baselines}
+        given = [flag for flag, value in unread.items() if value is not None]
+        if given:
+            raise ConfigError(f"report {args.report} does not read {', '.join(given)}")
+    return harness.ExperimentSpec(
+        config=load_config(args.config) if args.config else harness.DESK_CONFIG,
+        sweep_var=sweep_var,
+        sweep_values=_parse_values(args.sweep_values),
+        baselines=("proposed",) if args.baselines is None else tuple(args.baselines.split(",")),
+        n_seeds=args.seeds,
+        base_seed=args.base_seed,
+        measure_walltime=bool(args.timing))
+
+
+def _check_writable(path) -> None:
+    """Refuse an output path that cannot be written, before any run and
+    without creating it."""
+    parent = os.path.dirname(os.path.abspath(path))
+    if os.path.isdir(path) or not os.access(parent, os.W_OK | os.X_OK) or \
+            (os.path.exists(path) and not os.access(path, os.W_OK)):
+        raise ConfigError(f"cannot write {path}")
+
+
 def _run_report(name: str, spec: harness.ExperimentSpec, out) -> int:
     """Write the named report; a failure inside it, or failed runs behind its
     rows (its CSV still holds the rows it has), exits 2 with one stderr line."""
     try:
-        REPORTS[name][1](spec, out)
+        REPORTS[name][2](spec, out)
     except harness.ReportRunsFailed as exc:
         print(f"report {name}: {exc}", file=sys.stderr)
         return 2
@@ -77,16 +115,12 @@ def _run_report(name: str, spec: harness.ExperimentSpec, out) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
-        spec = harness.ExperimentSpec(
-            config=load_config(args.config) if args.config else harness.DESK_CONFIG,
-            sweep_var=REPORTS[args.report][0] if args.report else args.sweep or "none",
-            sweep_values=_parse_values(args.sweep_values),
-            baselines=tuple(args.baselines.split(",")),
-            n_seeds=args.seeds,
-            base_seed=args.base_seed,
-            measure_walltime=args.timing)
+        args = build_parser().parse_args(argv)
+        spec = _spec(args)
+        for path in (args.out, args.trace):
+            if path is not None:
+                _check_writable(path)
         if args.report:
             return _run_report(args.report, spec, args.out)
         records = harness.sweep(spec)

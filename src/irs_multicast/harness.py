@@ -106,6 +106,8 @@ class ExperimentSpec:
         values = tuple(float(v) for v in self.sweep_values)
         if not values:
             values = DEFAULT_SWEEP_VALUES[self.sweep_var]
+        if self.sweep_var == "none" and values != DEFAULT_SWEEP_VALUES["none"]:
+            raise ConfigError("sweep values need a sweep variable")
         if any(b <= a for a, b in zip(values, values[1:])):
             raise ConfigError("sweep values must be strictly increasing")
         object.__setattr__(self, "sweep_values", values)
@@ -311,7 +313,7 @@ def sweep(spec: ExperimentSpec) -> list[RunRecord]:
     base_seed + seed index, so matched seeds share channel realizations
     across baselines and sweep values. Runs go seed by seed, and every run
     of a seed reads and fills one stage memo, which is dropped when the seed
-    is done. A memo key names every input of its stage (see :func:`_run`):
+    is done; the stages keyed by a cell's config go when the cell is. A memo key names every input of its stage (see :func:`_run`):
     the seed's channels, and the effective channels at its random phase
     vector, serve every sweep value with the same draw key (all of a power
     or streams sweep; each value of an elements or groups sweep draws its
@@ -328,10 +330,13 @@ def sweep(spec: ExperimentSpec) -> list[RunRecord]:
     for idx in range(spec.n_seeds):
         seed = spec.base_seed + idx
         shared = {}
-        records += [_run(baseline, cfg, np.random.default_rng(seed),
-                         sweep_var=spec.sweep_var, sweep_value=value, seed=seed,
-                         measure_walltime=spec.measure_walltime, shared=shared)
-                    for value, cfg in cells for baseline in spec.baselines]
+        for value, cfg in cells:
+            records += [_run(baseline, cfg, np.random.default_rng(seed),
+                             sweep_var=spec.sweep_var, sweep_value=value, seed=seed,
+                             measure_walltime=spec.measure_walltime, shared=shared)
+                        for baseline in spec.baselines]
+            # no later cell has this config: keep only the draw-keyed stages
+            shared = {k: v for k, v in shared.items() if k[1] is not cfg}
     records.sort(key=lambda r: (r.sweep_value, r.baseline, r.seed))
     return records
 

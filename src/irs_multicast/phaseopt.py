@@ -89,6 +89,7 @@ class CouplingSet:
     diag_cols: np.ndarray      # (K, zeta) BS-side column index per stream
     zeta: int
     bw_hz: float
+    groups: tuple              # the layout it was built for, members sorted
     # The last (key, value) of _stream_rates: the descent evaluates each
     # accepted point twice, by objective_f in the line search and by
     # euclidean_grad at the next iteration. Keyed by the values it reads, b
@@ -130,7 +131,20 @@ def coupling_vectors(chset: ChannelSet, cfg: SystemConfig, groups=None) -> Coupl
     scale = stream_snr_scale(group_of, cfg)
     b = scale[:, None] * np.abs(alpha_sorted[cols] * beta_sorted[:, :zeta]) ** 2
     return CouplingSet(c=np.conj(dep_vecs) * arr_vecs[cols], b=b, alpha_eff=alpha_sorted,
-                       beta_eff=beta_sorted, diag_cols=cols, zeta=zeta, bw_hz=cfg.bw_hz)
+                       beta_eff=beta_sorted, diag_cols=cols, zeta=zeta, bw_hz=cfg.bw_hz,
+                       groups=_layout(cfg.groups() if groups is None else groups))
+
+
+def _layout(groups) -> tuple:
+    return tuple(tuple(sorted(members)) for members in groups)
+
+
+def _check_layout(coupling: CouplingSet, groups) -> None:
+    """Refuse a group layout other than the coupling set's (member order
+    aside); a plain tuple comparison on the common call."""
+    if groups != coupling.groups and _layout(groups) != coupling.groups:
+        raise ValueError(f"groups {groups!r} are not the layout {coupling.groups!r} "
+                         "the coupling set was built for")
 
 
 def _stream_gains(coupling: CouplingSet, nu: np.ndarray) -> np.ndarray:
@@ -188,6 +202,7 @@ def _pick(groups, rates: list[float]) -> list[tuple[int, float]]:
 
 def objective_f(coupling: CouplingSet, nu: np.ndarray, groups) -> float:
     """Negated approximate sum rate (bit/s): the quantity descent minimizes."""
+    _check_layout(coupling, groups)
     rates = _stream_rates(coupling, _stream_gains(coupling, nu))[1]
     total = sum(rate for _, rate in _pick(groups, rates))
     return -coupling.bw_hz * total
@@ -199,6 +214,7 @@ def euclidean_grad(coupling: CouplingSet, nu: np.ndarray, groups) -> np.ndarray:
     Only each group's current bottleneck user contributes (subgradient of the
     min); C^ii nu is evaluated through the rank-1 structure c (c^H nu).
     """
+    _check_layout(coupling, groups)
     d = _stream_gains(coupling, nu)
     sq, rates = _stream_rates(coupling, d)
     users = [k for k, _ in _pick(groups, rates)]

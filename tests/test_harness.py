@@ -37,6 +37,10 @@ def test_spec_validation():
         small_spec(n_seeds=0)
     with pytest.raises(ch.ConfigError, match="sweep"):
         small_spec(sweep_var="frequency")
+    # values without a sweep labeled identical runs "none,20.0" and "none,30.0"
+    with pytest.raises(ch.ConfigError, match="need a sweep"):
+        small_spec(sweep_var="none", sweep_values=(20.0, 30.0))
+    assert small_spec(sweep_var="none", sweep_values=(0.0,)).sweep_values == (0.0,)
 
 
 def test_desk_preset_matches_config_file():
@@ -188,6 +192,23 @@ def test_sweep_computes_shared_stages_once_per_cell(monkeypatch):
     calls.update(dict.fromkeys(calls, 0))
     assert harness.run_proposed(harness.DESK_CONFIG, np.random.default_rng(0)).ok
     assert calls == {"channels": 1, "phases": 1, "h_eff": 1, "bd": 1}
+
+
+def test_sweep_drops_a_cells_stages_when_the_cell_ends(monkeypatch):
+    # a sweep's configs all differ, so no later cell can take the stages
+    # keyed by an earlier cell's config; the seed's draw stays for them
+    seen = []
+    run = harness._run
+
+    def spy(baseline, cfg, rng, shared=None, **kw):
+        seen.append({k[0] for k in shared if isinstance(k[1], ch.SystemConfig)
+                     and k[1] is not cfg})
+        return run(baseline, cfg, rng, shared=shared, **kw)
+
+    monkeypatch.setattr(harness, "_run", spy)
+    records = harness.sweep(small_spec(baselines=harness.BASELINES))
+    assert all(r.ok for r in records) and len(seen) == 24
+    assert seen == [set()] * 24
 
 
 @pytest.mark.parametrize("var, values, draws_per_seed", [
@@ -608,6 +629,47 @@ def test_cli_rejects_negative_seeds_and_fractional_counts(tmp_path, capsys, args
     assert cli_main(args + ["--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("config error:")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("args, message", [
+    # values without a sweep, and values no report reads, wrote ok rows of
+    # one run under several labels, or ran the report as if not given
+    (["--sweep-values", "20,30"], "sweep values need a sweep variable"),
+    (["--report", "theorem1", "--sweep-values", "20,30"], "sweep values need a sweep"),
+    # energy read --sweep elements --sweep-values 16,64 as powers of 16 and 64 dBm
+    (["--report", "energy", "--sweep", "elements", "--sweep-values", "16,64"],
+     "report energy does not read --sweep"),
+    (["--report", "theorem1", "--trace", "{tmp}/t.csv"], "report theorem1 does not read --trace"),
+    (["--report", "cdf", "--seeds", "2", "--timing"], "report cdf does not read --timing"),
+    (["--report", "theorem1", "--baselines", "a"], "report theorem1 does not read --baselines"),
+    (["--report", "convergence", "--baselines", "proposed"],
+     "report convergence does not read --baselines"),
+    # usage errors exited 2, the code of partial run failures
+    (["--seeds", "abc"], "argument --seeds: invalid int value"),
+    (["--sweep", "bogus"], "argument --sweep: invalid choice"),
+    (["--bogus"], "unrecognized arguments: --bogus"),
+    # an unwritable output ran every run, then ended in a traceback
+    (["--out", "{tmp}/missing/x.csv"], "cannot write"),
+    (["--out", "{tmp}"], "cannot write"),
+    (["--trace", "{tmp}/missing/t.csv"], "cannot write"),
+    (["--report", "cdf", "--seeds", "2", "--out", "{tmp}/missing/x.csv"], "cannot write"),
+])
+def test_cli_input_it_would_ignore_or_cannot_serve_is_a_config_error(tmp_path, capsys,
+                                                                     args, message):
+    args = [a.replace("{tmp}", str(tmp_path)) for a in args]
+    if "--out" not in args:
+        args += ["--out", str(tmp_path / "o.csv")]
+    assert cli_main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cli_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: simulate")
 
 
 def test_cli_partial_failure_exit_code(tmp_path):

@@ -206,6 +206,26 @@ def test_gradient_uses_bottleneck_user(multiuser_cfg):
     np.testing.assert_allclose(grad, manual, rtol=1e-12)
 
 
+@pytest.mark.parametrize("groups", [((0, 1, 2, 3),), ((0, 2), (1, 3)), ((0, 9), (1, 3))])
+@pytest.mark.parametrize("call", [
+    lambda cs, nu, groups: po.objective_f(cs, nu, groups),
+    lambda cs, nu, groups: po.euclidean_grad(cs, nu, groups),
+    lambda cs, nu, groups: po.optimize_phases(cs, groups, nu),
+], ids=["objective_f", "euclidean_grad", "optimize_phases"])
+def test_phase_functions_refuse_a_layout_other_than_the_coupling_sets(multiuser_cfg,
+                                                                      call, groups):
+    # built for ((0, 1), (2, 3)): one group of four returned -3.66e7 where
+    # the coupling's own layout gives -1.31e8, and a user index out of range
+    # ended in an IndexError
+    _, cs, rng = make_coupling(multiuser_cfg, 0)
+    assert cs.groups == ((0, 1), (2, 3))
+    nu = unit_phases(multiuser_cfg.n_irs, rng)
+    with pytest.raises(ValueError, match="not the layout"):
+        call(cs, nu, groups)
+    # the same groups in another member order, or as lists, are its layout
+    assert call(cs, nu, [[1, 0], [3, 2]]) is not None
+
+
 # ---------------------------------------------------------------------------
 # Manifold operations
 # ---------------------------------------------------------------------------
