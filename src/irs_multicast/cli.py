@@ -36,7 +36,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # optional flags default to None, so that "given" means passed
+    # every flag a report may refuse defaults to None: None means not given
     parser = _Parser(
         prog="simulate",
         description="IRS-assisted mmWave multicast MIMO link-level simulator")
@@ -66,25 +66,6 @@ def _parse_values(text: str | None) -> tuple[float, ...]:
         return tuple(float(v) for v in text.split(","))
     except ValueError:
         raise ConfigError(f"bad sweep values {text!r}") from None
-
-
-def _spec(args) -> harness.ExperimentSpec:
-    sweep_var = args.sweep or "none"
-    if args.report:
-        sweep_var, reads_baselines, _ = REPORTS[args.report]
-        unread = {"--sweep": args.sweep, "--trace": args.trace, "--timing": args.timing,
-                  "--baselines": None if reads_baselines else args.baselines}
-        given = [flag for flag, value in unread.items() if value is not None]
-        if given:
-            raise ConfigError(f"report {args.report} does not read {', '.join(given)}")
-    return harness.ExperimentSpec(
-        config=load_config(args.config) if args.config else harness.DESK_CONFIG,
-        sweep_var=sweep_var,
-        sweep_values=_parse_values(args.sweep_values),
-        baselines=("proposed",) if args.baselines is None else tuple(args.baselines.split(",")),
-        n_seeds=args.seeds,
-        base_seed=args.base_seed,
-        measure_walltime=bool(args.timing))
 
 
 def _check_writable(path) -> None:
@@ -117,7 +98,22 @@ def _run_report(name: str, spec: harness.ExperimentSpec, out) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        spec = _spec(args)
+        sweep_var = args.sweep or "none"
+        if args.report:
+            sweep_var, reads_baselines, _ = REPORTS[args.report]
+            unread = {"--sweep": args.sweep, "--trace": args.trace, "--timing": args.timing,
+                      "--baselines": None if reads_baselines else args.baselines}
+            given = [flag for flag, value in unread.items() if value is not None]
+            if given:
+                raise ConfigError(f"report {args.report} does not read {', '.join(given)}")
+        spec = harness.ExperimentSpec(
+            config=load_config(args.config) if args.config else harness.DESK_CONFIG,
+            sweep_var=sweep_var,
+            sweep_values=_parse_values(args.sweep_values),
+            baselines=("proposed",) if args.baselines is None else tuple(args.baselines.split(",")),
+            n_seeds=args.seeds,
+            base_seed=args.base_seed,
+            measure_walltime=bool(args.timing))
         for path in (args.out, args.trace):
             if path is not None:
                 _check_writable(path)

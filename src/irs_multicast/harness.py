@@ -313,11 +313,12 @@ def sweep(spec: ExperimentSpec) -> list[RunRecord]:
     base_seed + seed index, so matched seeds share channel realizations
     across baselines and sweep values. Runs go seed by seed, and every run
     of a seed reads and fills one stage memo, which is dropped when the seed
-    is done; the stages keyed by a cell's config go when the cell is. A memo key names every input of its stage (see :func:`_run`):
-    the seed's channels, and the effective channels at its random phase
-    vector, serve every sweep value with the same draw key (all of a power
-    or streams sweep; each value of an elements or groups sweep draws its
-    own), and the baselines of one (value, seed) cell share one phase
+    is done; the stages keyed by a cell's config go when the cell is. A memo
+    key names every input of its stage (see :func:`_run`): the seed's
+    channels, and the effective channels at its random phase vector, serve
+    every sweep value with the same draw key (all of a power or streams
+    sweep; each value of an elements or groups sweep draws its own), and
+    the baselines of one (value, seed) cell share one phase
     optimization, one set of effective channels at the optimized phases and
     one BD build per (phase source, nulling) pair. Each stage is identical
     to what the run would compute on its own, and a failed stage fails every
