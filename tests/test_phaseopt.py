@@ -214,9 +214,9 @@ def test_gradient_uses_bottleneck_user(multiuser_cfg):
 ], ids=["objective_f", "euclidean_grad", "optimize_phases"])
 def test_phase_functions_refuse_a_layout_other_than_the_coupling_sets(multiuser_cfg,
                                                                       call, groups):
-    # built for ((0, 1), (2, 3)): one group of four returned -3.66e7 where
-    # the coupling's own layout gives -1.31e8, and a user index out of range
-    # ended in an IndexError
+    # the coupling set's scales and stream pairing hold for ((0, 1), (2, 3))
+    # only; any other layout took group minima over the wrong users, or
+    # indexed past the users
     _, cs, rng = make_coupling(multiuser_cfg, 0)
     assert cs.groups == ((0, 1), (2, 3))
     nu = unit_phases(multiuser_cfg.n_irs, rng)
