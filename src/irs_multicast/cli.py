@@ -102,7 +102,8 @@ def main(argv=None) -> int:
         if args.report:
             sweep_var, reads_baselines, _ = REPORTS[args.report]
             unread = {"--sweep": args.sweep, "--trace": args.trace, "--timing": args.timing,
-                      "--baselines": None if reads_baselines else args.baselines}
+                      "--baselines": None if reads_baselines else args.baselines,
+                      "--sweep-values": args.sweep_values if sweep_var == "none" else None}
             given = [flag for flag, value in unread.items() if value is not None]
             if given:
                 raise ConfigError(f"report {args.report} does not read {', '.join(given)}")
@@ -117,6 +118,8 @@ def main(argv=None) -> int:
         for path in (args.out, args.trace):
             if path is not None:
                 _check_writable(path)
+        if args.out and args.trace and os.path.realpath(args.out) == os.path.realpath(args.trace):
+            raise ConfigError(f"--out and --trace name one file, {args.out}")
         if args.report:
             return _run_report(args.report, spec, args.out)
         records = harness.sweep(spec)

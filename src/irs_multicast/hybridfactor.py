@@ -28,21 +28,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import matrixkit as mk
 from .phaseopt import retract, tangent_project
 
 __all__ = [
     "FactorSettings",
     "FactorResult",
-    "solve_baseband",
     "factor",
     "normalize_power",
 ]
-
-
-def solve_baseband(f_rf: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Frobenius-optimal baseband for fixed RF: ``pinv(F_R) @ B``."""
-    return mk.pseudo_inverse(f_rf) @ b
 
 
 # Relative modulus spread below which the two-phase split copies a target
@@ -64,6 +57,10 @@ _MAX_BACKTRACKS = 60
 class FactorSettings:
     max_alternations: int = 100
     init_mode: str = "auto"     # "auto": two-phase split when chains allow; "phase_copy"
+
+    def __post_init__(self):
+        if self.init_mode not in ("auto", "phase_copy"):
+            raise ValueError(f"unknown init mode {self.init_mode!r}")
 
 
 @dataclass
@@ -123,18 +120,6 @@ def _two_phase_split(b: np.ndarray, n_rf: int,
     return x, f_bb
 
 
-def _init_rf(b: np.ndarray, n_rf: int, rng: np.random.Generator,
-             init_mode: str) -> tuple[np.ndarray, np.ndarray]:
-    """Starting RF matrix and its baseband: the exact split when the chains
-    allow it, else the phase copy and its least-squares baseband."""
-    if init_mode not in ("auto", "phase_copy"):
-        raise ValueError(f"unknown init mode {init_mode!r}")
-    if init_mode == "auto" and n_rf >= 2 * b.shape[1]:
-        return _two_phase_split(b, n_rf, rng)
-    x = _phase_copy_init(b, n_rf, rng)
-    return x, solve_baseband(x, b)
-
-
 def _fro_norm(m: np.ndarray) -> float:
     """``np.linalg.norm(m, "fro")`` of a complex matrix, minus the dispatch.
 
@@ -147,24 +132,24 @@ def _fro_norm(m: np.ndarray) -> float:
 
 
 def _rf_descent(x: np.ndarray, f_bb: np.ndarray, b: np.ndarray,
-                scale: float) -> np.ndarray:
+                scale: float, resid: np.ndarray) -> np.ndarray:
     """Armijo-safeguarded manifold descent on the RF entries, F_B fixed.
 
-    Minimizes ``q(X) = ||B - X F_B||_F^2 / scale`` with ``scale = ||B||_F^2``.
+    Minimizes ``q(X) = ||B - X F_B||_F^2 / scale`` with ``scale = ||B||_F^2``,
+    starting from ``X`` and its residual ``resid = B - X F_B``.
     Trial steps use the Barzilai-Borwein spectral length from the previous
     accepted pair; plain steepest descent stalls well above the factorable
     floor on these strongly coupled blocks.
 
     Iterate arithmetic follows the module's bit-exact contract. The gradient
     is the Wirtinger gradient (2 d/dX*) of ``||B - X F_B||_F^2``,
-    ``-2 R F_B^H``, divided by ``scale``, taken from the residual
-    ``R = B - X F_B`` that the accepted Armijo trial already computed, and the
-    tangent projection, BB step and retraction keep their operation order.
-    ``q`` enters only comparisons.
+    ``-2 R F_B^H``, divided by ``scale``, taken from the residual ``R`` that
+    the caller (for the start) or the accepted Armijo trial already computed,
+    and the tangent projection, BB step and retraction keep their operation
+    order. ``q`` enters only comparisons.
     """
     # the gradient's -2, folded into F_B^H once (see the module's contract)
     f_bb_h2 = -2.0 * f_bb.conj().T
-    resid = b - x @ f_bb
     q_cur = _fro_norm(resid) ** 2 / scale
     x_prev = grad_prev = None
     step_trial = _INITIAL_STEP
@@ -219,20 +204,26 @@ def factor(b: np.ndarray, n_rf: int, settings: FactorSettings | None = None,
     if not 0.0 < b_norm < math.inf:   # zero, or a nan or inf entry
         raise ValueError(f"target matrix norm {b_norm!r} must be finite and > 0")
     scale = max(b_norm ** 2, 1e-300)
-    x, f_bb = _init_rf(b, n_rf, rng, st.init_mode)
-    residuals = [_fro_norm(b - x @ f_bb) / b_norm]
+    if st.init_mode == "auto" and n_rf >= 2 * b.shape[1]:
+        x, f_bb = _two_phase_split(b, n_rf, rng)
+    else:
+        x = _phase_copy_init(b, n_rf, rng)
+        f_bb = np.linalg.pinv(x) @ b
+    resid = b - x @ f_bb
+    residuals = [_fro_norm(resid) / b_norm]
     alternations = 0
     if residuals[0] > _FLOOR:
         for alternations in range(1, st.max_alternations + 1):
-            x_new = _rf_descent(x, f_bb, b, scale)
-            f_new = solve_baseband(x_new, b)
-            res = _fro_norm(b - x_new @ f_new) / b_norm
+            x_new = _rf_descent(x, f_bb, b, scale, resid)
+            f_new = np.linalg.pinv(x_new) @ b
+            r_new = b - x_new @ f_new
+            res = _fro_norm(r_new) / b_norm
             prev = residuals[-1]
             if res > prev:
                 # Rounding plateau: keep the incumbent rather than log an uptick.
                 alternations -= 1
                 break
-            x, f_bb = x_new, f_new
+            x, f_bb, resid = x_new, f_new, r_new
             residuals.append(res)
             if res <= _FLOOR or prev - res <= _TOL * max(prev, 1e-300):
                 break

@@ -1,4 +1,4 @@
-"""Dense complex matrix primitives: SVD, null-space bases, pseudo-inverse.
+"""Dense complex matrix primitives: SVD and null-space bases.
 
 Thin, contract-enforcing wrappers around ``numpy.linalg``. The SVD is made
 deterministic across runs by a fixed per-column phase convention, which the
@@ -16,7 +16,6 @@ __all__ = [
     "svd",
     "nullspace_basis",
     "default_rank_tol",
-    "pseudo_inverse",
 ]
 
 
@@ -86,11 +85,3 @@ def nullspace_basis(a) -> np.ndarray:
     smax = s[0] if s.size else 0.0
     rank = int(np.count_nonzero(s > rel_tol * smax)) if smax > 0.0 else 0
     return vh[rank:, :].conj().T
-
-
-def pseudo_inverse(a) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse."""
-    a = _as_matrix(a)
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix has non-finite entries")
-    return np.linalg.pinv(a)

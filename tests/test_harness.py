@@ -635,7 +635,15 @@ def test_cli_rejects_negative_seeds_and_fractional_counts(tmp_path, capsys, args
     # values without a sweep, and values no report reads, wrote ok rows of
     # one run under several labels, or ran the report as if not given
     (["--sweep-values", "20,30"], "sweep values need a sweep variable"),
-    (["--report", "theorem1", "--sweep-values", "20,30"], "sweep values need a sweep"),
+    (["--report", "theorem1", "--sweep-values", "20,30"],
+     "report theorem1 does not read --sweep-values"),
+    # the one value a spec without a sweep holds passed unread
+    (["--report", "theorem1", "--sweep-values", "0"],
+     "report theorem1 does not read --sweep-values"),
+    (["--report", "cdf", "--seeds", "2", "--sweep-values", "0"],
+     "report cdf does not read --sweep-values"),
+    (["--report", "convergence", "--sweep-values", "0"],
+     "report convergence does not read --sweep-values"),
     # energy read --sweep elements --sweep-values 16,64 as powers of 16 and 64 dBm
     (["--report", "energy", "--sweep", "elements", "--sweep-values", "16,64"],
      "report energy does not read --sweep"),
@@ -653,6 +661,11 @@ def test_cli_rejects_negative_seeds_and_fractional_counts(tmp_path, capsys, args
     (["--out", "{tmp}"], "cannot write"),
     (["--trace", "{tmp}/missing/t.csv"], "cannot write"),
     (["--report", "cdf", "--seeds", "2", "--out", "{tmp}/missing/x.csv"], "cannot write"),
+    # the trace overwrote the sweep CSV and the run exited 0
+    (["--seeds", "1", "--out", "{tmp}/same.csv", "--trace", "{tmp}/same.csv"],
+     "--out and --trace name one file"),
+    (["--seeds", "1", "--out", "{tmp}/same.csv", "--trace", "{tmp}/./same.csv"],
+     "--out and --trace name one file"),
 ])
 def test_cli_input_it_would_ignore_or_cannot_serve_is_a_config_error(tmp_path, capsys,
                                                                      args, message):

@@ -23,29 +23,36 @@ def planted(rng, n, n_rf, cols):
     return x @ y
 
 
-def test_solve_baseband_orthonormal_rf():
-    rng = np.random.default_rng(1)
-    q, _ = np.linalg.qr(random_complex(rng, 8, 4))
-    b = random_complex(rng, 8, 3)
-    np.testing.assert_allclose(hf.solve_baseband(q, b), q.conj().T @ b, atol=1e-12)
+@pytest.mark.parametrize("max_alternations", [0, 3])
+def test_factor_baseband_is_pinv_of_its_rf_times_target(max_alternations):
+    # the phase-copy start and every alternation take F_B = pinv(F_R) @ B
+    b = random_complex(np.random.default_rng(1), 8, 3)
+    res = hf.factor(b, 4, hf.FactorSettings(max_alternations=max_alternations),
+                    rng=np.random.default_rng(2))
+    assert res.alternations == max_alternations
+    assert np.array_equal(res.f_bb, np.linalg.pinv(res.f_rf) @ b)
 
 
-def test_solve_baseband_exact_when_in_range():
+def test_phase_copy_start_exact_when_target_in_rf_range():
+    # the leading columns are unit-modulus, so the phase copy writes them
+    # into F_R, and the rest are combinations of them
     rng = np.random.default_rng(2)
-    f_rf = unit_modulus(rng, 8, 4)
-    b = f_rf @ random_complex(rng, 4, 2)
-    f_bb = hf.solve_baseband(f_rf, b)
-    assert np.linalg.norm(b - f_rf @ f_bb) < 1e-10 * np.linalg.norm(b)
+    lead = unit_modulus(rng, 8, 2)
+    b = np.hstack([lead, lead @ random_complex(rng, 2, 2)])
+    res = hf.factor(b, 2, rng=rng)
+    assert res.alternations == 0
+    assert res.final_residual < 1e-10
 
 
-def test_solve_baseband_beats_random_candidates():
+def test_factor_baseband_beats_random_candidates():
     rng = np.random.default_rng(3)
-    f_rf = unit_modulus(rng, 8, 4)
     b = random_complex(rng, 8, 3)
-    best = np.linalg.norm(b - f_rf @ hf.solve_baseband(f_rf, b))
+    res = hf.factor(b, 4, rng=rng)
+    assert res.alternations > 0
+    best = np.linalg.norm(b - res.f_rf @ res.f_bb)
     for _ in range(100):
         alt = random_complex(rng, 4, 3)
-        assert np.linalg.norm(b - f_rf @ alt) >= best - 1e-12
+        assert np.linalg.norm(b - res.f_rf @ alt) >= best - 1e-12
 
 
 def test_rf_gradient_matches_finite_differences():
@@ -108,7 +115,7 @@ def test_two_phase_split_copies_columns_equal_to_rounding():
     for seed in range(40):
         b = (np.exp(1j * rng.uniform(0, 2 * np.pi, 4)) / 2.0).reshape(4, 1)
         spread += int(np.ptp(np.abs(b)) > 0.0)
-        x, f_bb = hf._init_rf(b, 2, np.random.default_rng(seed), "auto")
+        x, f_bb = hf._two_phase_split(b, 2, np.random.default_rng(seed))
         np.testing.assert_array_equal(x[:, 0], np.exp(1j * np.angle(b[:, 0])))
         np.testing.assert_array_equal(f_bb, [[np.max(np.abs(b))], [0.0]])
         res = hf.factor(b, 2, rng=np.random.default_rng(seed))
@@ -122,7 +129,7 @@ def test_two_phase_split_keeps_the_partner_draw():
     # every split column is as before: x[:, i] = e^{j(a+t)}, x[:, cols+i] = e^{j(a-t)}
     rng = np.random.default_rng(2)
     b = np.hstack([0.5 * np.array([[1.0], [1j], [-1.0], [-1j]]), random_complex(rng, 4, 1)])
-    x, _ = hf._init_rf(b, 5, np.random.default_rng(3), "auto")
+    x, _ = hf._two_phase_split(b, 5, np.random.default_rng(3))
     draw = np.exp(1j * np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, (4, 5)))
     np.testing.assert_array_equal(x[:, 2], draw[:, 2])
     np.testing.assert_array_equal(x[:, 4], draw[:, 4])
@@ -144,7 +151,7 @@ def test_two_phase_split_writes_the_baseband_in_closed_form(n_rf):
     # n_rf = 2*cols and > 2*cols: F_B has c = peak/2 at rows i and cols+i of a
     # split column i, the peak at row i of an equal-modulus column, zeros else
     b = _split_target(np.random.default_rng(7), 8)
-    x, f_bb = hf._init_rf(b, n_rf, np.random.default_rng(8), "auto")
+    x, f_bb = hf._two_phase_split(b, n_rf, np.random.default_rng(8))
     peak = np.max(np.abs(b), axis=0)
     want = np.zeros((n_rf, 3), dtype=complex)
     want[0, 0] = want[3, 0] = peak[0] / 2.0
@@ -162,13 +169,13 @@ def test_two_phase_split_writes_the_baseband_in_closed_form(n_rf):
 @pytest.mark.parametrize("n_rf", [6, 7, 8])
 def test_two_phase_split_is_exact_without_pseudo_inverse(monkeypatch, n_rf):
     calls = []
-    real = hf.mk.pseudo_inverse
+    real = np.linalg.pinv
 
     def spy(a):
         calls.append(a.shape)
         return real(a)
 
-    monkeypatch.setattr(hf.mk, "pseudo_inverse", spy)
+    monkeypatch.setattr(np.linalg, "pinv", spy)
     for seed in range(10):
         rng = np.random.default_rng(60 + seed)
         b = _split_target(rng, 8) if seed % 2 else random_complex(rng, 8, 3)
@@ -213,13 +220,14 @@ def _reference_factor(b, n_rf, st, rng):
 
     Every Armijo trial takes ``np.linalg.norm`` of a fresh residual and every
     step forms the gradient from a fresh residual ``B - X F_B``. The stopping
-    and line-search constants are spelled out. Also returns the number of
-    backtracks.
+    and line-search constants are spelled out. Only the phase-copy start:
+    fewer than 2*cols chains. Also returns the number of backtracks.
     """
     b = np.asarray(b, dtype=np.complex128)
+    assert n_rf < 2 * b.shape[1]
     b_norm = float(np.linalg.norm(b, "fro"))
-    x, _ = hf._init_rf(b, n_rf, rng, st.init_mode)
-    f_bb = hf.solve_baseband(x, b)
+    x = hf._phase_copy_init(b, n_rf, rng)
+    f_bb = np.linalg.pinv(x) @ b
     residuals = [float(np.linalg.norm(b - x @ f_bb, "fro")) / b_norm]
     backtracks = 0
 
@@ -268,7 +276,7 @@ def _reference_factor(b, n_rf, st, rng):
     if residuals[0] > 1e-9:
         for alternations in range(1, st.max_alternations + 1):
             x_new = descent(x, f_bb)
-            f_new = hf.solve_baseband(x_new, b)
+            f_new = np.linalg.pinv(x_new) @ b
             res = float(np.linalg.norm(b - x_new @ f_new, "fro")) / b_norm
             prev = residuals[-1]
             if res > prev:
@@ -301,9 +309,9 @@ def test_factor_bit_identical_to_reference(rows, cols, n_rf):
 
 
 def test_bad_init_mode_rejected():
-    with pytest.raises(ValueError, match="init"):
-        hf.factor(np.ones((4, 2), dtype=complex), 4,
-                  hf.FactorSettings(init_mode="nope"))
+    # at construction, before any factor call reads it
+    with pytest.raises(ValueError, match="unknown init mode 'nope'"):
+        hf.FactorSettings(init_mode="nope")
 
 
 def test_self_factorization_unit_modulus_target():

@@ -98,32 +98,6 @@ def test_nullspace_rank_nullity_property(rank, cols, seed):
     assert np.allclose(v0.conj().T @ v0, np.eye(v0.shape[1]), atol=1e-10)
 
 
-def test_pinv_identity():
-    np.testing.assert_allclose(mk.pseudo_inverse(np.eye(3)), np.eye(3), atol=1e-12)
-
-
-def test_pinv_diagonal():
-    np.testing.assert_allclose(mk.pseudo_inverse(np.diag([2.0, 4.0])),
-                               np.diag([0.5, 0.25]), atol=1e-12)
-
-
-def test_pinv_full_column_rank_left_inverse():
-    a = random_complex(np.random.default_rng(4), 6, 3)
-    np.testing.assert_allclose(mk.pseudo_inverse(a) @ a, np.eye(3), atol=1e-9)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(1, 7), st.integers(1, 7), st.integers(0, 2 ** 31 - 1))
-def test_pinv_penrose_conditions(rows, cols, seed):
-    a = random_complex(np.random.default_rng(seed), rows, cols)
-    ap = mk.pseudo_inverse(a)
-    scale = np.linalg.norm(a)
-    assert np.linalg.norm(a @ ap @ a - a) <= 1e-9 * scale
-    assert np.linalg.norm(ap @ a @ ap - ap) <= 1e-9 * np.linalg.norm(ap)
-    assert np.allclose(a @ ap, (a @ ap).conj().T, atol=1e-9)
-    assert np.allclose(ap @ a, (ap @ a).conj().T, atol=1e-9)
-
-
 def _reference_fix_column_phases(u, vh):
     """The per-column loop of the phase convention, kept as the oracle."""
     u, vh = u.copy(), vh.copy()
