@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,9 +45,8 @@ class ConfigError(ValueError):
 
 _COUNT_FIELDS = ("n_bs", "n_ue", "m_bs", "m_ue", "n_irs", "f_y", "f_z", "k_users",
                  "h_groups", "zeta", "paths_y", "paths_l")
-_REAL_FIELDS = ("power_dbm", "noise_dbm", "bw_hz", "g_tx_dbi", "g_rx_dbi", "bs_pos",
-                "irs_pos", "user_center", "user_radius", "los_pathloss_db",
-                "nlos_backoff_db")
+_REAL_FIELDS = ("power_dbm", "noise_dbm", "bw_hz", "g_tx_dbi", "g_rx_dbi", "user_radius",
+                "los_pathloss_db", "nlos_backoff_db")
 # dB fields and the linear value each converts to, which must be finite and
 # non-zero.
 _DB_FIELDS = {"power_dbm": "power_w", "noise_dbm": "noise_w",
@@ -61,6 +61,16 @@ def _integer(name: str, value) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float; 16 and 16.5 pass, nan, "16" and None raise ConfigError."""
+    try:
+        if isinstance(value, numbers.Real) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int beyond the float range
+        pass
+    raise ConfigError(f"{name} must be finite and real, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -102,10 +112,16 @@ class SystemConfig:
         object.__setattr__(self, "group_sizes", tuple(
             _integer("group_sizes", g) for g in self.group_sizes))
         for name in ("bs_pos", "irs_pos", "user_center"):
-            object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
+            try:
+                pos = tuple(_real(name, x) for x in getattr(self, name))
+            except TypeError:  # not a sequence
+                pos = ()
+            if len(pos) != 3:
+                raise ConfigError(f"{name} must be 3 coordinates (x, y, z), "
+                                  f"got {getattr(self, name)!r}")
+            object.__setattr__(self, name, pos)
         for name in _REAL_FIELDS:
-            if not np.all(np.isfinite(getattr(self, name))):
-                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+            _real(name, getattr(self, name))
         for name, linear in _DB_FIELDS.items():
             try:
                 value = getattr(self, linear)
@@ -151,6 +167,11 @@ class SystemConfig:
                 f"sum(group_sizes)={sum(self.group_sizes)} must equal k_users={self.k_users}")
         if self.user_radius < 0:
             raise ConfigError("user_radius must be non-negative")
+        if self.bs_pos == self.irs_pos:
+            raise ConfigError("bs_pos equals irs_pos: the BS link has no direction")
+        if self.user_radius == 0 and self.user_center == self.irs_pos:
+            raise ConfigError("user_center equals irs_pos at user_radius 0: "
+                              "the user links have no direction")
 
     @property
     def power_w(self) -> float:

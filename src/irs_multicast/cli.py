@@ -14,16 +14,14 @@ from . import harness
 from .bd import BdInfeasibleError
 from .channel import ConfigError, load_config
 
-# Each report: the sweep its --sweep-values feed, whether it reads
-# --baselines, and how it runs a spec.
+# Each report: whether it reads --baselines, and how it runs a spec. No
+# report reads a sweep.
 REPORTS = {
-    "theorem1": ("none", False, lambda spec, out: harness.theorem1_report(
+    "theorem1": (False, lambda spec, out: harness.theorem1_report(
         spec.config, spec.n_seeds, out, base_seed=spec.base_seed)),
-    "cdf": ("none", True, lambda spec, out: harness.cdf_report(
+    "cdf": (True, lambda spec, out: harness.cdf_report(
         spec.config, spec.n_seeds, spec.baselines, out, spec.base_seed)),
-    "energy": ("power", True, lambda spec, out: harness.energy_report(
-        spec.config, spec.sweep_values, spec.n_seeds, spec.baselines, out, spec.base_seed)),
-    "convergence": ("none", False, lambda spec, out: harness.convergence_report(
+    "convergence": (False, lambda spec, out: harness.convergence_report(
         spec.config, spec.n_seeds, out, spec.base_seed)),
 }
 
@@ -60,7 +58,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _parse_values(text: str | None) -> tuple[float, ...]:
-    if not text:
+    if text is None:
         return ()
     try:
         return tuple(float(v) for v in text.split(","))
@@ -81,7 +79,7 @@ def _run_report(name: str, spec: harness.ExperimentSpec, out) -> int:
     """Write the named report; a failure inside it, or failed runs behind its
     rows (its CSV still holds the rows it has), exits 2 with one stderr line."""
     try:
-        REPORTS[name][2](spec, out)
+        REPORTS[name][1](spec, out)
     except harness.ReportRunsFailed as exc:
         print(f"report {name}: {exc}", file=sys.stderr)
         return 2
@@ -98,18 +96,16 @@ def _run_report(name: str, spec: harness.ExperimentSpec, out) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        sweep_var = args.sweep or "none"
         if args.report:
-            sweep_var, reads_baselines, _ = REPORTS[args.report]
-            unread = {"--sweep": args.sweep, "--trace": args.trace, "--timing": args.timing,
-                      "--baselines": None if reads_baselines else args.baselines,
-                      "--sweep-values": args.sweep_values if sweep_var == "none" else None}
+            unread = {"--sweep": args.sweep, "--sweep-values": args.sweep_values,
+                      "--trace": args.trace, "--timing": args.timing,
+                      "--baselines": None if REPORTS[args.report][0] else args.baselines}
             given = [flag for flag, value in unread.items() if value is not None]
             if given:
                 raise ConfigError(f"report {args.report} does not read {', '.join(given)}")
         spec = harness.ExperimentSpec(
             config=load_config(args.config) if args.config else harness.DESK_CONFIG,
-            sweep_var=sweep_var,
+            sweep_var=args.sweep or "none",
             sweep_values=_parse_values(args.sweep_values),
             baselines=("proposed",) if args.baselines is None else tuple(args.baselines.split(",")),
             n_seeds=args.seeds,

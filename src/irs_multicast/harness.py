@@ -42,7 +42,6 @@ __all__ = [
     "write_trace",
     "theorem1_report",
     "cdf_report",
-    "energy_report",
     "convergence_report",
 ]
 
@@ -368,12 +367,12 @@ def write_records_csv(path, records: list[RunRecord]) -> None:
 # raises ReportRunsFailed if any run behind them failed, and returns them.
 # ---------------------------------------------------------------------------
 
-def _write_report(out_path, rows: list[dict], fieldnames=None) -> None:
-    """Write report rows as a headed CSV (columns from the first row by default)."""
+def _write_report(out_path, rows: list[dict], fieldnames) -> None:
+    """Write report rows as a headed CSV, lines ending in ``\n`` like the sweep's."""
     if out_path is None:
         return
     with open(out_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames or list(rows[0]))
+        writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
 
@@ -464,27 +463,6 @@ def cdf_report(cfg: SystemConfig, seeds: int, baselines=("proposed", "b"),
     return rows
 
 
-def energy_report(cfg: SystemConfig, power_values, seeds: int,
-                  baselines=("proposed", "b"), out_path=None,
-                  base_seed: int = 0) -> list[dict]:
-    """Energy efficiency (rate over total consumed power) across a power sweep.
-
-    ``power_values`` must increase strictly; rows follow them, then the
-    caller's baseline order, then the seed.
-    """
-    order = tuple(baselines)
-    records = sweep(ExperimentSpec(config=cfg, sweep_var="power", sweep_values=power_values,
-                                   baselines=order, n_seeds=seeds, base_seed=base_seed))
-    records.sort(key=lambda r: (r.sweep_value, order.index(r.baseline), r.seed))
-    rows = [dict(baseline=r.baseline, power_dbm=r.sweep_value, seed=r.seed,
-                 sum_rate_bps=r.sum_rate_bps,
-                 energy_eff_bps_per_w=r.energy_eff_bps_per_w, status=r.status)
-            for r in records]
-    _write_report(out_path, rows)
-    check_runs(records)
-    return rows
-
-
 def convergence_report(cfg: SystemConfig, seeds: int, out_path=None,
                        base_seed: int = 0) -> list[dict]:
     """Optimizer traces (objective per iteration) of the proposed scheme, and
@@ -506,6 +484,6 @@ def convergence_report(cfg: SystemConfig, seeds: int, out_path=None,
     rows += [dict(kind="groups", seed=r.seed, h_groups=int(r.sweep_value),
                   **dict.fromkeys(_TRACE_COLUMNS, ""), s1_iters=r.s1_iters)
              for r in by_groups]
-    _write_report(out_path, rows)
+    _write_report(out_path, rows, ("kind", "seed", "h_groups") + _TRACE_COLUMNS + ("s1_iters",))
     check_runs(runs + by_groups)
     return rows

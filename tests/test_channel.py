@@ -116,6 +116,21 @@ def test_config_validation(desk_cfg):
     assert cfg == desk_cfg and type(cfg.n_bs) is int
 
 
+def test_config_positions_are_three_reals_and_links_have_two_ends(desk_cfg):
+    # test_harness runs the refused layouts and links through the CLI; here,
+    # coordinates and reals of the wrong type, and what passes
+    cfg = dataclasses.replace(desk_cfg, bs_pos=[2, 0, 10])
+    assert cfg == desk_cfg and all(type(x) is float for x in cfg.bs_pos)
+    for field, bad in (("irs_pos", (0.0, "148", 10.0)), ("user_center", 7.0),
+                       ("power_dbm", None), ("user_radius", "10"), ("bw_hz", 10 ** 400)):
+        with pytest.raises(ch.ConfigError, match=f"^{field} "):
+            dataclasses.replace(desk_cfg, **{field: bad})
+    # a point user off the IRS, and a disc of users around it, keep a direction
+    dataclasses.replace(desk_cfg, user_radius=0.0)
+    dataclasses.replace(desk_cfg, user_center=desk_cfg.irs_pos)
+    dataclasses.replace(desk_cfg, bs_pos=desk_cfg.user_center)
+
+
 def test_config_groups_partition(multiuser_cfg):
     groups = multiuser_cfg.groups()
     assert groups == ((0, 1), (2, 3))

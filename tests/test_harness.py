@@ -504,27 +504,19 @@ def test_cdf_report(tmp_path, desk_cfg):
         harness.cdf_report(desk_cfg, seeds=1)
 
 
-def test_energy_report_rises_then_falls(desk_cfg):
+def test_energy_efficiency_rises_then_falls(desk_cfg):
     # figure-9 shape: static power dominates at low P (efficiency grows with
     # the rate), transmit power dominates at high P (efficiency decays)
-    rows = harness.energy_report(desk_cfg, (20.0, 40.0, 50.0), seeds=4,
-                                 baselines=("proposed",))
+    records = harness.sweep(harness.ExperimentSpec(
+        config=desk_cfg, sweep_var="power", sweep_values=(20.0, 40.0, 50.0), n_seeds=4))
+    assert all(r.ok for r in records)
     eff = {}
-    for row in rows:
-        eff.setdefault(row["power_dbm"], []).append(row["energy_eff_bps_per_w"])
+    for r in records:
+        eff.setdefault(r.sweep_value, []).append(r.energy_eff_bps_per_w)
     means = {p: float(np.mean(v)) for p, v in eff.items()}
     assert all(m > 0 for m in means.values())
     assert means[40.0] > means[20.0]
     assert means[40.0] > means[50.0]
-
-
-def test_energy_report_keeps_caller_baseline_order(desk_cfg):
-    # sweep sorts its records by baseline name; the report keeps the
-    # caller's order, here the default one
-    rows = harness.energy_report(desk_cfg, (40.0, 50.0), seeds=2)
-    assert [(r["power_dbm"], r["baseline"], r["seed"]) for r in rows] == [
-        (p, b, s) for p in (40.0, 50.0) for b in ("proposed", "b") for s in (0, 1)]
-    assert all(r["status"] == "ok" for r in rows)
 
 
 def test_cdf_proposed_dominates_random_phases(desk_cfg):
@@ -596,6 +588,28 @@ def test_cli_config_error_exit_code(tmp_path):
     assert not (tmp_path / "o.csv").exists()
 
 
+@pytest.mark.parametrize("change, field", [
+    # a 2- or 4-coordinate position, and a link whose ends coincide, failed
+    # every run (exit 2) with numpy's message; a string bw_hz exited 1 with it
+    ({"bs_pos": [2.0, 0.0]}, "bs_pos"),
+    ({"bs_pos": [2.0, 0.0, 10.0, 1.0]}, "bs_pos"),
+    ({"user_center": [7.0, 148.0]}, "user_center"),
+    ({"bs_pos": [0.0, 148.0, 10.0]}, "bs_pos"),
+    ({"user_radius": 0.0, "user_center": [0.0, 148.0, 10.0]}, "user_center"),
+    ({"bw_hz": "1e6"}, "bw_hz"),
+])
+def test_cli_config_no_run_can_use_is_a_config_error(tmp_path, capsys, change, field):
+    doc = dataclasses.asdict(harness.DESK_CONFIG)
+    doc.update(change)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "o.csv"
+    assert cli_main(["--config", str(path), "--seeds", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field} ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_config_seed_other_than_zero_is_a_config_error(tmp_path, capsys):
     # nothing reads the config seed (runs take --base-seed), so "seed": 5
     # silently ran what "seed": 0 runs
@@ -644,9 +658,15 @@ def test_cli_rejects_negative_seeds_and_fractional_counts(tmp_path, capsys, args
      "report cdf does not read --sweep-values"),
     (["--report", "convergence", "--sweep-values", "0"],
      "report convergence does not read --sweep-values"),
-    # energy read --sweep elements --sweep-values 16,64 as powers of 16 and 64 dBm
-    (["--report", "energy", "--sweep", "elements", "--sweep-values", "16,64"],
-     "report energy does not read --sweep"),
+    (["--report", "cdf", "--seeds", "2", "--sweep", "elements", "--sweep-values", "16,64"],
+     "report cdf does not read --sweep, --sweep-values"),
+    # an empty value list ran the default values
+    (["--sweep-values="], "bad sweep values ''"),
+    (["--sweep", "power", "--sweep-values="], "bad sweep values ''"),
+    (["--report", "cdf", "--seeds", "2", "--sweep-values="],
+     "report cdf does not read --sweep-values"),
+    # the power sweep's energy_eff_bps_per_w column carries what this report did
+    (["--report", "energy", "--seeds", "1"], "argument --report: invalid choice: 'energy'"),
     (["--report", "theorem1", "--trace", "{tmp}/t.csv"], "report theorem1 does not read --trace"),
     (["--report", "cdf", "--seeds", "2", "--timing"], "report cdf does not read --timing"),
     (["--report", "theorem1", "--baselines", "a"], "report theorem1 does not read --baselines"),
@@ -722,6 +742,23 @@ def test_cli_trace_dump(tmp_path):
     assert got == want
 
 
+def test_cli_csvs_end_lines_with_newline_only(tmp_path, capsys):
+    # the trace and report CSVs ended their lines in csv's default \r\n,
+    # the sweep CSV in \n
+    assert cli_main(["--seeds", "1"]) == 0
+    texts = {"stdout": capsys.readouterr().out.encode()}
+    paths = {name: tmp_path / f"{name}.csv"
+             for name in ("sweep", "trace", "theorem1", "cdf", "convergence")}
+    assert cli_main(["--seeds", "1", "--out", str(paths["sweep"]),
+                     "--trace", str(paths["trace"])]) == 0
+    for report in ("theorem1", "cdf", "convergence"):
+        assert cli_main(["--report", report, "--seeds", "2", "--out", str(paths[report])]) == 0
+    texts.update((name, path.read_bytes()) for name, path in paths.items())
+    for name, text in texts.items():
+        assert text.count(b"\n") > 1 and text.endswith(b"\n"), name
+        assert b"\r" not in text, name
+
+
 def test_cli_report_theorem1(tmp_path):
     # seeded from --base-seed like every other entry point
     text = {}
@@ -741,16 +778,6 @@ def test_cli_report_cdf(tmp_path):
                      "--out", str(out)])
     assert code == 0
     assert len(out.read_text().splitlines()) == 3
-
-
-def test_cli_report_energy(tmp_path):
-    out = tmp_path / "energy.csv"
-    code = cli_main(["--report", "energy", "--seeds", "1", "--baselines", "c",
-                     "--sweep-values", "30,40", "--out", str(out)])
-    assert code == 0
-    lines = out.read_text().splitlines()
-    assert lines[0].startswith("baseline,power_dbm,seed")
-    assert len(lines) == 3
 
 
 def test_cli_report_failure_is_labeled_not_raised(tmp_path, capsys):
@@ -776,11 +803,11 @@ def test_cli_report_failure_is_labeled_not_raised(tmp_path, capsys):
     groups = [line.split(",") for line in out.read_text().splitlines()[1:]]
     assert [(row[0], row[2]) for row in groups] == [("groups", "1"), ("groups", "2")]
     # bad arguments stay configuration errors
-    assert cli_main(["--report", "energy", "--seeds", "0"]) == 1
+    assert cli_main(["--report", "convergence", "--seeds", "0"]) == 1
     assert cli_main(["--report", "cdf", "--seeds", "1"]) == 1
     assert cli_main(["--report", "cdf", "--seeds", "2", "--baselines", "zz"]) == 1
-    assert cli_main(["--report", "energy", "--sweep-values", "30,nan"]) == 1
-    assert cli_main(["--report", "energy", "--sweep-values", "50,20"]) == 1
+    assert cli_main(["--sweep", "power", "--sweep-values", "30,nan"]) == 1
+    assert cli_main(["--sweep", "power", "--sweep-values", "50,20"]) == 1
 
 
 @pytest.mark.parametrize("exc, label", [
@@ -798,19 +825,28 @@ def test_cli_report_failure_carries_the_run_label(monkeypatch, capsys, exc, labe
 
 
 def test_cli_report_exit_code_counts_failed_runs(tmp_path, capsys):
-    # every run on table2_faithful fails (Y = 7 < H*zeta = 8); the report
-    # still writes its CSV, and says so in its exit code and one stderr line
+    # every run on table2_faithful at H = 2 fails (Y = 7 < H*zeta = 8); the
+    # report still writes its CSV, and says so in its exit code and one
+    # stderr line; convergence's groups sweep also runs H = 1, which succeeds
     table2 = str(CONFIG_DIR / "table2_faithful.json")
-    for report, n_runs, n_lines in (("energy", 8, 1 + 8), ("cdf", 2, 1)):
+    for report, n_failed, n_runs, n_lines in (("convergence", 4, 6, 1 + 4),
+                                              ("cdf", 2, 2, 1)):
         out = tmp_path / f"{report}.csv"
         code = cli_main(["--report", report, "--config", table2, "--seeds", "2",
                          "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"report {report}: {n_runs} of {n_runs} runs failed "
+        assert err.startswith(f"report {report}: {n_failed} of {n_runs} runs failed "
                               "(failed:invalid (group-blocked pairing")
         assert err.count("\n") == 1
         assert len(out.read_text().splitlines()) == n_lines
+    # a power sweep writes a labeled row for each of its 4 x 2 failed runs
+    out = tmp_path / "power.csv"
+    assert cli_main(["--sweep", "power", "--config", table2, "--seeds", "2",
+                     "--out", str(out)]) == 2
+    rows = out.read_text().splitlines()[1:]
+    assert len(rows) == 8
+    assert all(",failed:invalid (group-blocked pairing" in row for row in rows)
 
 
 def test_cli_report_convergence(tmp_path):
