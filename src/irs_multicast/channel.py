@@ -54,9 +54,9 @@ _DB_FIELDS = {"power_dbm": "power_w", "noise_dbm": "noise_w",
 
 
 def _integer(name: str, value) -> int:
-    """``value`` as an int; 16.0 passes, 16.5, nan and "16" raise ConfigError."""
+    """``value`` as an int; 16.0 passes, 16.5, nan, "16" and True raise ConfigError."""
     try:
-        if int(value) == value:
+        if not isinstance(value, bool) and int(value) == value:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -64,13 +64,22 @@ def _integer(name: str, value) -> int:
 
 
 def _real(name: str, value) -> float:
-    """``value`` as a float; 16 and 16.5 pass, nan, "16" and None raise ConfigError."""
+    """``value`` as a float; 16 and 16.5 pass, nan, "16", None and True raise ConfigError."""
     try:
-        if isinstance(value, numbers.Real) and math.isfinite(value):
+        if isinstance(value, numbers.Real) and not isinstance(value, bool) \
+                and math.isfinite(value):
             return float(value)
     except OverflowError:  # an int beyond the float range
         pass
     raise ConfigError(f"{name} must be finite and real, got {value!r}")
+
+
+def _entries(name: str, value, convert) -> tuple:
+    """``value`` as a tuple of ``convert(name, entry)``; a non-list raises ConfigError."""
+    try:
+        return tuple(convert(name, x) for x in value)
+    except TypeError:  # not a sequence
+        raise ConfigError(f"{name} must be a list, got {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -109,13 +118,10 @@ class SystemConfig:
     nlos_backoff_db: float = 10.0
 
     def __post_init__(self):
-        object.__setattr__(self, "group_sizes", tuple(
-            _integer("group_sizes", g) for g in self.group_sizes))
+        object.__setattr__(self, "group_sizes", _entries("group_sizes", self.group_sizes,
+                                                         _integer))
         for name in ("bs_pos", "irs_pos", "user_center"):
-            try:
-                pos = tuple(_real(name, x) for x in getattr(self, name))
-            except TypeError:  # not a sequence
-                pos = ()
+            pos = _entries(name, getattr(self, name), _real)
             if len(pos) != 3:
                 raise ConfigError(f"{name} must be 3 coordinates (x, y, z), "
                                   f"got {getattr(self, name)!r}")
@@ -172,6 +178,23 @@ class SystemConfig:
         if self.user_radius == 0 and self.user_center == self.irs_pos:
             raise ConfigError("user_center equals irs_pos at user_radius 0: "
                               "the user links have no direction")
+        # a negative reference loss is a gain at 1 m, and scatterers are
+        # weaker than the LOS ray
+        for name in ("los_pathloss_db", "nlos_backoff_db"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        # the longest link, named by the field that sets most of its length
+        center = math.dist(self.user_center, self.irs_pos)
+        longest, name = max(
+            (math.dist(self.bs_pos, self.irs_pos), "bs_pos"),
+            (center + self.user_radius,
+             "user_center" if center >= self.user_radius else "user_radius"))
+        if not longest * longest < math.inf:
+            raise ConfigError(f"{name} gives a link of {longest} m, whose squared length "
+                              "overflows")
+        if fspl_amplitude(longest, self.los_pathloss_db) == 0.0:
+            raise ConfigError(f"los_pathloss_db of {self.los_pathloss_db} gives the {longest} m "
+                              "link a LOS amplitude of 0")
 
     @property
     def power_w(self) -> float:

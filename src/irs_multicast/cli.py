@@ -14,15 +14,11 @@ from . import harness
 from .bd import BdInfeasibleError
 from .channel import ConfigError, load_config
 
-# Each report: whether it reads --baselines, and how it runs a spec. No
-# report reads a sweep.
+# Each report and how it runs a spec; a report reads only --config, --seeds,
+# --base-seed and --out.
 REPORTS = {
-    "theorem1": (False, lambda spec, out: harness.theorem1_report(
-        spec.config, spec.n_seeds, out, base_seed=spec.base_seed)),
-    "cdf": (True, lambda spec, out: harness.cdf_report(
-        spec.config, spec.n_seeds, spec.baselines, out, spec.base_seed)),
-    "convergence": (False, lambda spec, out: harness.convergence_report(
-        spec.config, spec.n_seeds, out, spec.base_seed)),
+    "theorem1": lambda spec, out: harness.theorem1_report(
+        spec.config, spec.n_seeds, out, base_seed=spec.base_seed),
 }
 
 
@@ -79,7 +75,7 @@ def _run_report(name: str, spec: harness.ExperimentSpec, out) -> int:
     """Write the named report; a failure inside it, or failed runs behind its
     rows (its CSV still holds the rows it has), exits 2 with one stderr line."""
     try:
-        REPORTS[name][1](spec, out)
+        REPORTS[name](spec, out)
     except harness.ReportRunsFailed as exc:
         print(f"report {name}: {exc}", file=sys.stderr)
         return 2
@@ -99,7 +95,7 @@ def main(argv=None) -> int:
         if args.report:
             unread = {"--sweep": args.sweep, "--sweep-values": args.sweep_values,
                       "--trace": args.trace, "--timing": args.timing,
-                      "--baselines": None if REPORTS[args.report][0] else args.baselines}
+                      "--baselines": args.baselines}
             given = [flag for flag, value in unread.items() if value is not None]
             if given:
                 raise ConfigError(f"report {args.report} does not read {', '.join(given)}")

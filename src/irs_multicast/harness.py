@@ -28,7 +28,6 @@ __all__ = [
     "SCHEMES",
     "BASELINES",
     "ReportRunsFailed",
-    "check_runs",
     "SWEEP_CHOICES",
     "DEFAULT_SWEEP_VALUES",
     "CSV_HEADER",
@@ -41,8 +40,6 @@ __all__ = [
     "records_csv_text",
     "write_trace",
     "theorem1_report",
-    "cdf_report",
-    "convergence_report",
 ]
 
 # The preset of configs/desk.json, the default when no config is given: every
@@ -362,13 +359,8 @@ def write_records_csv(path, records: list[RunRecord]) -> None:
         fh.write(records_csv_text(records))
 
 
-# ---------------------------------------------------------------------------
-# Reports are views of sweep records. Each writes the rows it has, then
-# raises ReportRunsFailed if any run behind them failed, and returns them.
-# ---------------------------------------------------------------------------
-
 def _write_report(out_path, rows: list[dict], fieldnames) -> None:
-    """Write report rows as a headed CSV, lines ending in ``\n`` like the sweep's."""
+    """Write rows as a headed CSV, lines ending in ``\n`` like the sweep's."""
     if out_path is None:
         return
     with open(out_path, "w", newline="") as fh:
@@ -377,20 +369,17 @@ def _write_report(out_path, rows: list[dict], fieldnames) -> None:
         writer.writerows(rows)
 
 
-_TRACE_COLUMNS = ("iter", "f_value", "step_size", "grad_norm", "backtracks")
-
-
-def _trace_fields(row: po.TraceRow) -> dict:
-    return dict(zip(_TRACE_COLUMNS, dataclasses.astuple(row)))
+_TRACE_COLUMNS = ("seed", "baseline", "sweep_value", "iter", "f_value", "step_size",
+                  "grad_norm", "backtracks")
 
 
 def write_trace(path, records: list[RunRecord]) -> None:
     """Write the optimizer traces of ``records`` as CSV: one row per accepted
     iteration of every traced run, keyed by seed, baseline and sweep value."""
-    rows = [dict(seed=r.seed, baseline=r.baseline, sweep_value=r.sweep_value,
-                 **_trace_fields(t))
+    rows = [dict(zip(_TRACE_COLUMNS, (r.seed, r.baseline, r.sweep_value,
+                                      *dataclasses.astuple(t))))
             for r in records for t in r.trace]
-    _write_report(path, rows, ("seed", "baseline", "sweep_value") + _TRACE_COLUMNS)
+    _write_report(path, rows, _TRACE_COLUMNS)
 
 
 _THEOREM1_COLUMNS = ("seed", "n_antennas", "user", "sigma_true_fnorm",
@@ -399,15 +388,6 @@ _THEOREM1_COLUMNS = ("seed", "n_antennas", "user", "sigma_true_fnorm",
 
 class ReportRunsFailed(RuntimeError):
     """Runs behind a report failed; the report holds the rows of the others."""
-
-
-def check_runs(records: list[RunRecord]) -> None:
-    """Raise :class:`ReportRunsFailed` naming the failed count and the first
-    failed status, if any run failed."""
-    failed = [r for r in records if not r.ok]
-    if failed:
-        raise ReportRunsFailed(f"{len(failed)} of {len(records)} runs failed "
-                               f"({failed[0].status})")
 
 
 def theorem1_report(cfg: SystemConfig, seeds: int, out_path=None,
@@ -419,8 +399,9 @@ def theorem1_report(cfg: SystemConfig, seeds: int, out_path=None,
     A view of the digital-BD runs (baseline ``a``) of one sweep per antenna
     count; path draws do not depend on the antenna count, so the comparison
     is paired. Antenna counts the config's RF chains cannot carry are
-    skipped; if none is left, the last one's ConfigError is raised. Failed
-    runs give no rows and then raise ReportRunsFailed.
+    skipped; if none is left, the last one's ConfigError is raised. The rows
+    of the ok runs are written first; then, if any run failed, ReportRunsFailed
+    names the failed count and the first failed status.
     """
     runs, skipped = [], None
     for n in n_values:
@@ -441,49 +422,9 @@ def theorem1_report(cfg: SystemConfig, seeds: int, out_path=None,
             rows.append(dict(zip(_THEOREM1_COLUMNS, (r.seed, n, k, true, approx,
                                                      abs(true - approx) / true))))
     _write_report(out_path, rows, _THEOREM1_COLUMNS)
-    check_runs([r for _, r in runs])
+    failed = [r for _, r in runs if not r.ok]
+    if failed:
+        raise ReportRunsFailed(f"{len(failed)} of {len(runs)} runs failed "
+                               f"({failed[0].status})")
     return rows
 
-
-def cdf_report(cfg: SystemConfig, seeds: int, baselines=("proposed", "b"),
-               out_path=None, base_seed: int = 0) -> list[dict]:
-    """Sorted empirical sum-rate samples (failed runs give none) with
-    cumulative fractions per baseline."""
-    if seeds < 2:
-        raise ConfigError("cdf needs at least two seeds")
-    records = sweep(ExperimentSpec(config=cfg, baselines=tuple(baselines),
-                                   n_seeds=seeds, base_seed=base_seed))
-    rows = []
-    for baseline in baselines:
-        rates = sorted(r.sum_rate_bps for r in records if r.baseline == baseline and r.ok)
-        rows += [dict(baseline=baseline, sum_rate_bps=rate, cum_frac=(i + 1) / len(rates))
-                 for i, rate in enumerate(rates)]
-    _write_report(out_path, rows, ["baseline", "sum_rate_bps", "cum_frac"])
-    check_runs(records)
-    return rows
-
-
-def convergence_report(cfg: SystemConfig, seeds: int, out_path=None,
-                       base_seed: int = 0) -> list[dict]:
-    """Optimizer traces (objective per iteration) of the proposed scheme, and
-    its iteration counts over the default groups sweep (H = 1, 2, 3), less
-    the group counts the config's RF chains cannot carry."""
-    runs = sweep(ExperimentSpec(config=cfg, n_seeds=seeds, base_seed=base_seed))
-    groups = []
-    for h in DEFAULT_SWEEP_VALUES["groups"]:
-        try:
-            apply_sweep(cfg, "groups", h)
-        except ConfigError:
-            continue  # H * zeta exceeds the BS RF chains
-        groups.append(h)
-    by_groups = sweep(ExperimentSpec(config=cfg, sweep_var="groups", sweep_values=groups,
-                                     n_seeds=seeds, base_seed=base_seed))
-    rows = [dict(kind="trace", seed=r.seed, h_groups=cfg.h_groups, **_trace_fields(t),
-                 s1_iters="")
-            for r in runs for t in r.trace]
-    rows += [dict(kind="groups", seed=r.seed, h_groups=int(r.sweep_value),
-                  **dict.fromkeys(_TRACE_COLUMNS, ""), s1_iters=r.s1_iters)
-             for r in by_groups]
-    _write_report(out_path, rows, ("kind", "seed", "h_groups") + _TRACE_COLUMNS + ("s1_iters",))
-    check_runs(runs + by_groups)
-    return rows

@@ -111,6 +111,24 @@ def test_config_validation(desk_cfg):
                        ("group_sizes", (1.5, 0.5)), ("seed", 0.25)):
         with pytest.raises(ch.ConfigError, match=f"{field} must be an integer"):
             dataclasses.replace(desk_cfg, **{field: bad})
+    # booleans are neither counts nor reals, and a list field must be a list
+    for field, bad in (("zeta", True), ("seed", False), ("group_sizes", (True, True)),
+                       ("user_radius", True), ("bs_pos", (True, 0.0, 10.0)),
+                       ("group_sizes", 2), ("group_sizes", None)):
+        with pytest.raises(ch.ConfigError, match=f"^{field} "):
+            dataclasses.replace(desk_cfg, **{field: bad})
+    # a gain at 1 m, scatterers stronger than the LOS ray, a LOS amplitude of
+    # 0 on the longest link, and links whose squared length overflows, named
+    # by the field that sets most of their length
+    for field, bad in (("los_pathloss_db", -400.0), ("nlos_backoff_db", -1e-9),
+                       ("los_pathloss_db", 7000.0), ("bs_pos", (1e200, 0.0, 0.0)),
+                       ("user_center", (1e200, 0.0, 0.0)), ("user_radius", 1e300)):
+        with pytest.raises(ch.ConfigError, match=f"^{field} "):
+            dataclasses.replace(desk_cfg, **{field: bad})
+    # the bounds themselves pass: no loss at 1 m, scatterers as strong as the
+    # LOS ray, and links whose square and LOS amplitude are finite and non-zero
+    dataclasses.replace(desk_cfg, los_pathloss_db=0.0, nlos_backoff_db=0.0,
+                        bs_pos=(1e150, 0.0, 0.0), user_radius=1e150)
     # an integral float is a count, stored as an int
     cfg = dataclasses.replace(desk_cfg, n_bs=16.0)
     assert cfg == desk_cfg and type(cfg.n_bs) is int

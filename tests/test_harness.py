@@ -494,16 +494,6 @@ def test_theorem1_report_skips_antenna_counts_the_rf_chains_exceed(tmp_path, cap
     assert not out.exists()
 
 
-def test_cdf_report(tmp_path, desk_cfg):
-    rows = harness.cdf_report(desk_cfg, seeds=3, baselines=("b",),
-                              out_path=tmp_path / "cdf.csv")
-    assert [r["baseline"] for r in rows] == ["b"] * 3
-    assert rows[-1]["cum_frac"] == 1.0
-    assert rows[0]["sum_rate_bps"] <= rows[-1]["sum_rate_bps"]
-    with pytest.raises(ch.ConfigError):
-        harness.cdf_report(desk_cfg, seeds=1)
-
-
 def test_energy_efficiency_rises_then_falls(desk_cfg):
     # figure-9 shape: static power dominates at low P (efficiency grows with
     # the rate), transmit power dominates at high P (efficiency decays)
@@ -519,34 +509,35 @@ def test_energy_efficiency_rises_then_falls(desk_cfg):
     assert means[40.0] > means[50.0]
 
 
-def test_cdf_proposed_dominates_random_phases(desk_cfg):
-    rows = harness.cdf_report(desk_cfg, seeds=50, baselines=("proposed", "b"))
-    assert sum(1 for r in rows if r["baseline"] == "proposed") == 50
-    prop = np.array([r["sum_rate_bps"] for r in rows if r["baseline"] == "proposed"])
-    rand = np.array([r["sum_rate_bps"] for r in rows if r["baseline"] == "b"])
+def test_proposed_rate_samples_dominate_random_phases(desk_cfg):
+    # the sum-rate CDF: the sorted ok rates of each baseline over 50 seeds
+    records = harness.sweep(harness.ExperimentSpec(
+        config=desk_cfg, baselines=("proposed", "b"), n_seeds=50))
+    rates = {b: sorted(r.sum_rate_bps for r in records if r.baseline == b and r.ok)
+             for b in ("proposed", "b")}
+    assert len(rates["proposed"]) == 50
+    prop, rand = np.array(rates["proposed"]), np.array(rates["b"])
     assert np.mean(prop - rand) > 0
     assert np.mean(prop >= rand) >= 0.8  # sorted samples: empirical dominance
 
 
-def test_convergence_report(tmp_path, desk_cfg):
-    # returning, not raising ReportRunsFailed, means all 4 + 3 * 4 runs are ok
-    rows = harness.convergence_report(desk_cfg, seeds=4, out_path=tmp_path / "conv.csv")
-    kinds = {row["kind"] for row in rows}
-    assert kinds == {"trace", "groups"}
-    trace_rows = [r for r in rows if r["kind"] == "trace"]
-    assert {r["seed"] for r in trace_rows} == {0, 1, 2, 3}
-    for seed in {r["seed"] for r in trace_rows}:
-        f_vals = [r["f_value"] for r in trace_rows if r["seed"] == seed]
+def test_optimizer_traces_descend_and_iterations_plateau_over_groups(desk_cfg):
+    records = harness.sweep(harness.ExperimentSpec(config=desk_cfg, n_seeds=4))
+    assert [r.seed for r in records if r.ok and r.trace] == [0, 1, 2, 3]
+    for r in records:
+        f_vals = [t.f_value for t in r.trace]
+        assert len(f_vals) == r.s1_iters
         assert all(b <= a for a, b in zip(f_vals, f_vals[1:]))
-    group_rows = [r for r in rows if r["kind"] == "groups"]
-    assert len(group_rows) == 3 * 4
-    assert {r["h_groups"] for r in group_rows} == {1, 2, 3}
-    assert all(1 <= r["s1_iters"] <= 500 for r in group_rows)
+    by_groups = harness.sweep(harness.ExperimentSpec(config=desk_cfg, sweep_var="groups",
+                                                     n_seeds=4))
+    assert len(by_groups) == 3 * 4 and all(r.ok for r in by_groups)
+    assert {r.sweep_value for r in by_groups} == {1.0, 2.0, 3.0}
+    assert all(1 <= r.s1_iters <= 500 for r in by_groups)
     # iteration cost stays in the same band as groups are added (the
     # figure-4 plateau); the initial rise does not survive the accelerated
     # line search at desk scale
-    means = [np.mean([r["s1_iters"] for r in group_rows if r["h_groups"] == h])
-             for h in (1, 2, 3)]
+    means = [np.mean([r.s1_iters for r in by_groups if r.sweep_value == h])
+             for h in (1.0, 2.0, 3.0)]
     assert max(means) < 2.5 * min(means)
 
 
@@ -597,6 +588,22 @@ def test_cli_config_error_exit_code(tmp_path):
     ({"bs_pos": [0.0, 148.0, 10.0]}, "bs_pos"),
     ({"user_radius": 0.0, "user_center": [0.0, 148.0, 10.0]}, "user_center"),
     ({"bw_hz": "1e6"}, "bw_hz"),
+    # a gain at 1 m, and scatterers stronger than the LOS ray, wrote ok rows
+    # of ~1e11 bit/s; a LOS amplitude of 0, and links whose squared length
+    # overflows, failed every run as bd-infeasible
+    ({"los_pathloss_db": -400}, "los_pathloss_db"),
+    ({"nlos_backoff_db": -400}, "nlos_backoff_db"),
+    ({"los_pathloss_db": 7000}, "los_pathloss_db"),
+    ({"user_radius": 1e300}, "user_radius"),
+    ({"bs_pos": [1e200, 0, 0]}, "bs_pos"),
+    # JSON booleans ran as the count or length 1; a bare group size gave
+    # "'int' object is not iterable", which names no field
+    ({"zeta": True}, "zeta"),
+    ({"user_radius": True}, "user_radius"),
+    ({"group_sizes": [True, True]}, "group_sizes"),
+    ({"irs_pos": [0.0, 148.0, True]}, "irs_pos"),
+    ({"group_sizes": 2}, "group_sizes"),
+    ({"group_sizes": None}, "group_sizes"),
 ])
 def test_cli_config_no_run_can_use_is_a_config_error(tmp_path, capsys, change, field):
     doc = dataclasses.asdict(harness.DESK_CONFIG)
@@ -631,7 +638,7 @@ def test_config_seed_other_than_zero_is_a_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("args", [
     ["--base-seed", "-1", "--seeds", "1"],
-    ["--report", "cdf", "--base-seed", "-1", "--seeds", "2"],
+    ["--report", "theorem1", "--base-seed", "-1", "--seeds", "1"],
     ["--sweep", "elements", "--sweep-values", "16.4", "--seeds", "1"],
     ["--sweep", "streams", "--sweep-values", "1.4", "--seeds", "1"],
     ["--sweep", "groups", "--sweep-values", "0.6", "--seeds", "1"],
@@ -654,24 +661,25 @@ def test_cli_rejects_negative_seeds_and_fractional_counts(tmp_path, capsys, args
     # the one value a spec without a sweep holds passed unread
     (["--report", "theorem1", "--sweep-values", "0"],
      "report theorem1 does not read --sweep-values"),
-    (["--report", "cdf", "--seeds", "2", "--sweep-values", "0"],
-     "report cdf does not read --sweep-values"),
-    (["--report", "convergence", "--sweep-values", "0"],
-     "report convergence does not read --sweep-values"),
-    (["--report", "cdf", "--seeds", "2", "--sweep", "elements", "--sweep-values", "16,64"],
-     "report cdf does not read --sweep, --sweep-values"),
+    (["--report", "theorem1", "--sweep", "elements", "--sweep-values", "16,64"],
+     "report theorem1 does not read --sweep, --sweep-values"),
     # an empty value list ran the default values
     (["--sweep-values="], "bad sweep values ''"),
     (["--sweep", "power", "--sweep-values="], "bad sweep values ''"),
-    (["--report", "cdf", "--seeds", "2", "--sweep-values="],
-     "report cdf does not read --sweep-values"),
-    # the power sweep's energy_eff_bps_per_w column carries what this report did
+    (["--report", "theorem1", "--sweep-values="],
+     "report theorem1 does not read --sweep-values"),
+    # reports that are gone: the power sweep's energy_eff_bps_per_w column
+    # carries what energy did, a sweep's sorted ok sum_rate_bps what cdf did,
+    # and --trace and a groups sweep's s1_iters what convergence did
     (["--report", "energy", "--seeds", "1"], "argument --report: invalid choice: 'energy'"),
+    (["--report", "cdf", "--seeds", "2"], "argument --report: invalid choice: 'cdf'"),
+    (["--report", "convergence", "--seeds", "1"],
+     "argument --report: invalid choice: 'convergence'"),
     (["--report", "theorem1", "--trace", "{tmp}/t.csv"], "report theorem1 does not read --trace"),
-    (["--report", "cdf", "--seeds", "2", "--timing"], "report cdf does not read --timing"),
+    (["--report", "theorem1", "--timing"], "report theorem1 does not read --timing"),
     (["--report", "theorem1", "--baselines", "a"], "report theorem1 does not read --baselines"),
-    (["--report", "convergence", "--baselines", "proposed"],
-     "report convergence does not read --baselines"),
+    (["--report", "theorem1", "--baselines", "proposed"],
+     "report theorem1 does not read --baselines"),
     # usage errors exited 2, the code of partial run failures
     (["--seeds", "abc"], "argument --seeds: invalid int value"),
     (["--sweep", "bogus"], "argument --sweep: invalid choice"),
@@ -680,7 +688,7 @@ def test_cli_rejects_negative_seeds_and_fractional_counts(tmp_path, capsys, args
     (["--out", "{tmp}/missing/x.csv"], "cannot write"),
     (["--out", "{tmp}"], "cannot write"),
     (["--trace", "{tmp}/missing/t.csv"], "cannot write"),
-    (["--report", "cdf", "--seeds", "2", "--out", "{tmp}/missing/x.csv"], "cannot write"),
+    (["--report", "theorem1", "--out", "{tmp}/missing/x.csv"], "cannot write"),
     # the trace overwrote the sweep CSV and the run exited 0
     (["--seeds", "1", "--out", "{tmp}/same.csv", "--trace", "{tmp}/same.csv"],
      "--out and --trace name one file"),
@@ -747,12 +755,11 @@ def test_cli_csvs_end_lines_with_newline_only(tmp_path, capsys):
     # the sweep CSV in \n
     assert cli_main(["--seeds", "1"]) == 0
     texts = {"stdout": capsys.readouterr().out.encode()}
-    paths = {name: tmp_path / f"{name}.csv"
-             for name in ("sweep", "trace", "theorem1", "cdf", "convergence")}
+    paths = {name: tmp_path / f"{name}.csv" for name in ("sweep", "trace", "theorem1")}
     assert cli_main(["--seeds", "1", "--out", str(paths["sweep"]),
                      "--trace", str(paths["trace"])]) == 0
-    for report in ("theorem1", "cdf", "convergence"):
-        assert cli_main(["--report", report, "--seeds", "2", "--out", str(paths[report])]) == 0
+    assert cli_main(["--report", "theorem1", "--seeds", "2",
+                     "--out", str(paths["theorem1"])]) == 0
     texts.update((name, path.read_bytes()) for name, path in paths.items())
     for name, text in texts.items():
         assert text.count(b"\n") > 1 and text.endswith(b"\n"), name
@@ -772,14 +779,6 @@ def test_cli_report_theorem1(tmp_path):
     assert text[0] != text[5]
 
 
-def test_cli_report_cdf(tmp_path):
-    out = tmp_path / "cdf.csv"
-    code = cli_main(["--report", "cdf", "--seeds", "2", "--baselines", "c",
-                     "--out", str(out)])
-    assert code == 0
-    assert len(out.read_text().splitlines()) == 3
-
-
 def test_cli_report_failure_is_labeled_not_raised(tmp_path, capsys):
     # table2_faithful has Y = 7 < H*zeta = 8 BS-side paths, so the coupling
     # construction refuses every run of the theorem1 report
@@ -791,21 +790,21 @@ def test_cli_report_failure_is_labeled_not_raised(tmp_path, capsys):
     assert err.startswith("report theorem1: 3 of 3 runs failed (failed:invalid (")
     assert "Y >= H*zeta" in err and err.count("\n") == 1
     assert out.read_text() == "seed,n_antennas,user,sigma_true_fnorm,sigma_approx_fnorm,rel_gap\n"
-    # its groups sweep skips H = 3, which needs m_bs >= 12 > 8; H = 1 runs,
-    # the configured H = 2 fails like every table2_faithful run
-    out = tmp_path / "conv.csv"
-    code = cli_main(["--report", "convergence", "--seeds", "1", "--config", table2,
-                     "--out", str(out)])
+    # a groups sweep over the counts its 8 BS RF chains carry: H = 1 runs,
+    # the configured H = 2 fails like every table2_faithful run, and H = 3,
+    # which needs m_bs >= 12, is a configuration error
+    out = tmp_path / "groups.csv"
+    code = cli_main(["--sweep", "groups", "--sweep-values", "1,2", "--seeds", "1",
+                     "--config", table2, "--out", str(out)])
     assert code == 2
-    assert capsys.readouterr().err == \
-        "report convergence: 2 of 3 runs failed (failed:invalid (group-blocked pairing " \
-        "needs Y >= H*zeta (8); got Y=7))\n"
-    groups = [line.split(",") for line in out.read_text().splitlines()[1:]]
-    assert [(row[0], row[2]) for row in groups] == [("groups", "1"), ("groups", "2")]
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert [(row[3], row[8].split(" ")[0]) for row in rows] == \
+        [("1.0", "ok"), ("2.0", "failed:invalid")]
+    assert rows[1][8] == "failed:invalid (group-blocked pairing needs Y >= H*zeta (8); got Y=7)"
+    assert cli_main(["--sweep", "groups", "--seeds", "1", "--config", table2]) == 1
     # bad arguments stay configuration errors
-    assert cli_main(["--report", "convergence", "--seeds", "0"]) == 1
-    assert cli_main(["--report", "cdf", "--seeds", "1"]) == 1
-    assert cli_main(["--report", "cdf", "--seeds", "2", "--baselines", "zz"]) == 1
+    assert cli_main(["--report", "theorem1", "--seeds", "0"]) == 1
+    assert cli_main(["--baselines", "zz"]) == 1
     assert cli_main(["--sweep", "power", "--sweep-values", "30,nan"]) == 1
     assert cli_main(["--sweep", "power", "--sweep-values", "50,20"]) == 1
 
@@ -820,26 +819,24 @@ def test_cli_report_failure_carries_the_run_label(monkeypatch, capsys, exc, labe
         raise exc
 
     monkeypatch.setattr(harness, "sweep", fail)
-    assert cli_main(["--report", "cdf", "--seeds", "2"]) == 2
-    assert capsys.readouterr().err == f"report cdf failed: {label} (injected)\n"
+    assert cli_main(["--report", "theorem1", "--seeds", "1"]) == 2
+    assert capsys.readouterr().err == f"report theorem1 failed: {label} (injected)\n"
 
 
 def test_cli_report_exit_code_counts_failed_runs(tmp_path, capsys):
     # every run on table2_faithful at H = 2 fails (Y = 7 < H*zeta = 8); the
     # report still writes its CSV, and says so in its exit code and one
-    # stderr line; convergence's groups sweep also runs H = 1, which succeeds
+    # stderr line
     table2 = str(CONFIG_DIR / "table2_faithful.json")
-    for report, n_failed, n_runs, n_lines in (("convergence", 4, 6, 1 + 4),
-                                              ("cdf", 2, 2, 1)):
-        out = tmp_path / f"{report}.csv"
-        code = cli_main(["--report", report, "--config", table2, "--seeds", "2",
-                         "--out", str(out)])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"report {report}: {n_failed} of {n_runs} runs failed "
-                              "(failed:invalid (group-blocked pairing")
-        assert err.count("\n") == 1
-        assert len(out.read_text().splitlines()) == n_lines
+    out = tmp_path / "theorem1.csv"
+    code = cli_main(["--report", "theorem1", "--config", table2, "--seeds", "2",
+                     "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("report theorem1: 6 of 6 runs failed "
+                          "(failed:invalid (group-blocked pairing")
+    assert err.count("\n") == 1
+    assert len(out.read_text().splitlines()) == 1
     # a power sweep writes a labeled row for each of its 4 x 2 failed runs
     out = tmp_path / "power.csv"
     assert cli_main(["--sweep", "power", "--config", table2, "--seeds", "2",
@@ -848,9 +845,3 @@ def test_cli_report_exit_code_counts_failed_runs(tmp_path, capsys):
     assert len(rows) == 8
     assert all(",failed:invalid (group-blocked pairing" in row for row in rows)
 
-
-def test_cli_report_convergence(tmp_path):
-    out = tmp_path / "conv.csv"
-    code = cli_main(["--report", "convergence", "--seeds", "1", "--out", str(out)])
-    assert code == 0
-    assert out.exists()
