@@ -184,19 +184,15 @@ def _energy_efficiency(sum_rate_bps: float, cfg: SystemConfig) -> float:
 
 def _hybridize(bf_digital: sm.BeamformerSet, cfg: SystemConfig,
                rng: np.random.Generator) -> tuple[sm.BeamformerSet, int]:
-    """Factor a digital set into RF/baseband parts and compose F_R F_B and each
-    W_R W_B once; returns the hybrid set and the max alternation count."""
+    """Factor a digital set into RF/baseband parts, the transmit matrix in one
+    call and the (K, N_U, zeta) combiner stack in another, and compose F_R F_B
+    and every W_R W_B once; returns the hybrid set and the max alternation
+    count."""
     tx = hf.factor(bf_digital.tx, cfg.m_bs, rng=rng)
     f_bb = hf.normalize_power(tx.f_rf, tx.f_bb, cfg.power_w)
-    rf, combiners = [tx.f_rf], []
-    s2 = tx.alternations
-    for w in bf_digital.combiners:
-        rx = hf.factor(w, cfg.m_ue, rng=rng)
-        rf.append(rx.f_rf)
-        combiners.append(rx.f_rf @ rx.f_bb)
-        s2 = max(s2, rx.alternations)
-    return sm.BeamformerSet(tx=tx.f_rf @ f_bb, combiners=np.stack(combiners),
-                            rf=tuple(rf)), s2
+    rx = hf.factor(bf_digital.combiners, cfg.m_ue, rng=rng)
+    return sm.BeamformerSet(tx=tx.f_rf @ f_bb, combiners=rx.f_rf @ rx.f_bb,
+                            rf=(tx.f_rf, *rx.f_rf)), max(tx.alternations, rx.alternations)
 
 
 def _failure(exc: Exception) -> str:
@@ -270,8 +266,10 @@ def _run(baseline: str, cfg: SystemConfig, rng: np.random.Generator,
         if hybrid:
             bf, s2 = _hybridize(bf, cfg, rng)
         report = sm.sum_rate(bf, h_eff, cfg, groups)
-        if not 0.0 <= report.sum_rate < math.inf:
-            raise ValueError(f"sum rate {report.sum_rate!r} is not finite and >= 0")
+        # with power and a nonzero channel the rate is positive: 0.0 means
+        # the cascaded gains underflowed, and is no result either
+        if not 0.0 < report.sum_rate < math.inf:
+            raise ValueError(f"sum rate {report.sum_rate!r} is not finite and > 0")
         if not sm.check_constraints(bf, cfg, nu).ok():
             args["status"] = "failed:constraint-violation"
         elif not nulling:

@@ -5,7 +5,9 @@ manifold, reusing the phase-optimizer's tangent projection and retraction)
 with the least-squares baseband update ``F_B = pinv(F_R) B``. With at least
 twice as many RF chains as target columns no alternation is needed: the
 two-phase split writes an exact ``F_R`` and ``F_B`` in closed form. The same
-:func:`factor` serves the transmit beamformer and every receive combiner.
+:func:`factor` serves the transmit beamformer and the ``(K, N_U, zeta)``
+stack of every receive combiner: a stack is P independent problems of one
+shape, run by one engine in lockstep.
 
 Bit-exact contract, for the phase-copy start and the alternation only: the
 iterates (gradient, tangent projection, Barzilai-Borwein step, retraction,
@@ -19,6 +21,22 @@ commutes with every rounding of the product, so the gradient keeps its bits.
 The Armijo objective ``q`` is compared only. The closed-form split is outside
 the contract: only the rate evaluation follows it, which does not amplify a
 last-bit change.
+
+Stacks: every matrix of a stack gets the iterates, residual trace and stop of
+a lone call on it, bit for bit, and the generator ends where P lone calls in
+stack order leave it. Each matrix keeps its own step length, backtracking and
+inner and outer stop; one that stops leaves the stack, which is compacted,
+not masked. This rests on rules measured on numpy 2.4.6 with one BLAS thread,
+each equal to its per-matrix form over 3,000 random stacks of 4: batched
+``matmul``; stacked ``np.linalg.pinv``; ``np.add.reduce(x, (1, 2))``
+against ``np.add.reduce(x_i, None)``; division by, and multiplication with,
+a ``(P, 1, 1)`` complex array of real values against the Python float; and
+one ``rng.uniform(size=(P, n, r))`` draw against P draws of ``(n, r)``. The
+norms stay per matrix, and ``q`` and the Armijo scalars stay Python floats
+per matrix, because their ``** 2`` is libm ``pow``, which numpy's square is
+not. A target is copied once so that each of its matrices is contiguous in
+its own memory order, the layout a compacted stack has, and every matrix
+meets the same ``matmul`` kernel alone or stacked.
 """
 
 from __future__ import annotations
@@ -65,30 +83,39 @@ class FactorSettings:
 
 @dataclass
 class FactorResult:
+    """The factors of a matrix, or of every matrix of a stack.
+
+    For a ``(P, n, cols)`` stack, ``f_rf`` and ``f_bb`` are stacks too,
+    ``residuals`` holds one trace per matrix, and ``alternations`` is the
+    most any matrix ran.
+    """
+
     f_rf: np.ndarray
     f_bb: np.ndarray
-    residuals: list[float] = field(default_factory=list)
+    residuals: list = field(default_factory=list)
     alternations: int = 0
 
     @property
     def final_residual(self) -> float:
+        """The last relative residual of a lone matrix."""
         return self.residuals[-1] if self.residuals else math.inf
 
 
 def _phase_copy_init(b: np.ndarray, n_rf: int, rng: np.random.Generator) -> np.ndarray:
-    """Phase-copy warm start from B's leading columns; random phases fill gaps."""
-    n, cols = b.shape
-    x = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (n, n_rf)))
-    take = min(cols, n_rf)
-    lead = b[:, :take]
+    """Phase-copy warm start from B's leading columns, for a matrix or a
+    stack; random phases fill gaps."""
+    x = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, b.shape[:-1] + (n_rf,)))
+    take = min(b.shape[-1], n_rf)
+    lead = b[..., :take]
     nz = np.abs(lead) > 0.0
-    x[:, :take][nz] = lead[nz] / np.abs(lead[nz])
+    x[..., :take][nz] = lead[nz] / np.abs(lead[nz])
     return x
 
 
 def _two_phase_split(b: np.ndarray, n_rf: int,
                      rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Exact factorization ``B = F_R F_B`` in closed form when ``n_rf >= 2 * cols``.
+    """Exact factorization ``B = F_R F_B`` of a matrix, or of every matrix of
+    a stack, in closed form when ``n_rf >= 2 * cols``.
 
     Every complex entry v with |v| <= 2c splits as c(e^{j(a+t)} + e^{j(a-t)})
     with a = arg v and t = arccos(|v| / 2c). With 2c the peak modulus of
@@ -102,21 +129,22 @@ def _two_phase_split(b: np.ndarray, n_rf: int,
     holds the peak at row i, and the partner column keeps its random draw. A
     zero column keeps both draws and a zero ``F_B`` column.
     """
-    n, cols = b.shape
-    x = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, (n, n_rf)))
+    cols = b.shape[-1]
+    x = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, b.shape[:-1] + (n_rf,)))
     mag = np.abs(b)
-    peak = mag.max(axis=0)
+    peak = mag.max(axis=-2, keepdims=True)
     live = peak > 0.0
     ratio = np.clip(mag / np.where(live, peak, 1.0), 0.0, 1.0)
-    split = live & (ratio.min(axis=0) < 1.0 - _EQUAL_MODULUS)
+    split = live & (ratio.min(axis=-2, keepdims=True) < 1.0 - _EQUAL_MODULUS)
     ang = np.angle(b)
     t = np.where(split, np.arccos(ratio), 0.0)
+    pair = slice(cols, 2 * cols)
+    x[..., :cols] = np.where(live, np.exp(1j * (ang + t)), x[..., :cols])
+    x[..., pair] = np.where(split, np.exp(1j * (ang - t)), x[..., pair])
     idx = np.arange(cols)
-    x[:, idx[live]] = np.exp(1j * (ang + t))[:, live]
-    x[:, cols + idx[split]] = np.exp(1j * (ang - t))[:, split]
-    f_bb = np.zeros((n_rf, cols), dtype=np.complex128)
-    f_bb[idx, idx] = np.where(split, peak / 2.0, peak)
-    f_bb[cols + idx[split], idx[split]] = peak[split] / 2.0
+    f_bb = np.zeros(b.shape[:-2] + (n_rf, cols), dtype=np.complex128)
+    f_bb[..., idx, idx] = np.where(split, peak / 2.0, peak)[..., 0, :]
+    f_bb[..., cols + idx, idx] = np.where(split, peak / 2.0, 0.0)[..., 0, :]
     return x, f_bb
 
 
@@ -131,15 +159,20 @@ def _fro_norm(m: np.ndarray) -> float:
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
-def _rf_descent(x: np.ndarray, f_bb: np.ndarray, b: np.ndarray,
-                scale: float, resid: np.ndarray) -> np.ndarray:
-    """Armijo-safeguarded manifold descent on the RF entries, F_B fixed.
+def _fro_norms(m: np.ndarray) -> list[float]:
+    """:func:`_fro_norm` of every matrix of a stack."""
+    return [_fro_norm(mi) for mi in m]
 
-    Minimizes ``q(X) = ||B - X F_B||_F^2 / scale`` with ``scale = ||B||_F^2``,
-    starting from ``X`` and its residual ``resid = B - X F_B``.
-    Trial steps use the Barzilai-Borwein spectral length from the previous
-    accepted pair; plain steepest descent stalls well above the factorable
-    floor on these strongly coupled blocks.
+
+def _rf_descent(x: np.ndarray, f_bb: np.ndarray, b: np.ndarray,
+                scale: list[float], resid: np.ndarray) -> np.ndarray:
+    """Armijo-safeguarded manifold descent on the RF entries of a stack, F_B fixed.
+
+    Minimizes each ``q(X) = ||B - X F_B||_F^2 / scale`` with
+    ``scale = ||B||_F^2``, starting from ``X`` and its residual
+    ``resid = B - X F_B``. Trial steps use the Barzilai-Borwein spectral
+    length from the previous accepted pair; plain steepest descent stalls
+    well above the factorable floor on these strongly coupled blocks.
 
     Iterate arithmetic follows the module's bit-exact contract. The gradient
     is the Wirtinger gradient (2 d/dX*) of ``||B - X F_B||_F^2``,
@@ -147,47 +180,102 @@ def _rf_descent(x: np.ndarray, f_bb: np.ndarray, b: np.ndarray,
     the caller (for the start) or the accepted Armijo trial already computed,
     and the tangent projection, BB step and retraction keep their operation
     order. ``q`` enters only comparisons.
+
+    The matrices step in lockstep. Each backtracks on its own step until its
+    own Armijo test passes, and the retries run on those still failing only.
+    A matrix whose descent ends writes its iterate to the result and leaves
+    the stack.
     """
+    out = x.copy()
+    rows = np.arange(len(x))      # the row of ``out`` of each matrix still descending
     # the gradient's -2, folded into F_B^H once (see the module's contract)
-    f_bb_h2 = -2.0 * f_bb.conj().T
-    q_cur = _fro_norm(resid) ** 2 / scale
+    f_bb_h2 = (-2.0 * f_bb.conj()).transpose(0, 2, 1)
+    # the divisors, and the trial steps of several matrices, as a complex
+    # array, which divides and multiplies as each matrix's Python float does
+    scales = np.array(scale, dtype=np.complex128).reshape(-1, 1, 1)
+    q_cur = [nrm ** 2 / s for nrm, s in zip(_fro_norms(resid), scale)]
     x_prev = grad_prev = None
-    step_trial = _INITIAL_STEP
+    step_trial = [_INITIAL_STEP] * len(x)
     for _ in range(_INNER_STEPS):
-        grad = resid @ f_bb_h2 / scale
+        n_live = len(x)
+        grad = resid @ f_bb_h2 / scales
         rgrad = tangent_project(grad, x)
-        gnorm_sq = float(np.add.reduce(np.abs(rgrad) ** 2, None))
-        if gnorm_sq < 1e-30:
-            break
+        gnorm_sq = np.add.reduce(np.abs(rgrad) ** 2, (1, 2)).tolist()
         if x_prev is not None:
             s = x - x_prev
-            denom = abs(float(np.add.reduce((s * (rgrad - grad_prev).conj()).real, None)))
-            if denom > 1e-300:
-                step_trial = float(np.add.reduce(np.abs(s) ** 2, None)) / denom
-        step = step_trial
+            denom = np.add.reduce((s * (rgrad - grad_prev).conj()).real, (1, 2)).tolist()
+            s_sq = np.add.reduce(np.abs(s) ** 2, (1, 2)).tolist()
+            for i, d in enumerate(denom):
+                if abs(d) > 1e-300:
+                    step_trial[i] = s_sq[i] / abs(d)
+        step = list(step_trial)
+        q_new = [None] * n_live   # the accepted trial's q; None ends the descent
+        trial = [i for i, g in enumerate(gnorm_sq) if not g < 1e-30]
+        x_new = resid_new = None
         for _ in range(_MAX_BACKTRACKS + 1):
-            cand = retract(x - step * rgrad)
-            cand_resid = b - cand @ f_bb
-            q_cand = _fro_norm(cand_resid) ** 2 / scale
-            if q_cand <= q_cur - _ARMIJO_C * step * gnorm_sq:
+            if not trial:
                 break
-            step *= _SHRINK
-        else:  # no trial step passed the Armijo test
-            break
-        x_prev, grad_prev = x, rgrad
-        drop = q_cur - q_cand
-        x, resid, q_cur = cand, cand_resid, q_cand
-        if drop < _INNER_REL_DROP * max(q_cur, 1e-300):
-            break
-    return x
+            if len(trial) == n_live:
+                x_t, rgrad_t, b_t, f_t = x, rgrad, b, f_bb
+            else:
+                # a slice view for one matrix, a copy for several; either
+                # keeps every matrix's layout, and so its matmul kernel
+                sub = slice(trial[0], trial[0] + 1) if len(trial) == 1 else np.array(trial)
+                x_t, rgrad_t, b_t, f_t = x[sub], rgrad[sub], b[sub], f_bb[sub]
+            if len(trial) == 1:
+                steps = step[trial[0]]
+            else:
+                steps = np.array([step[i] for i in trial], dtype=np.complex128).reshape(-1, 1, 1)
+            cand = retract(x_t - steps * rgrad_t)
+            cand_resid = b_t - cand @ f_t
+            if len(trial) == n_live:   # no matrix has passed yet
+                x_new, resid_new = cand, cand_resid
+            elif x_new is None:
+                x_new, resid_new = x.copy(), resid.copy()
+            failed = []
+            for j, (i, nrm) in enumerate(zip(trial, _fro_norms(cand_resid))):
+                q_cand = nrm ** 2 / scale[i]
+                if q_cand <= q_cur[i] - _ARMIJO_C * step[i] * gnorm_sq[i]:
+                    q_new[i] = q_cand
+                    if cand is not x_new:
+                        x_new[i], resid_new[i] = cand[j], cand_resid[j]
+                else:
+                    step[i] *= _SHRINK
+                    failed.append(i)
+            trial = failed
+        # a vanished gradient, a failed line search or a step that gained
+        # too little ends that matrix's descent
+        going = []
+        for i, q in enumerate(q_new):
+            if q is None:
+                out[rows[i]] = x[i]
+                continue
+            drop = q_cur[i] - q
+            q_cur[i] = q
+            if drop < _INNER_REL_DROP * max(q, 1e-300):
+                out[rows[i]] = x_new[i]
+            else:
+                going.append(i)
+        if not going:
+            return out
+        x_prev, grad_prev, x, resid = x, rgrad, x_new, resid_new
+        if len(going) < n_live:
+            keep = np.array(going)
+            rows, x, resid, x_prev, grad_prev, f_bb, f_bb_h2, b, scales = (
+                a[keep] for a in (rows, x, resid, x_prev, grad_prev, f_bb, f_bb_h2, b, scales))
+            q_cur, step_trial, scale = ([v[i] for i in going] for v in (q_cur, step_trial, scale))
+    out[rows] = x
+    return out
 
 
 def factor(b: np.ndarray, n_rf: int, settings: FactorSettings | None = None,
            rng: np.random.Generator | None = None) -> FactorResult:
     """Alternating constant-modulus factorization ``B ~ F_R F_B``.
 
-    Serves both the transmit beamformer and each receive combiner; no power
-    constraint applies here (see :func:`normalize_power`). The
+    ``b`` is one ``(n, cols)`` matrix or a ``(P, n, cols)`` stack, factored as
+    P lone calls in stack order would factor it (see the module's contract).
+    Serves the transmit beamformer and the stack of receive combiners; no
+    power constraint applies here (see :func:`normalize_power`). The
     relative-residual trace is non-increasing: the manifold steps are
     Armijo-guarded and the baseband update is the exact least squares. When
     ``n_rf >= 2 * cols`` (``init_mode="auto"``) the closed-form split is exact
@@ -196,39 +284,56 @@ def factor(b: np.ndarray, n_rf: int, settings: FactorSettings | None = None,
     st = settings or FactorSettings()
     rng = rng or np.random.default_rng(0)
     b = np.asarray(b, dtype=np.complex128)
-    if b.ndim != 2 or b.size == 0:
-        raise ValueError("empty target matrix")
+    if b.ndim not in (2, 3) or b.size == 0:
+        raise ValueError("need a nonempty target matrix or stack of matrices")
     if n_rf < 1:
         raise ValueError("need at least one RF chain")
-    b_norm = _fro_norm(b)
-    if not 0.0 < b_norm < math.inf:   # zero, or a nan or inf entry
-        raise ValueError(f"target matrix norm {b_norm!r} must be finite and > 0")
-    scale = max(b_norm ** 2, 1e-300)
-    if st.init_mode == "auto" and n_rf >= 2 * b.shape[1]:
-        x, f_bb = _two_phase_split(b, n_rf, rng)
+    stack = b.reshape((-1,) + b.shape[-2:])
+    # a copy whose matrices are each contiguous in their own memory order,
+    # which is how every compacted stack below lays them out
+    stack = stack[np.arange(len(stack))]
+    b_norm = _fro_norms(stack)
+    for norm in b_norm:
+        if not 0.0 < norm < math.inf:   # zero, or a nan or inf entry
+            raise ValueError(f"target matrix norm {norm!r} must be finite and > 0")
+    scale = [max(norm ** 2, 1e-300) for norm in b_norm]
+    if st.init_mode == "auto" and n_rf >= 2 * stack.shape[2]:
+        x, f_bb = _two_phase_split(stack, n_rf, rng)
     else:
-        x = _phase_copy_init(b, n_rf, rng)
-        f_bb = np.linalg.pinv(x) @ b
-    resid = b - x @ f_bb
-    residuals = [_fro_norm(resid) / b_norm]
+        x = _phase_copy_init(stack, n_rf, rng)
+        f_bb = np.linalg.pinv(x) @ stack
+    resid = stack - x @ f_bb
+    residuals = [[r / norm] for r, norm in zip(_fro_norms(resid), b_norm)]
     alternations = 0
-    if residuals[0] > _FLOOR:
-        for alternations in range(1, st.max_alternations + 1):
-            x_new = _rf_descent(x, f_bb, b, scale, resid)
-            f_new = np.linalg.pinv(x_new) @ b
-            r_new = b - x_new @ f_new
-            res = _fro_norm(r_new) / b_norm
-            prev = residuals[-1]
+    act = [i for i, trace in enumerate(residuals) if trace[0] > _FLOOR]
+    x_a, f_a, r_a, b_a = (a[act] for a in (x, f_bb, resid, stack))
+    for it in range(1, st.max_alternations + 1):
+        if not act:
+            break
+        x_new = _rf_descent(x_a, f_a, b_a, [scale[i] for i in act], r_a)
+        f_new = np.linalg.pinv(x_new) @ b_a
+        r_new = b_a - x_new @ f_new
+        taken, going = [], []
+        for j, (i, nrm) in enumerate(zip(act, _fro_norms(r_new))):
+            res = nrm / b_norm[i]
+            prev = residuals[i][-1]
             if res > prev:
                 # Rounding plateau: keep the incumbent rather than log an uptick.
-                alternations -= 1
-                break
-            x, f_bb, resid = x_new, f_new, r_new
-            residuals.append(res)
-            if res <= _FLOOR or prev - res <= _TOL * max(prev, 1e-300):
-                break
-    return FactorResult(f_rf=x, f_bb=f_bb, residuals=residuals,
-                        alternations=alternations)
+                alternations = max(alternations, it - 1)
+                continue
+            taken.append(j)
+            residuals[i].append(res)
+            alternations = it
+            if not (res <= _FLOOR or prev - res <= _TOL * max(prev, 1e-300)):
+                going.append(j)
+        rows = [act[j] for j in taken]
+        x[rows], f_bb[rows] = x_new[taken], f_new[taken]
+        act = [act[j] for j in going]
+        x_a, f_a, r_a, b_a = (a[going] for a in (x_new, f_new, r_new, b_a))
+    if b.ndim == 2:
+        return FactorResult(f_rf=x[0], f_bb=f_bb[0], residuals=residuals[0],
+                            alternations=alternations)
+    return FactorResult(f_rf=x, f_bb=f_bb, residuals=residuals, alternations=alternations)
 
 
 def normalize_power(f_rf: np.ndarray, f_bb: np.ndarray, p_watts: float) -> np.ndarray:

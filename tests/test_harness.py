@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import io
 import json
 import math
 import weakref
@@ -410,7 +411,7 @@ def test_unknown_baseline_rejected(desk_cfg):
         harness.run_baseline("f", desk_cfg, np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("rate", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("rate", [math.nan, math.inf, -1.0, 0.0])
 def test_meaningless_rate_yields_failure_record(desk_cfg, monkeypatch, rate):
     sum_rate = harness.sm.sum_rate
     monkeypatch.setattr(harness.sm, "sum_rate", lambda *a: dataclasses.replace(
@@ -711,6 +712,24 @@ def test_cli_help_still_exits_0(capsys):
         cli_main(["--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: simulate")
+
+
+def test_cli_zero_rate_runs_fail_as_invalid(tmp_path):
+    # a 3000 dB reference loss passes the config, and every cascaded gain
+    # underflows; those runs wrote ok rows of 0.0 bit/s and exited 0
+    doc = dataclasses.asdict(harness.DESK_CONFIG)
+    doc["los_pathloss_db"] = 3000
+    path = tmp_path / "los_3000.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.csv"
+    code = cli_main(["--config", str(path), "--seeds", "1", "--baselines", "proposed,a,b",
+                     "--out", str(out)])
+    assert code == 2
+    rows = list(csv.DictReader(io.StringIO(out.read_text())))
+    assert len(rows) == 3
+    for row in rows:
+        assert row["status"] == "failed:invalid (sum rate 0.0 is not finite and > 0)"
+        assert float(row["sum_rate_bps"]) == 0.0
 
 
 def test_cli_partial_failure_exit_code(tmp_path):

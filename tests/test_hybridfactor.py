@@ -186,9 +186,10 @@ def test_two_phase_split_is_exact_without_pseudo_inverse(monkeypatch, n_rf):
             np.linalg.norm(b - res.f_rf @ res.f_bb) / np.linalg.norm(b), res.residuals[0],
             rtol=0, atol=1e-15)
     assert calls == []
-    # the phase-copy start still takes the least-squares baseband
+    # the phase-copy start still takes the least-squares baseband, of a lone
+    # target as a stack of one
     hf.factor(random_complex(np.random.default_rng(1), 8, 3), 5, rng=np.random.default_rng(2))
-    assert calls[0] == (8, 5)
+    assert calls[0] == (1, 8, 5)
 
 
 @pytest.mark.parametrize("rows, cols, n_rf", [(8, 3, 6), (16, 2, 7), (16, 4, 6)])
@@ -404,3 +405,99 @@ def test_hybrid_reproduces_digital_rate(desk_cfg):
     assert abs(hybrid_rate - digital_rate) / digital_rate < 0.05
     rep = sm.check_constraints(hybrid, desk_cfg, nu)
     assert rep.ok()
+
+
+def _stack_targets(rng, rows, cols, n_rf):
+    # two random targets, an exact-at-start one (unit-modulus columns, which
+    # the phase copy writes into F_R) and a planted one
+    return np.stack([random_complex(rng, rows, cols), unit_modulus(rng, rows, cols),
+                     random_complex(rng, rows, cols), planted(rng, rows, n_rf - 1, cols)])
+
+
+@pytest.mark.parametrize("fortran", [False, True])
+@pytest.mark.parametrize("init_mode, n_rf, cols, cap, stops", [
+    # every alternating matrix reaches the floor, each at its own alternation
+    ("phase_copy", 8, 4, 60, "alternation"),
+    # fewer than 2*cols chains, so the phase copy; matrices end descents at
+    # different inner steps, and the cap stops them all
+    ("auto", 3, 2, 12, "inner step"),
+    # the exact split for every matrix
+    ("auto", 8, 4, 60, None),
+])
+def test_stacked_factor_equals_lone_calls_in_stack_order(monkeypatch, fortran, init_mode,
+                                                         n_rf, cols, cap, stops):
+    # each matrix of the stack must get what a lone call made in stack order
+    # on one generator gives it, bit for bit, and leave the generator there
+    st = hf.FactorSettings(max_alternations=cap, init_mode=init_mode)
+    stack = _stack_targets(np.random.default_rng(300), 16, cols, n_rf)
+    if fortran:
+        stack = np.asfortranarray(stack)
+    rng = np.random.default_rng(301)
+    lone = [hf.factor(b, n_rf, st, rng=rng) for b in stack]
+    lone_state = rng.bit_generator.state
+    # the stack size at each gradient, per descent
+    sizes = []
+    descent = hf._rf_descent
+
+    def spy_descent(x, *args):
+        sizes.append([])
+        return descent(x, *args)
+
+    project = hf.tangent_project
+
+    def spy_project(grad, x):
+        sizes[-1].append(len(grad))
+        return project(grad, x)
+
+    monkeypatch.setattr(hf, "_rf_descent", spy_descent)
+    monkeypatch.setattr(hf, "tangent_project", spy_project)
+    rng = np.random.default_rng(301)
+    got = hf.factor(stack, n_rf, st, rng=rng)
+    assert rng.bit_generator.state == lone_state
+    assert got.f_rf.shape == (4, 16, n_rf) and got.f_bb.shape == (4, n_rf, cols)
+    for i, res in enumerate(lone):
+        assert np.array_equal(got.f_rf[i], res.f_rf)
+        assert np.array_equal(got.f_bb[i], res.f_bb)
+        assert got.residuals[i] == res.residuals
+    runs = [len(res.residuals) - 1 for res in lone]
+    assert got.alternations == max(runs)
+    if stops is None:
+        assert runs == [0] * 4 and sizes == []
+        return
+    # the exact matrix never alternates, beside matrices that do
+    assert runs[1] == 0 and min(runs[0], runs[2], runs[3]) > 0, runs
+    if stops == "alternation":
+        assert len(set(runs)) == 4 and max(runs) < cap, runs
+    else:
+        # some matrices leave a descent while the rest of the stack goes on
+        assert runs == [0 if i == 1 else cap for i in range(4)], runs
+        assert any(len(set(s)) > 1 for s in sizes)
+
+
+@pytest.mark.parametrize("n_rf", [4, 3])
+def test_stacked_factor_rejects_a_non_finite_matrix_before_drawing(n_rf):
+    stack = random_complex(np.random.default_rng(8), 3 * 16, 2).reshape(3, 16, 2)
+    stack[2, 5, 0] = np.nan
+    rng = np.random.default_rng(9)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match="must be finite"):
+        hf.factor(stack, n_rf, rng=rng)
+    assert rng.bit_generator.state == state
+
+
+def test_hybridize_factors_the_transmit_matrix_and_the_combiner_stack(desk_cfg, monkeypatch):
+    calls = []
+    factor = hf.factor
+
+    def spy(b, n_rf, *args, **kwargs):
+        calls.append((b.shape, n_rf))
+        return factor(b, n_rf, *args, **kwargs)
+
+    monkeypatch.setattr(hf, "factor", spy)
+    rng = np.random.default_rng(10)
+    chset = ch.generate_channels(desk_cfg, rng)
+    h_eff = ch.effective_channels(chset, ch.random_phase_vector(desk_cfg.n_irs, rng), desk_cfg)
+    bf, _ = bd.build_beamformers(h_eff, desk_cfg.groups(), desk_cfg)
+    harness._hybridize(bf, desk_cfg, rng)
+    assert calls == [((desk_cfg.n_bs, desk_cfg.h_groups * desk_cfg.zeta), desk_cfg.m_bs),
+                     ((desk_cfg.k_users, desk_cfg.n_ue, desk_cfg.zeta), desk_cfg.m_ue)]
