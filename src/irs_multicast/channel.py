@@ -192,9 +192,15 @@ class SystemConfig:
         if not longest * longest < math.inf:
             raise ConfigError(f"{name} gives a link of {longest} m, whose squared length "
                               "overflows")
-        if fspl_amplitude(longest, self.los_pathloss_db) == 0.0:
+        los_amp = fspl_amplitude(longest, self.los_pathloss_db)
+        if los_amp == 0.0:
             raise ConfigError(f"los_pathloss_db of {self.los_pathloss_db} gives the {longest} m "
                               "link a LOS amplitude of 0")
+        # the scatterers' amplitude as _draw_link scales it; at 0 every link
+        # is rank 1 and no BD layout is feasible
+        if los_amp * 10.0 ** (-self.nlos_backoff_db / 20.0) == 0.0:
+            raise ConfigError(f"nlos_backoff_db of {self.nlos_backoff_db} gives the {longest} m "
+                              "link a scatterer amplitude of 0")
 
     @property
     def power_w(self) -> float:

@@ -37,6 +37,24 @@ per matrix, because their ``** 2`` is libm ``pow``, which numpy's square is
 not. A target is copied once so that each of its matrices is contiguous in
 its own memory order, the layout a compacted stack has, and every matrix
 meets the same ``matmul`` kernel alone or stacked.
+
+Ladders: a matrix that fails the first trial of a step tries its next
+``_LADDER`` halvings at once, one broadcast ``X - t G`` over an
+``(L, w, 1, 1)`` step array for the w failing matrices, one normalization
+and one ``(L, w, n, r) @ (w, r, c)`` product, and walks its own rungs in
+order up to the first Armijo pass; the step one halving per round would
+take. This rests on three more rules. Repeated halving is exact: rung k is
+built by the same k ``* 0.5`` on a Python float as k failed trials. The
+broadcast ladder product equals each rung's per-matrix product, measured
+like the stack rules above, over 3,000 random ladders. The gradient is
+divided by ``scale`` as numpy's complex division by a real does it, by
+multiplying its float64 view with the reciprocal (the phase optimizer's
+rule). The descent retracts with ``retract_unchecked``: a zero or
+non-finite entry of a trial turns into a nan in that trial's residual norm,
+and the walk, which takes a rung's norm only when it reaches the rung,
+raises the ``retraction singularity`` of :func:`phaseopt.retract` on it. A
+discarded rung is never read, and the descent runs under an
+``np.errstate`` that keeps its divisions silent.
 """
 
 from __future__ import annotations
@@ -46,7 +64,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .phaseopt import retract, tangent_project
+from .phaseopt import retract_unchecked, tangent_project
 
 __all__ = [
     "FactorSettings",
@@ -69,6 +87,7 @@ _INITIAL_STEP = 1.0
 _SHRINK = 0.5
 _ARMIJO_C = 1e-4
 _MAX_BACKTRACKS = 60
+_LADDER = 6             # halvings a step that fails its first trial tries at once
 
 
 @dataclass(frozen=True)
@@ -164,6 +183,9 @@ def _fro_norms(m: np.ndarray) -> list[float]:
     return [_fro_norm(mi) for mi in m]
 
 
+# a zero or non-finite entry of a trial divides 0/0 in its normalization,
+# silently; the walk raises on the trials it reaches
+@np.errstate(divide="ignore", invalid="ignore")
 def _rf_descent(x: np.ndarray, f_bb: np.ndarray, b: np.ndarray,
                 scale: list[float], resid: np.ndarray) -> np.ndarray:
     """Armijo-safeguarded manifold descent on the RF entries of a stack, F_B fixed.
@@ -182,23 +204,24 @@ def _rf_descent(x: np.ndarray, f_bb: np.ndarray, b: np.ndarray,
     order. ``q`` enters only comparisons.
 
     The matrices step in lockstep. Each backtracks on its own step until its
-    own Armijo test passes, and the retries run on those still failing only.
-    A matrix whose descent ends writes its iterate to the result and leaves
-    the stack.
+    own Armijo test passes; the retries run on those still failing only, a
+    ladder of halvings per round (see the module's contract). A matrix whose
+    descent ends writes its iterate to the result and leaves the stack.
     """
     out = x.copy()
     rows = np.arange(len(x))      # the row of ``out`` of each matrix still descending
-    # the gradient's -2, folded into F_B^H once (see the module's contract)
+    # the gradient's -2, folded into F_B^H once, and its divisors as
+    # reciprocals (see the module's contract)
     f_bb_h2 = (-2.0 * f_bb.conj()).transpose(0, 2, 1)
-    # the divisors, and the trial steps of several matrices, as a complex
-    # array, which divides and multiplies as each matrix's Python float does
-    scales = np.array(scale, dtype=np.complex128).reshape(-1, 1, 1)
+    inv_scales = np.array([1.0 / s for s in scale]).reshape(-1, 1, 1)
     q_cur = [nrm ** 2 / s for nrm, s in zip(_fro_norms(resid), scale)]
     x_prev = grad_prev = None
     step_trial = [_INITIAL_STEP] * len(x)
     for _ in range(_INNER_STEPS):
         n_live = len(x)
-        grad = resid @ f_bb_h2 / scales
+        grad = resid @ f_bb_h2
+        re_im = grad.view(np.float64)
+        re_im *= inv_scales        # grad / scale, bit for bit
         rgrad = tangent_project(grad, x)
         gnorm_sq = np.add.reduce(np.abs(rgrad) ** 2, (1, 2)).tolist()
         if x_prev is not None:
@@ -212,37 +235,58 @@ def _rf_descent(x: np.ndarray, f_bb: np.ndarray, b: np.ndarray,
         q_new = [None] * n_live   # the accepted trial's q; None ends the descent
         trial = [i for i, g in enumerate(gnorm_sq) if not g < 1e-30]
         x_new = resid_new = None
-        for _ in range(_MAX_BACKTRACKS + 1):
-            if not trial:
-                break
-            if len(trial) == n_live:
+        tries = _MAX_BACKTRACKS + 1   # the trials left to each matrix in ``trial``
+        rungs = 1                     # the first trial alone, then ladders
+        while trial and tries:
+            rungs = min(rungs, tries)
+            tries -= rungs
+            whole = len(trial) == n_live   # no matrix has passed yet
+            if whole:
                 x_t, rgrad_t, b_t, f_t = x, rgrad, b, f_bb
             else:
                 # a slice view for one matrix, a copy for several; either
                 # keeps every matrix's layout, and so its matmul kernel
                 sub = slice(trial[0], trial[0] + 1) if len(trial) == 1 else np.array(trial)
                 x_t, rgrad_t, b_t, f_t = x[sub], rgrad[sub], b[sub], f_bb[sub]
-            if len(trial) == 1:
-                steps = step[trial[0]]
+            # rung k of matrix i holds step[i] halved k times, as k failed
+            # trials in a row would have left it
+            ladder = [[step[i] for i in trial]]
+            for _ in range(rungs - 1):
+                ladder.append([t * _SHRINK for t in ladder[-1]])
+            if rungs > 1:
+                steps = np.array(ladder, dtype=np.complex128).reshape(rungs, -1, 1, 1)
+            elif len(trial) > 1:   # a lone rung keeps the stack's shape
+                steps = np.array(ladder[0], dtype=np.complex128).reshape(-1, 1, 1)
             else:
-                steps = np.array([step[i] for i in trial], dtype=np.complex128).reshape(-1, 1, 1)
-            cand = retract(x_t - steps * rgrad_t)
+                steps = ladder[0][0]
+            cand = retract_unchecked(x_t - steps * rgrad_t)
             cand_resid = b_t - cand @ f_t
-            if len(trial) == n_live:   # no matrix has passed yet
-                x_new, resid_new = cand, cand_resid
+            if rungs == 1:
+                cand, cand_resid = cand[None], cand_resid[None]
+            if whole:
+                x_new, resid_new = cand[0], cand_resid[0]
             elif x_new is None:
                 x_new, resid_new = x.copy(), resid.copy()
             failed = []
-            for j, (i, nrm) in enumerate(zip(trial, _fro_norms(cand_resid))):
-                q_cand = nrm ** 2 / scale[i]
-                if q_cand <= q_cur[i] - _ARMIJO_C * step[i] * gnorm_sq[i]:
-                    q_new[i] = q_cand
-                    if cand is not x_new:
-                        x_new[i], resid_new[i] = cand[j], cand_resid[j]
-                else:
+            for j, i in enumerate(trial):
+                # walk the rungs in order up to the first Armijo pass; the
+                # rest are discarded unread
+                for k in range(rungs):
+                    nrm = _fro_norm(cand_resid[k, j])
+                    if math.isnan(nrm):   # a zero or non-finite entry in cand[k, j]
+                        raise ValueError(
+                            "retraction singularity: zero-magnitude or non-finite entry")
+                    q_cand = nrm ** 2 / scale[i]
+                    if q_cand <= q_cur[i] - _ARMIJO_C * step[i] * gnorm_sq[i]:
+                        q_new[i] = q_cand
+                        if k or not whole:
+                            x_new[i], resid_new[i] = cand[k, j], cand_resid[k, j]
+                        break
                     step[i] *= _SHRINK
+                else:
                     failed.append(i)
             trial = failed
+            rungs = _LADDER
         # a vanished gradient, a failed line search or a step that gained
         # too little ends that matrix's descent
         going = []
@@ -261,8 +305,8 @@ def _rf_descent(x: np.ndarray, f_bb: np.ndarray, b: np.ndarray,
         x_prev, grad_prev, x, resid = x, rgrad, x_new, resid_new
         if len(going) < n_live:
             keep = np.array(going)
-            rows, x, resid, x_prev, grad_prev, f_bb, f_bb_h2, b, scales = (
-                a[keep] for a in (rows, x, resid, x_prev, grad_prev, f_bb, f_bb_h2, b, scales))
+            rows, x, resid, x_prev, grad_prev, f_bb, f_bb_h2, b, inv_scales = (
+                a[keep] for a in (rows, x, resid, x_prev, grad_prev, f_bb, f_bb_h2, b, inv_scales))
             q_cur, step_trial, scale = ([v[i] for i in going] for v in (q_cur, step_trial, scale))
     out[rows] = x
     return out

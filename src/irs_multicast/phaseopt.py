@@ -52,6 +52,7 @@ __all__ = [
     "euclidean_grad",
     "tangent_project",
     "retract",
+    "retract_unchecked",
     "optimize_phases",
 ]
 
@@ -242,13 +243,28 @@ def retract(nu_bar: np.ndarray) -> np.ndarray:
     """Element-wise normalization back onto the unit-modulus manifold.
 
     Entries already on the circle to within a few ulp pass through unchanged,
-    which makes the retraction exactly idempotent.
+    which makes the retraction exactly idempotent. A zero-magnitude or
+    non-finite entry raises a ``retraction singularity`` ValueError; the
+    normalization itself is :func:`retract_unchecked`, for a caller that
+    checks what it uses of the result instead.
     """
     mags = _abs(nu_bar)
     # a zero or nan magnitude fails the lower bound, an infinite one the
     # upper; bare ufunc reductions, since every line-search trial retracts
     if not (_min_reduce(mags, None) >= 1e-300 and _max_reduce(mags, None) < math.inf):
         raise ValueError("retraction singularity: zero-magnitude or non-finite entry")
+    return retract_unchecked(nu_bar, mags)
+
+
+def retract_unchecked(nu_bar: np.ndarray, mags: np.ndarray | None = None) -> np.ndarray:
+    """:func:`retract` without its singularity check, given ``|nu_bar|`` or not.
+
+    The same bits wherever :func:`retract` returns. A zero-magnitude or
+    non-finite entry comes out nan, and numpy warns of an invalid division
+    unless the caller's ``np.errstate`` ignores it.
+    """
+    if mags is None:
+        mags = _abs(nu_bar)
     on_circle = _abs(mags - 1.0) <= _CIRCLE_TOL
     return _where(on_circle, nu_bar, nu_bar / mags)
 

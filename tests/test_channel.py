@@ -117,11 +117,12 @@ def test_config_validation(desk_cfg):
                        ("group_sizes", 2), ("group_sizes", None)):
         with pytest.raises(ch.ConfigError, match=f"^{field} "):
             dataclasses.replace(desk_cfg, **{field: bad})
-    # a gain at 1 m, scatterers stronger than the LOS ray, a LOS amplitude of
-    # 0 on the longest link, and links whose squared length overflows, named
-    # by the field that sets most of their length
+    # a gain at 1 m, scatterers stronger than the LOS ray, a LOS or scatterer
+    # amplitude of 0 on the longest link, and links whose squared length
+    # overflows, named by the field that sets most of their length
     for field, bad in (("los_pathloss_db", -400.0), ("nlos_backoff_db", -1e-9),
-                       ("los_pathloss_db", 7000.0), ("bs_pos", (1e200, 0.0, 0.0)),
+                       ("los_pathloss_db", 7000.0), ("nlos_backoff_db", 7000.0),
+                       ("bs_pos", (1e200, 0.0, 0.0)),
                        ("user_center", (1e200, 0.0, 0.0)), ("user_radius", 1e300)):
         with pytest.raises(ch.ConfigError, match=f"^{field} "):
             dataclasses.replace(desk_cfg, **{field: bad})

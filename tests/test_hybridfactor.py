@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -483,6 +484,102 @@ def test_stacked_factor_rejects_a_non_finite_matrix_before_drawing(n_rf):
     with pytest.raises(ValueError, match="must be finite"):
         hf.factor(stack, n_rf, rng=rng)
     assert rng.bit_generator.state == state
+
+
+def _rf_limited_target(shape):
+    # the transmit matrix (16 x 4, six chains) or the combiner stack (four
+    # 16 x 2, three chains) of the rf_limited benchmark: fewer than 2*cols
+    # chains, so every matrix alternates
+    rng = np.random.default_rng(400 + len(shape))
+    return random_complex(rng, math.prod(shape[:-1]), shape[-1]).reshape(shape)
+
+
+@pytest.mark.parametrize("shape, n_rf", [((16, 4), 6), ((4, 16, 2), 3)])
+def test_ladder_length_leaves_factor_bit_identical(monkeypatch, shape, n_rf):
+    # the halvings a failing matrix tries at once change the work, never the
+    # iterates: one halving per round, two, and the default give equal bits
+    st = hf.FactorSettings(max_alternations=20)
+    b = _rf_limited_target(shape)
+    rounds = []   # the trial rounds of each step, per ladder length
+    project, normalize = hf.tangent_project, hf.retract_unchecked
+
+    def spy_project(grad, x):
+        rounds[-1].append(0)
+        return project(grad, x)
+
+    def spy_normalize(nu_bar):
+        rounds[-1][-1] += 1
+        return normalize(nu_bar)
+
+    monkeypatch.setattr(hf, "tangent_project", spy_project)
+    monkeypatch.setattr(hf, "retract_unchecked", spy_normalize)
+    results = []
+    for ladder in (1, 2, hf._LADDER):
+        monkeypatch.setattr(hf, "_LADDER", ladder)
+        rounds.append([])
+        rng = np.random.default_rng(17)
+        results.append((hf.factor(b, n_rf, st, rng=rng), rng.bit_generator.state))
+    (ref, ref_state), *others = results
+    assert ref.alternations == st.max_alternations
+    for got, state in others:
+        assert np.array_equal(got.f_rf, ref.f_rf)
+        assert np.array_equal(got.f_bb, ref.f_bb)
+        assert got.residuals == ref.residuals
+        assert state == ref_state
+    # with the default ladder some step fails its first trial and a whole
+    # ladder after it, and needs a second ladder
+    assert max(rounds[-1]) >= 3
+    assert sum(rounds[0]) > sum(rounds[1]) > sum(rounds[-1])
+
+
+@pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
+@pytest.mark.parametrize("shape, n_rf", [((16, 4), 6), ((4, 16, 2), 3)])
+def test_a_discarded_singular_rung_neither_raises_nor_warns(monkeypatch, bad, shape, n_rf):
+    # a ladder of every halving left: its last rung, the 60th halving, is
+    # never reached, since by then a trial step no longer moves X and
+    # passes. Zeroing (or worse) one of its entries must change nothing.
+    st = hf.FactorSettings(max_alternations=10)
+    b = _rf_limited_target(shape)
+    monkeypatch.setattr(hf, "_LADDER", hf._MAX_BACKTRACKS)
+    want = hf.factor(b, n_rf, st, rng=np.random.default_rng(5))
+    normalize = hf.retract_unchecked
+    ladders = []
+
+    def corrupt_last_rung(nu_bar):
+        if nu_bar.ndim == 4:
+            assert len(nu_bar) == hf._MAX_BACKTRACKS
+            nu_bar[-1, :, 0, 0] = bad
+            ladders.append(nu_bar.shape[1])
+        return normalize(nu_bar)
+
+    monkeypatch.setattr(hf, "retract_unchecked", corrupt_last_rung)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = hf.factor(b, n_rf, st, rng=np.random.default_rng(5))
+    assert ladders
+    assert np.array_equal(got.f_rf, want.f_rf)
+    assert np.array_equal(got.f_bb, want.f_bb)
+    assert got.residuals == want.residuals
+
+
+@pytest.mark.parametrize("first", [True, False])
+@pytest.mark.parametrize("bad", [0.0, np.inf, np.nan])
+@pytest.mark.parametrize("shape, n_rf", [((16, 4), 6), ((4, 16, 2), 3)])
+def test_a_reached_singular_trial_raises(monkeypatch, first, bad, shape, n_rf):
+    # the first trial of the last matrix, or the first rung of the first
+    # ladder, which a matrix that failed its first trial always reaches
+    normalize = hf.retract_unchecked
+
+    def corrupt(nu_bar):
+        if (nu_bar.ndim == 4) != first:
+            nu_bar[(0,) * (nu_bar.ndim - 3) + (-1, 0, 0)] = bad
+        return normalize(nu_bar)
+
+    monkeypatch.setattr(hf, "retract_unchecked", corrupt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="retraction singularity"):
+            hf.factor(_rf_limited_target(shape), n_rf, rng=np.random.default_rng(5))
 
 
 def test_hybridize_factors_the_transmit_matrix_and_the_combiner_stack(desk_cfg, monkeypatch):
