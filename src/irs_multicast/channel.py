@@ -15,6 +15,7 @@ import dataclasses
 import json
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,12 +137,6 @@ class SystemConfig:
             if not 0.0 < value < math.inf:
                 raise ConfigError(f"{name}={getattr(self, name)} gives a linear value that "
                                   "overflows or is 0")
-        # every SINR scale of the coupling surrogate is this times path gains
-        gain = self.g_tx_lin * self.g_rx_lin
-        snr_scale = self.power_w / self.noise_w * gain * gain
-        if not 0.0 < snr_scale < math.inf:
-            raise ConfigError(f"SNR scale power_w*g_tx_lin^2*g_rx_lin^2/noise_w = {snr_scale!r}"
-                              " must be finite and > 0")
         if self.bw_hz <= 0:
             raise ConfigError(f"bw_hz must be positive, got {self.bw_hz}")
         object.__setattr__(self, "seed", _integer("seed", self.seed))
@@ -183,24 +178,7 @@ class SystemConfig:
         for name in ("los_pathloss_db", "nlos_backoff_db"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
-        # the longest link, named by the field that sets most of its length
-        center = math.dist(self.user_center, self.irs_pos)
-        longest, name = max(
-            (math.dist(self.bs_pos, self.irs_pos), "bs_pos"),
-            (center + self.user_radius,
-             "user_center" if center >= self.user_radius else "user_radius"))
-        if not longest * longest < math.inf:
-            raise ConfigError(f"{name} gives a link of {longest} m, whose squared length "
-                              "overflows")
-        los_amp = fspl_amplitude(longest, self.los_pathloss_db)
-        if los_amp == 0.0:
-            raise ConfigError(f"los_pathloss_db of {self.los_pathloss_db} gives the {longest} m "
-                              "link a LOS amplitude of 0")
-        # the scatterers' amplitude as _draw_link scales it; at 0 every link
-        # is rank 1 and no BD layout is feasible
-        if los_amp * 10.0 ** (-self.nlos_backoff_db / 20.0) == 0.0:
-            raise ConfigError(f"nlos_backoff_db of {self.nlos_backoff_db} gives the {longest} m "
-                              "link a scatterer amplitude of 0")
+        _link_budget(self)
 
     @property
     def power_w(self) -> float:
@@ -226,6 +204,63 @@ class SystemConfig:
             out.append(tuple(range(start, start + size)))
             start += size
         return tuple(out)
+
+
+# float64's normal range in log10: a power beyond it overflows, or loses
+# precision and then underflows to 0
+_LOG10_NORMAL = (math.log10(sys.float_info.min), math.log10(sys.float_info.max))
+
+
+def _link_budget(cfg: SystemConfig) -> None:
+    """Refuse a config whose cascaded per-stream powers leave float64's
+    normal range, naming the field that sets most of the loss (or gain).
+
+    The budget is a sum of log10 power terms, one per field: the antenna
+    gains, the array scales ``sqrt(N_B M / Y)`` and ``sqrt(M N_U / L)``, the
+    LOS loss ``los_pathloss_db + 20 log10(max(d, 1))`` dB of each link, as
+    ``_draw_link`` forms it, and for the weakest stream the scatterers'
+    ``nlos_backoff_db`` on both links. The weakest stream takes the longest
+    BS and user links, the strongest the LOS rays on the nearest user link.
+    A link whose squared length overflows has a power of 0. Each stream's
+    channel power ``|alpha beta|^2``, its received power at ``P / (H zeta)``,
+    the SNR scale ``P / (|G_h| H zeta sigma^2)``, their product, the
+    surrogate's ``b``, and the gradient coefficient ``bw_hz 2 b / ln 2`` must
+    each stay in range.
+    """
+    lo, hi = _LOG10_NORMAL
+    center = math.dist(cfg.user_center, cfg.irs_pos)
+
+    def link(length: float) -> float:
+        return -2.0 * math.log10(max(length, 1.0)) if length * length < math.inf else -math.inf
+
+    channel = {"g_tx_dbi": cfg.g_tx_dbi / 10.0, "g_rx_dbi": cfg.g_rx_dbi / 10.0,
+               "n_irs": math.log10(cfg.n_bs * cfg.n_irs / cfg.paths_y)
+               + math.log10(cfg.n_irs * cfg.n_ue / cfg.paths_l),
+               "los_pathloss_db": -cfg.los_pathloss_db / 5.0,
+               "bs_pos": link(math.dist(cfg.bs_pos, cfg.irs_pos))}
+    per_stream = (cfg.power_dbm - 30.0) / 10.0 - math.log10(cfg.h_groups * cfg.zeta)
+    grad = math.log10(2.0 * cfg.bw_hz / math.log(2.0))
+    weak = {**channel, "nlos_backoff_db": -cfg.nlos_backoff_db / 5.0,
+            "user_center" if center >= cfg.user_radius else "user_radius":
+            link(center + cfg.user_radius)}
+    strong = {**channel, "user_center": link(max(center - cfg.user_radius, 0.0))}
+    for stream, side, size in ((weak, "weakest", max(cfg.group_sizes)),
+                               (strong, "strongest", min(cfg.group_sizes))):
+        scale = {"power_dbm": per_stream, "noise_dbm": (30.0 - cfg.noise_dbm) / 10.0,
+                 "group_sizes": -math.log10(size)}
+        for what, terms in (("channel power", stream),
+                            ("received power", {**stream, "power_dbm": per_stream}),
+                            ("SNR scale", scale),
+                            ("SNR", {**stream, **scale}),
+                            ("gradient coefficient", {**stream, **scale, "bw_hz": grad})):
+            total = sum(terms.values())
+            if lo <= total <= hi:
+                continue
+            pick, sets = (min, "loss") if total < lo else (max, "gain")
+            name = pick(terms, key=terms.get)
+            raise ConfigError(f"{name} of {getattr(cfg, name)!r} sets most of the {sets} of "
+                              f"the {side} stream's {what}: log10 {total:.1f} is outside "
+                              f"float64's normal range [{lo:.1f}, {hi:.1f}]")
 
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(SystemConfig)}
@@ -398,8 +433,11 @@ def _path_sum(gains: np.ndarray, left: np.ndarray, right: np.ndarray,
               scale: float) -> np.ndarray:
     """``scale * sum_p g_p left_p right_p^H`` over the path rows, in path order."""
     h = np.zeros((left.shape[1], right.shape[1]), dtype=np.complex128)
-    for g, a, b in zip(gains, left, right):
-        h += g * np.outer(a, b.conj())
+    term = np.empty_like(h)    # each path's g_p left_p right_p^H, in one buffer
+    for g, a, b in zip(gains, left, np.conj(right)):
+        np.multiply(a[:, None], b[None, :], out=term)
+        np.multiply(g, term, out=term)
+        h += term
     return scale * h
 
 

@@ -10,14 +10,17 @@ Bit-exact contract: the descent is chaotic (a 1e-15 relative change of the
 objective moves ~20% of full-scale sweep rates by more than 1e-9), so the
 stacked objective and gradient reproduce the per-stream scalar loops they
 replaced bit for bit, and tests hold them to those loops. Measured on
-numpy 2.4, four rules keep them so:
+numpy 2.4, these rules keep them so:
 
-- stream moduli are ``np.hypot(d.real, d.imag)``, which equals the builtin
-  ``abs()`` of a complex scalar; array ``np.abs`` and ``np.abs`` of a numpy
-  scalar differ from it in the last bit on about 35% of entries;
+- stream moduli are the builtin ``abs()`` of each Python complex, which
+  equals ``np.hypot(d.real, d.imag)``; array ``np.abs`` and ``np.abs`` of a
+  numpy scalar differ from it in the last bit on about 35% of entries;
 - they are squared as Python floats with ``** 2`` (libm ``pow``, as for a
   numpy float scalar); ``x * x``, ``np.square`` and ``np.power(a, 2.0)``
   differ on about 0.1% of entries;
+- the stream terms ``1.0 + b * s`` and the gradient's ``1.0 / den`` are
+  Python floats, equal to the array forms ``1.0 + b * sq`` and
+  ``1.0 / den`` they replaced;
 - rates take ``math.log2`` of Python floats, summed per user in stream
   order; array ``np.log2`` differs on 0.01-0.06% of entries, depending on
   the inputs;
@@ -26,10 +29,23 @@ numpy 2.4, four rules keep them so:
   by the divisor's reciprocal. So the gradient scales its float64 view in
   place by ``1 / den`` and the descent by ``1 / bw_hz``: the same bits
   without the complex division. Dividing each component by the divisor
-  differs on about 25% of entries.
+  differs on about 25% of entries;
+- the gradient rows are stored negated: negation commutes exactly with the
+  complex product, the reciprocal scale and the axis-0 sum, so the sum of
+  the negated terms is the negated sum.
 
-The gradient terms are one stacked product in the loops' operation order,
-summed over streams along axis 0, which adds them in the loops' order too.
+``test_stream_rules_on_python_floats_equal_the_array_forms`` checks the
+moduli, the terms, the reciprocals and the negated rows against their array
+forms over 3,000 random draws, and ``test_real_divisor_is_the_reciprocal_product``
+the reciprocal scale. The gradient terms are one stacked product in the
+loops' operation order, summed over streams along axis 0, which adds them
+in the loops' order too.
+
+Each phase point is evaluated once: ``objective_f`` and ``euclidean_grad``
+share one memo on the coupling set, keyed by the values of ``nu`` and ``b``
+(dtype, shape and bytes). It holds the stream gains, their terms and each
+group's bottleneck user, so the gradient at an accepted point reuses the
+line search's evaluation; a new ``b`` also drops the stored gradient rows.
 """
 
 from __future__ import annotations
@@ -91,15 +107,17 @@ class CouplingSet:
     zeta: int
     bw_hz: float
     groups: tuple              # the layout it was built for, members sorted
-    # The last (key, value) of _stream_rates: the descent evaluates each
-    # accepted point twice, by objective_f in the line search and by
-    # euclidean_grad at the next iteration. Keyed by the values it reads, b
-    # and d, never by object ids; dataclasses.replace starts a new memo.
-    _rates_memo: list = field(default_factory=lambda: [None, None], init=False,
-                              repr=False, compare=False)
-    # euclidean_grad's stream rows per tuple of bottleneck users: b and the
-    # gradient coefficients bw_hz * (2 b / ln 2) * c, each entry the loops'
-    # product, formed once per coupling set and users.
+    # The last [key, value] of _evaluate: the descent evaluates each accepted
+    # point twice, by objective_f in the line search and by euclidean_grad at
+    # the next iteration. Keyed by the values it reads, nu and b, never by
+    # object ids; c and bw_hz are fixed per set, and dataclasses.replace
+    # starts a new memo.
+    _memo: list = field(default_factory=lambda: [None, None], init=False,
+                        repr=False, compare=False)
+    # euclidean_grad's rows per tuple of bottleneck users: the flat stream
+    # index and the negated gradient coefficients -bw_hz * (2 b / ln 2) * c,
+    # each entry the loops' product, formed once per coupling set, b and
+    # users (a new b clears them).
     _grad_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
 
@@ -168,45 +186,60 @@ def sigma_approx(coupling: CouplingSet, nu: np.ndarray) -> np.ndarray:
     return d
 
 
-def _stream_rates(coupling: CouplingSet, d: np.ndarray) -> tuple[np.ndarray, list[float]]:
-    """Squared stream gains ``|d|^2`` (K, zeta) and each user's rate in
-    bit/s/Hz, ``sum_i log2(1 + b_i |d_i|^2)`` summed in stream order.
-
-    The result is shared with the next call on equal ``b`` and ``d``; callers
-    only read it.
-    """
-    memo = coupling._rates_memo
-    key = (d.shape, coupling.b.tobytes(), d.tobytes())
-    if key == memo[0]:
-        return memo[1]
-    sq = np.array([m ** 2 for m in np.hypot(d.real, d.imag).ravel().tolist()]).reshape(d.shape)
-    sq.flags.writeable = False
-    terms = (1.0 + coupling.b * sq).tolist()
+def _stream_rates(b: np.ndarray, d: np.ndarray) -> tuple[list, list, list]:
+    """Squared stream gains ``|d|^2``, the terms ``1 + b |d|^2`` (both flat,
+    row-major lists of Python floats) and each row's rate in bit/s/Hz,
+    ``sum_i log2(term_i)`` summed in stream order."""
+    sq = [abs(z) ** 2 for z in d.ravel().tolist()]
+    terms = [1.0 + bi * s for bi, s in zip(b.ravel().tolist(), sq)]
+    width = d.shape[-1]
     rates = []
-    for row in terms:
+    for start in range(0, len(terms), width):
         rate = 0.0
-        for t in row:
+        for t in terms[start:start + width]:
             rate += math.log2(t)
         rates.append(rate)
-    memo[:] = key, (sq, rates)
-    return sq, rates
+    return sq, terms, rates
 
 
 def _pick(groups, rates: list[float]) -> list[tuple[int, float]]:
     """Per group: (bottleneck user, its rate); ties go to the lowest index."""
     out = []
     for members in groups:
-        k = min(members, key=lambda j: (rates[j], j))
+        k = members[0] if len(members) == 1 else min(members, key=lambda j: (rates[j], j))
         out.append((k, rates[k]))
     return out
+
+
+def _evaluate(coupling: CouplingSet, nu: np.ndarray) -> tuple:
+    """The stream gains ``d`` (K, zeta) at ``nu``, the flat terms
+    ``1 + b |d|^2``, each group's bottleneck user and the sum of their rates.
+
+    The layout is the coupling set's, which every caller has checked; a
+    bottleneck pick does not depend on member order. The result is shared
+    with the next call on equal ``nu`` and ``b``; callers only read it.
+    """
+    memo = coupling._memo
+    b = coupling.b
+    key = (nu.dtype, nu.shape, nu.tobytes(), b.tobytes())
+    last = memo[0]
+    if key == last:
+        return memo[1]
+    if last is None or key[3] != last[3]:
+        coupling._grad_rows.clear()
+    d = _stream_gains(coupling, nu)
+    d.flags.writeable = False
+    _, terms, rates = _stream_rates(b, d)
+    picks = _pick(coupling.groups, rates)
+    value = d, terms, tuple([k for k, _ in picks]), sum(rate for _, rate in picks)
+    memo[:] = key, value
+    return value
 
 
 def objective_f(coupling: CouplingSet, nu: np.ndarray, groups) -> float:
     """Negated approximate sum rate (bit/s): the quantity descent minimizes."""
     _check_layout(coupling, groups)
-    rates = _stream_rates(coupling, _stream_gains(coupling, nu))[1]
-    total = sum(rate for _, rate in _pick(groups, rates))
-    return -coupling.bw_hz * total
+    return -coupling.bw_hz * _evaluate(coupling, nu)[3]
 
 
 def euclidean_grad(coupling: CouplingSet, nu: np.ndarray, groups) -> np.ndarray:
@@ -216,20 +249,19 @@ def euclidean_grad(coupling: CouplingSet, nu: np.ndarray, groups) -> np.ndarray:
     min); C^ii nu is evaluated through the rank-1 structure c (c^H nu).
     """
     _check_layout(coupling, groups)
-    d = _stream_gains(coupling, nu)
-    sq, rates = _stream_rates(coupling, d)
-    users = [k for k, _ in _pick(groups, rates)]
-    key = tuple(users)
-    if key not in coupling._grad_rows:
-        b_sel = coupling.b[users].ravel()
+    d, terms, users, _ = _evaluate(coupling, nu)
+    rows = coupling._grad_rows.get(users)
+    if rows is None:
+        flat = [k * coupling.zeta + i for k in users for i in range(coupling.zeta)]
+        b_sel = coupling.b[list(users)].ravel()
         coef = coupling.bw_hz * (2.0 * b_sel / LN2)
-        coupling._grad_rows[key] = b_sel, coef[:, None] * coupling.c[users].reshape(len(b_sel), -1)
-    b_sel, gc_sel = coupling._grad_rows[key]
-    den = 1.0 + b_sel * sq[users].ravel()
-    terms = gc_sel * np.conj(d[users].ravel())[:, None]
-    re_im = terms.view(np.float64)
-    re_im *= (1.0 / den)[:, None]    # terms / den[:, None], bit for bit
-    return -_add_reduce(terms, 0)
+        gc = coef[:, None] * coupling.c[list(users)].reshape(len(flat), -1)
+        rows = coupling._grad_rows[users] = flat, np.array(flat), np.negative(gc)
+    flat, idx, neg_gc = rows
+    out = neg_gc * np.conj(d.take(idx))[:, None]
+    re_im = out.view(np.float64)
+    re_im *= np.array([1.0 / terms[j] for j in flat])[:, None]    # / den, bit for bit
+    return _add_reduce(out, 0)
 
 
 def tangent_project(grad: np.ndarray, nu: np.ndarray) -> np.ndarray:
@@ -297,11 +329,7 @@ def optimize_phases(coupling: CouplingSet, groups, nu0: np.ndarray) -> OptimizeR
     nu = retract(np.asarray(nu0, dtype=np.complex128).copy())
     w = coupling.bw_hz
     inv_w = 1.0 / w
-
-    def f_norm(x):
-        return objective_f(coupling, x, groups) / w
-
-    f_cur = f_norm(nu)
+    f_cur = objective_f(coupling, nu, groups) / w
     trace: list[TraceRow] = []
     converged = False
     nu_prev = rgrad_prev = None
@@ -310,7 +338,7 @@ def optimize_phases(coupling: CouplingSet, groups, nu0: np.ndarray) -> OptimizeR
         grad = euclidean_grad(coupling, nu, groups)
         re_im = grad.view(np.float64)
         re_im *= inv_w    # grad / w, bit for bit
-        rgrad = tangent_project(grad, nu)
+        rgrad = grad - (grad * nu.conj()).real * nu    # tangent_project, inline
         gnorm_sq = float(_add_reduce(_abs(rgrad) ** 2, None))
         gnorm = math.sqrt(gnorm_sq)
         if gnorm < 1e-14:
@@ -332,7 +360,7 @@ def optimize_phases(coupling: CouplingSet, groups, nu0: np.ndarray) -> OptimizeR
         backtracks = 0
         for backtracks in range(_MAX_BACKTRACKS + 1):
             cand = retract(nu - step * rgrad)
-            f_cand = f_norm(cand)
+            f_cand = objective_f(coupling, cand, groups) / w
             if f_cand <= f_cur - _ARMIJO_C * step * gnorm_sq:
                 accepted = True
                 f_new = f_cand

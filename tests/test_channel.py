@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import CONFIG_DIR, user_paths
 from irs_multicast import channel as ch
+from irs_multicast import harness
 
 angles = st.floats(-np.pi / 2, np.pi / 2, allow_nan=False)
 
@@ -99,10 +100,10 @@ def test_config_validation(desk_cfg):
                        ("noise_dbm", -4000.0), ("power_dbm", -4000.0), ("g_rx_dbi", -8000.0)):
         with pytest.raises(ch.ConfigError, match=f"{field}=.* overflows or is 0"):
             dataclasses.replace(desk_cfg, **{field: bad})
-    # each dB field is fine, but the SNR scale P*G_t^2*G_r^2/sigma^2 of the
-    # rates overflows, or underflows to 0
+    # each dB field is fine, but the cascaded stream powers they scale
+    # overflow, or underflow to 0
     for field, bad in (("g_tx_dbi", 6000.0), ("g_rx_dbi", -6000.0)):
-        with pytest.raises(ch.ConfigError, match="SNR scale .* must be finite and > 0"):
+        with pytest.raises(ch.ConfigError, match=f"^{field} of .* normal range"):
             dataclasses.replace(desk_cfg, **{field: bad})
     for bw in (-1.0, 0.0):
         with pytest.raises(ch.ConfigError, match="bw_hz must be positive"):
@@ -117,22 +118,64 @@ def test_config_validation(desk_cfg):
                        ("group_sizes", 2), ("group_sizes", None)):
         with pytest.raises(ch.ConfigError, match=f"^{field} "):
             dataclasses.replace(desk_cfg, **{field: bad})
-    # a gain at 1 m, scatterers stronger than the LOS ray, a LOS or scatterer
-    # amplitude of 0 on the longest link, and links whose squared length
-    # overflows, named by the field that sets most of their length
+    # a gain at 1 m, scatterers stronger than the LOS ray, and losses that
+    # take the weakest stream below float64's normal range: a LOS or
+    # scatterer amplitude of 0 on the longest link, links whose squared length
+    # overflows, and the 1e150 m link that underflowed every rate to 0, each
+    # named by the field that sets most of the loss
     for field, bad in (("los_pathloss_db", -400.0), ("nlos_backoff_db", -1e-9),
                        ("los_pathloss_db", 7000.0), ("nlos_backoff_db", 7000.0),
+                       ("los_pathloss_db", 3000.0), ("bs_pos", (1e150, 0.0, 0.0)),
                        ("bs_pos", (1e200, 0.0, 0.0)),
                        ("user_center", (1e200, 0.0, 0.0)), ("user_radius", 1e300)):
         with pytest.raises(ch.ConfigError, match=f"^{field} "):
             dataclasses.replace(desk_cfg, **{field: bad})
     # the bounds themselves pass: no loss at 1 m, scatterers as strong as the
-    # LOS ray, and links whose square and LOS amplitude are finite and non-zero
+    # LOS ray, and a 1e150 m BS link at those losses, whose weakest stream
+    # power (~1e-296) is normal; a 1e150 m user link as well is not (~1e-593)
     dataclasses.replace(desk_cfg, los_pathloss_db=0.0, nlos_backoff_db=0.0,
-                        bs_pos=(1e150, 0.0, 0.0), user_radius=1e150)
+                        bs_pos=(1e150, 0.0, 0.0))
+    with pytest.raises(ch.ConfigError, match="^bs_pos .* channel power: log10 -592.9 "):
+        dataclasses.replace(desk_cfg, los_pathloss_db=0.0, nlos_backoff_db=0.0,
+                            bs_pos=(1e150, 0.0, 0.0), user_radius=1e150)
     # an integral float is a count, stored as an int
     cfg = dataclasses.replace(desk_cfg, n_bs=16.0)
     assert cfg == desk_cfg and type(cfg.n_bs) is int
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"los_pathloss_db": 3000.0}, "los_pathloss_db of 3000.0 sets most of the loss of the "
+                                  "weakest stream's channel power: log10 -601.9 "),
+    ({"power_dbm": -2950.0}, "power_dbm of -2950.0 sets most of the loss of the weakest "
+                             "stream's received power: log10 -312.8 "),
+    ({"power_dbm": 3000.0, "noise_dbm": -300.0}, "power_dbm of 3000.0 sets most of the gain "
+                                                 "of the weakest stream's SNR scale: "),
+    ({"noise_dbm": 3000.0}, "noise_dbm of 3000.0 sets most of the loss of the weakest "
+                            "stream's SNR: log10 -309.8 "),
+    ({"g_tx_dbi": 3000.0}, "g_tx_dbi of 3000.0 sets most of the gain of the strongest "
+                           "stream's gradient coefficient: log10 310.3 "),
+    ({"bw_hz": 1e305}, "bw_hz of 1e+305 sets most of the gain of the strongest stream's "
+                       "gradient coefficient: "),
+], ids=["channel", "received", "snr_scale", "snr", "gradient", "gradient_bw"])
+def test_link_budget_names_the_power_and_the_field_that_leave_the_normal_range(
+        desk_cfg, change, message):
+    # one log-domain budget of the cascaded per-stream powers, in the order
+    # the pipeline forms them; each of these configs passed the point checks
+    # it replaced and then failed its runs or wrote rates of 0
+    with pytest.raises(ch.ConfigError) as exc:
+        dataclasses.replace(desk_cfg, **change)
+    assert str(exc.value).startswith(message)
+    assert str(exc.value).endswith("is outside float64's normal range [-307.7, 308.3]")
+
+
+def test_link_budget_passes_every_preset_and_a_gain_its_runs_carry(desk_cfg):
+    for path in sorted(CONFIG_DIR.glob("*.json")) + [CONFIG_DIR.parent / "bench" / "rf_limited.json"]:
+        ch.load_config(path)
+    # 2900 dBi: every stage stays normal and the runs are ok, although the
+    # product P G_t^2 G_r^2 / sigma^2 the budget replaced is ~1e304
+    cfg = dataclasses.replace(desk_cfg, g_tx_dbi=2900.0)
+    rec = harness.run_baseline("proposed", cfg, np.random.default_rng(0))
+    assert rec.status == "ok" and math.isfinite(rec.sum_rate_bps) and rec.sum_rate_bps > 0
 
 
 def test_config_positions_are_three_reals_and_links_have_two_ends(desk_cfg):

@@ -605,6 +605,10 @@ def test_cli_config_error_exit_code(tmp_path):
     ({"irs_pos": [0.0, 148.0, True]}, "irs_pos"),
     ({"group_sizes": 2}, "group_sizes"),
     ({"group_sizes": None}, "group_sizes"),
+    # losses that underflow every cascaded gain wrote ok rows of 0.0 bit/s,
+    # and then failed every run as invalid
+    ({"los_pathloss_db": 3000}, "los_pathloss_db"),
+    ({"bs_pos": [1e150, 0, 0]}, "bs_pos"),
 ])
 def test_cli_config_no_run_can_use_is_a_config_error(tmp_path, capsys, change, field):
     doc = dataclasses.asdict(harness.DESK_CONFIG)
@@ -712,24 +716,6 @@ def test_cli_help_still_exits_0(capsys):
         cli_main(["--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: simulate")
-
-
-def test_cli_zero_rate_runs_fail_as_invalid(tmp_path):
-    # a 3000 dB reference loss passes the config, and every cascaded gain
-    # underflows; those runs wrote ok rows of 0.0 bit/s and exited 0
-    doc = dataclasses.asdict(harness.DESK_CONFIG)
-    doc["los_pathloss_db"] = 3000
-    path = tmp_path / "los_3000.json"
-    path.write_text(json.dumps(doc))
-    out = tmp_path / "out.csv"
-    code = cli_main(["--config", str(path), "--seeds", "1", "--baselines", "proposed,a,b",
-                     "--out", str(out)])
-    assert code == 2
-    rows = list(csv.DictReader(io.StringIO(out.read_text())))
-    assert len(rows) == 3
-    for row in rows:
-        assert row["status"] == "failed:invalid (sum rate 0.0 is not finite and > 0)"
-        assert float(row["sum_rate_bps"]) == 0.0
 
 
 def test_cli_partial_failure_exit_code(tmp_path):

@@ -378,7 +378,7 @@ def _reference_stream_gains(coupling, nu):
 
 def _bottlenecks(coupling, d, groups):
     """Per group: (bottleneck user, its rate) as objective_f picks them."""
-    return po._pick(groups, po._stream_rates(coupling, d)[1])
+    return po._pick(groups, po._stream_rates(coupling.b, d)[2])
 
 
 def _reference_bottlenecks(coupling, d, groups):
@@ -453,7 +453,8 @@ def test_stream_rates_bit_identical_on_many_gains(desk_cfg):
     shape = (5000, 4)
     d = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * rng.uniform(0, 3, shape)
     cs = dataclasses.replace(cs, b=rng.uniform(0.0, 1e3, shape))
-    sq, rates = po._stream_rates(cs, d)
+    sq, _, rates = po._stream_rates(cs.b, d)
+    sq = np.reshape(sq, shape)
     for k in range(shape[0]):
         rate = 0.0
         for i in range(shape[1]):
@@ -622,3 +623,94 @@ def test_kernels_read_no_stale_rates_across_coupling_sets(desk_cfg):
 
     for cfg in cfgs:
         check(po.coupling_vectors(chset, cfg, groups))
+
+
+# ---------------------------------------------------------------------------
+# One evaluation per phase point: the memo keyed by the values of nu and b
+# ---------------------------------------------------------------------------
+
+def _count_vecdot(monkeypatch):
+    calls = [0]
+    vecdot = np.vecdot
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return vecdot(*args, **kwargs)
+
+    monkeypatch.setattr(np, "vecdot", counted)
+    return calls
+
+
+def test_gradient_reuses_the_objectives_evaluation_at_equal_phases(monkeypatch,
+                                                                    multiuser_cfg):
+    _, cs, rng = make_coupling(multiuser_cfg, 420)
+    groups = multiuser_cfg.groups()
+    nu = unit_phases(multiuser_cfg.n_irs, rng)
+    calls = _count_vecdot(monkeypatch)
+    f = po.objective_f(cs, nu, groups)
+    assert calls == [1]
+    # another array of the same values, as the descent's accepted candidate is
+    grad = po.euclidean_grad(cs, nu.copy(), groups)
+    assert calls == [1]
+    assert f == _prior_objective(cs, nu, groups)
+    assert np.array_equal(grad, _prior_grad(cs, nu, groups))
+
+
+def test_gradient_after_an_in_place_change_of_the_phases(monkeypatch, multiuser_cfg):
+    _, cs, rng = make_coupling(multiuser_cfg, 421)
+    groups = multiuser_cfg.groups()
+    nu = unit_phases(multiuser_cfg.n_irs, rng)
+    calls = _count_vecdot(monkeypatch)
+    po.objective_f(cs, nu, groups)
+    nu[3] *= np.exp(0.4j)
+    grad = po.euclidean_grad(cs, nu, groups)
+    assert calls == [2]
+    assert np.array_equal(grad, _prior_grad(cs, nu, groups))
+
+
+@pytest.mark.parametrize("preset", ["desk", "desk_multiuser"])
+def test_gradient_after_an_in_place_change_of_b(preset):
+    # the stored gradient rows carry b, so a new b must replace them as well
+    cfg = ch.load_config(CONFIG_DIR / f"{preset}.json")
+    groups = cfg.groups()
+    _, cs, rng = make_coupling(cfg, 422)
+    nu = unit_phases(cfg.n_irs, rng)
+    po.euclidean_grad(cs, nu, groups)
+    for scale in (3.0, 0.25):
+        po.objective_f(cs, nu, groups)
+        cs.b[:, 0] *= scale
+        assert po.objective_f(cs, nu, groups) == _prior_objective(cs, nu, groups)
+        assert np.array_equal(po.euclidean_grad(cs, nu, groups), _prior_grad(cs, nu, groups))
+        cs.b[1, -1] *= scale
+        assert np.array_equal(po.euclidean_grad(cs, nu, groups), _prior_grad(cs, nu, groups))
+        assert po.objective_f(cs, nu, groups) == _prior_objective(cs, nu, groups)
+
+
+def test_stream_rules_on_python_floats_equal_the_array_forms():
+    # the contract's rules for the scalar stream terms and the negated
+    # gradient rows, each against the array form it replaced, over 3,000
+    # random draws of up to 8 streams on 16-256 elements
+    rng = np.random.default_rng(430)
+    for _ in range(3000):
+        n, m = int(rng.integers(1, 9)), int(rng.choice([16, 64, 256]))
+        d = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10.0 ** rng.uniform(-8, 8, n)
+        b = 10.0 ** rng.uniform(-12, 12, n)
+        gc = (rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))) \
+            * 10.0 ** rng.uniform(-6, 6, (n, 1))
+        # moduli: the builtin abs of each Python complex is np.hypot
+        mags = [abs(z) for z in d.tolist()]
+        assert mags == np.hypot(d.real, d.imag).tolist()
+        sq = [x ** 2 for x in mags]
+        # 1 + b|d|^2 and 1 / den on Python floats
+        terms = [1.0 + bi * s for bi, s in zip(b.tolist(), sq)]
+        den = 1.0 + b * np.array(sq)
+        assert terms == den.tolist()
+        recip = [1.0 / t for t in terms]
+        assert recip == (1.0 / den).tolist()
+        # negating the rows commutes with the product, the reciprocal scale
+        # and the axis-0 reduction
+        before = gc * np.conj(d)[:, None]
+        before.view(np.float64)[...] *= (1.0 / den)[:, None]
+        after = np.negative(gc) * np.conj(d)[:, None]
+        after.view(np.float64)[...] *= np.array(recip)[:, None]
+        assert (-np.add.reduce(before, 0)).tobytes() == np.add.reduce(after, 0).tobytes()
