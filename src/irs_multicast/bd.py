@@ -47,10 +47,9 @@ class BdDecomposition:
     v1: tuple[np.ndarray, ...]          # per user
 
 
-def decompose(h_eff: np.ndarray, groups, cfg: SystemConfig,
-              nulling: bool = True) -> BdDecomposition:
+def decompose(h_eff: np.ndarray, cfg: SystemConfig, nulling: bool = True) -> BdDecomposition:
     """Per-group null bases and per-user SVD factors (Lemma-1 raw material)
-    of the effective channels ``h_eff`` (K, N_U, N_B).
+    of the effective channels ``h_eff`` (K, N_U, N_B), on the config's groups.
 
     With ``nulling=False`` the inter-group null projection is dropped and
     each user's factors come from its raw effective channel.
@@ -61,13 +60,13 @@ def decompose(h_eff: np.ndarray, groups, cfg: SystemConfig,
         When a group has no null space left or a user's projected channel
         cannot carry ``zeta`` streams.
     """
-    group_of = validate_groups(groups, cfg)
+    group_of = validate_groups(None, cfg)
     zeta = cfg.zeta
     k_users, n_ue, n_bs = h_eff.shape
     v0s, v1 = [], [None] * k_users
     u1 = np.empty((k_users, n_ue, zeta), dtype=np.complex128)
     s1 = np.empty((k_users, zeta))
-    for h, members in enumerate(groups):
+    for h, members in enumerate(cfg.groups()):
         v0 = None
         if nulling:
             v0 = mk.nullspace_basis(h_eff[group_of != h].reshape(-1, n_bs))
@@ -102,17 +101,18 @@ def build_beamformers(h_eff: np.ndarray, groups, cfg: SystemConfig,
                       nulling: bool = True) -> tuple[BeamformerSet, BdDecomposition]:
     """Construct the fully digital Lemma-1 beamformers on the effective
     channels ``h_eff`` (:func:`~irs_multicast.channel.effective_channels` at
-    the phase vector).
+    the phase vector). ``groups`` must be the config's layout.
 
     Each group's block sums the V factors of its own members, at the
     per-stream power P/(H*zeta). The composed transmit matrix is then rescaled
     to meet the power budget exactly. ``nulling=False`` keeps every step but
     the inter-group null projection (the eigen-beamforming baselines d/e).
     """
-    decomp = decompose(h_eff, groups, cfg, nulling)
+    validate_groups(groups, cfg)
+    decomp = decompose(h_eff, cfg, nulling)
     p_stream = cfg.power_w / (cfg.h_groups * cfg.zeta)
     blocks = []
-    for h, members in enumerate(groups):
+    for h, members in enumerate(cfg.groups()):
         v = sum(decomp.v1[k] for k in members) / np.sqrt(len(members))
         if decomp.v0[h] is not None:
             v = decomp.v0[h] @ v
@@ -130,6 +130,8 @@ def bd_rate_closed_form(decomp: BdDecomposition, groups, cfg: SystemConfig) -> n
 
     ``R_k = W * log2 det(I + scale_k * S1^2)`` evaluated as a sum of scalar
     logs, with each user's :func:`~irs_multicast.signalmodel.stream_snr_scale`.
+    ``groups`` must be the config's layout.
     """
-    scale = stream_snr_scale(validate_groups(groups, cfg), cfg)
+    validate_groups(groups, cfg)
+    scale = stream_snr_scale(cfg)
     return cfg.bw_hz * np.sum(np.log2(1.0 + scale[:, None] * decomp.s1 ** 2), axis=1)

@@ -225,7 +225,9 @@ def _link_budget(cfg: SystemConfig) -> None:
     channel power ``|alpha beta|^2``, its received power at ``P / (H zeta)``,
     the SNR scale ``P / (|G_h| H zeta sigma^2)``, their product, the
     surrogate's ``b``, and the gradient coefficient ``bw_hz 2 b / ln 2`` must
-    each stay in range.
+    each stay in range. Last, the strongest stream's SNR, raised by a margin
+    ``(10 Y L)^2`` for a coherent sum of the paths, must reach 2^-53: below
+    it ``1 + b |d|^2`` rounds to 1 on every stream, and every rate is 0.
     """
     lo, hi = _LOG10_NORMAL
     center = math.dist(cfg.user_center, cfg.irs_pos)
@@ -248,11 +250,12 @@ def _link_budget(cfg: SystemConfig) -> None:
                                (strong, "strongest", min(cfg.group_sizes))):
         scale = {"power_dbm": per_stream, "noise_dbm": (30.0 - cfg.noise_dbm) / 10.0,
                  "group_sizes": -math.log10(size)}
+        snr = {**stream, **scale}
         for what, terms in (("channel power", stream),
                             ("received power", {**stream, "power_dbm": per_stream}),
                             ("SNR scale", scale),
-                            ("SNR", {**stream, **scale}),
-                            ("gradient coefficient", {**stream, **scale, "bw_hz": grad})):
+                            ("SNR", snr),
+                            ("gradient coefficient", {**snr, "bw_hz": grad})):
             total = sum(terms.values())
             if lo <= total <= hi:
                 continue
@@ -261,6 +264,15 @@ def _link_budget(cfg: SystemConfig) -> None:
             raise ConfigError(f"{name} of {getattr(cfg, name)!r} sets most of the {sets} of "
                               f"the {side} stream's {what}: log10 {total:.1f} is outside "
                               f"float64's normal range [{lo:.1f}, {hi:.1f}]")
+    # snr is the strongest stream's, from the loop's last pass
+    total = sum(snr.values())
+    floor = math.log10(2.0 ** -53) - 2.0 * math.log10(10.0 * cfg.paths_y * cfg.paths_l)
+    if total < floor:
+        name = min(snr, key=snr.get)
+        raise ConfigError(f"{name} of {getattr(cfg, name)!r} sets most of the loss of the "
+                          f"strongest stream's SNR: log10 {total:.1f} is below {floor:.1f}, "
+                          f"where 1 + SNR rounds to 1 even over a coherent sum of the "
+                          f"{cfg.paths_y} x {cfg.paths_l} paths")
 
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(SystemConfig)}

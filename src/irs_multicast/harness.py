@@ -233,7 +233,6 @@ def _run(baseline: str, cfg: SystemConfig, rng: np.random.Generator,
     t0 = time.perf_counter()
     shared = {} if shared is None else shared
     optimize, nulling, hybrid = SCHEMES[baseline]
-    groups = cfg.groups()
     args = dict(seed=seed, baseline=baseline, sweep_var=sweep_var,
                 sweep_value=sweep_value, sum_rate_bps=0.0,
                 s1_iters=0, s2_iters=0, energy_eff_bps_per_w=0.0, status="ok")
@@ -245,8 +244,8 @@ def _run(baseline: str, cfg: SystemConfig, rng: np.random.Generator,
         return chset, nu, rng.bit_generator.state
 
     def phases():
-        coupling = po.coupling_vectors(chset, cfg, groups)
-        opt = po.optimize_phases(coupling, groups, nu)
+        coupling = po.coupling_vectors(chset, cfg)
+        opt = po.optimize_phases(coupling, nu)
         return opt.nu, opt.iterations, opt.trace, po.sigma_approx(coupling, opt.nu)
 
     try:
@@ -261,11 +260,11 @@ def _run(baseline: str, cfg: SystemConfig, rng: np.random.Generator,
         h_key = cfg if optimize else (key, cfg.g_tx_dbi, cfg.g_rx_dbi)
         h_eff = _stage(shared, ("h_eff", h_key), lambda: effective_channels(chset, nu, cfg))
         bf, decomp = _stage(shared, ("bd", cfg, optimize, nulling),
-                            lambda: bd.build_beamformers(h_eff, groups, cfg, nulling))
+                            lambda: bd.build_beamformers(h_eff, cfg.groups(), cfg, nulling))
         s2 = 0
         if hybrid:
             bf, s2 = _hybridize(bf, cfg, rng)
-        report = sm.sum_rate(bf, h_eff, cfg, groups)
+        report = sm.sum_rate(bf, h_eff, cfg)
         # with power and a nonzero channel the rate is positive: 0.0 means
         # the cascaded gains underflowed, and is no result either
         if not 0.0 < report.sum_rate < math.inf:

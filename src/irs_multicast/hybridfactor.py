@@ -49,12 +49,12 @@ broadcast ladder product equals each rung's per-matrix product, measured
 like the stack rules above, over 3,000 random ladders. The gradient is
 divided by ``scale`` as numpy's complex division by a real does it, by
 multiplying its float64 view with the reciprocal (the phase optimizer's
-rule). The descent retracts with ``retract_unchecked``: a zero or
+rule). The retraction, :func:`phaseopt.retract`, checks nothing: a zero or
 non-finite entry of a trial turns into a nan in that trial's residual norm,
 and the walk, which takes a rung's norm only when it reaches the rung,
-raises the ``retraction singularity`` of :func:`phaseopt.retract` on it. A
-discarded rung is never read, and the descent runs under an
-``np.errstate`` that keeps its divisions silent.
+raises the ``retraction singularity`` there, as the phase descent raises
+it on a nan objective. A discarded rung is never read, and the descent
+runs under an ``np.errstate`` that keeps its divisions silent.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .phaseopt import retract_unchecked, tangent_project
+from .phaseopt import _SINGULARITY, retract, tangent_project
 
 __all__ = [
     "FactorSettings",
@@ -259,7 +259,7 @@ def _rf_descent(x: np.ndarray, f_bb: np.ndarray, b: np.ndarray,
                 steps = np.array(ladder[0], dtype=np.complex128).reshape(-1, 1, 1)
             else:
                 steps = ladder[0][0]
-            cand = retract_unchecked(x_t - steps * rgrad_t)
+            cand = retract(x_t - steps * rgrad_t)
             cand_resid = b_t - cand @ f_t
             if rungs == 1:
                 cand, cand_resid = cand[None], cand_resid[None]
@@ -274,8 +274,7 @@ def _rf_descent(x: np.ndarray, f_bb: np.ndarray, b: np.ndarray,
                 for k in range(rungs):
                     nrm = _fro_norm(cand_resid[k, j])
                     if math.isnan(nrm):   # a zero or non-finite entry in cand[k, j]
-                        raise ValueError(
-                            "retraction singularity: zero-magnitude or non-finite entry")
+                        raise ValueError(_SINGULARITY)
                     q_cand = nrm ** 2 / scale[i]
                     if q_cand <= q_cur[i] - _ARMIJO_C * step[i] * gnorm_sq[i]:
                         q_new[i] = q_cand

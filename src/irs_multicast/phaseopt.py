@@ -56,7 +56,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .channel import ChannelSet, SystemConfig
-from .signalmodel import stream_snr_scale, validate_groups
+from .signalmodel import _check_layout, stream_snr_scale, validate_groups
 
 __all__ = [
     "CouplingSet",
@@ -68,17 +68,17 @@ __all__ = [
     "euclidean_grad",
     "tangent_project",
     "retract",
-    "retract_unchecked",
     "optimize_phases",
 ]
 
 LN2 = math.log(2.0)
 # Distance from the unit circle within which retract() leaves an entry as is.
 _CIRCLE_TOL = 4.0 * np.finfo(float).eps
+# What a descent raises on a nan that retract() made.
+_SINGULARITY = "retraction singularity: zero-magnitude or non-finite entry"
 
 # Bare ufuncs and reductions of the per-iteration arithmetic, looked up once.
 _abs, _where, _add_reduce = np.abs, np.where, np.add.reduce
-_min_reduce, _max_reduce = np.minimum.reduce, np.maximum.reduce
 
 # Stopping rule and Armijo line search of the phase descent.
 _TOL = 1e-6             # stop on relative objective change below this
@@ -106,7 +106,7 @@ class CouplingSet:
     diag_cols: np.ndarray      # (K, zeta) BS-side column index per stream
     zeta: int
     bw_hz: float
-    groups: tuple              # the layout it was built for, members sorted
+    groups: tuple              # the config's layout, cfg.groups()
     # The last [key, value] of _evaluate: the descent evaluates each accepted
     # point twice, by objective_f in the line search and by euclidean_grad at
     # the next iteration. Keyed by the values it reads, nu and b, never by
@@ -147,23 +147,11 @@ def coupling_vectors(chset: ChannelSet, cfg: SystemConfig, groups=None) -> Coupl
     beta_sorted = np.take_along_axis(beta, order_b, axis=1)
     dep_vecs = np.take_along_axis(up.a_irs, order_b[:, :zeta, None], axis=1)
     cols = group_of[:, None] * zeta + np.arange(zeta)
-    scale = stream_snr_scale(group_of, cfg)
+    scale = stream_snr_scale(cfg)
     b = scale[:, None] * np.abs(alpha_sorted[cols] * beta_sorted[:, :zeta]) ** 2
     return CouplingSet(c=np.conj(dep_vecs) * arr_vecs[cols], b=b, alpha_eff=alpha_sorted,
                        beta_eff=beta_sorted, diag_cols=cols, zeta=zeta, bw_hz=cfg.bw_hz,
-                       groups=_layout(cfg.groups() if groups is None else groups))
-
-
-def _layout(groups) -> tuple:
-    return tuple(tuple(sorted(members)) for members in groups)
-
-
-def _check_layout(coupling: CouplingSet, groups) -> None:
-    """Refuse a group layout other than the coupling set's (member order
-    aside); a plain tuple comparison on the common call."""
-    if groups != coupling.groups and _layout(groups) != coupling.groups:
-        raise ValueError(f"groups {groups!r} are not the layout {coupling.groups!r} "
-                         "the coupling set was built for")
+                       groups=cfg.groups())
 
 
 def _stream_gains(coupling: CouplingSet, nu: np.ndarray) -> np.ndarray:
@@ -203,10 +191,10 @@ def _stream_rates(b: np.ndarray, d: np.ndarray) -> tuple[list, list, list]:
 
 
 def _pick(groups, rates: list[float]) -> list[tuple[int, float]]:
-    """Per group: (bottleneck user, its rate); ties go to the lowest index."""
+    """Per group: (bottleneck user, its rate); ties go to the first member."""
     out = []
     for members in groups:
-        k = members[0] if len(members) == 1 else min(members, key=lambda j: (rates[j], j))
+        k = members[0] if len(members) == 1 else min(members, key=rates.__getitem__)
         out.append((k, rates[k]))
     return out
 
@@ -215,9 +203,9 @@ def _evaluate(coupling: CouplingSet, nu: np.ndarray) -> tuple:
     """The stream gains ``d`` (K, zeta) at ``nu``, the flat terms
     ``1 + b |d|^2``, each group's bottleneck user and the sum of their rates.
 
-    The layout is the coupling set's, which every caller has checked; a
-    bottleneck pick does not depend on member order. The result is shared
-    with the next call on equal ``nu`` and ``b``; callers only read it.
+    The layout is the coupling set's, which every caller has checked. The
+    result is shared with the next call on equal ``nu`` and ``b``; callers
+    only read it.
     """
     memo = coupling._memo
     b = coupling.b
@@ -238,7 +226,7 @@ def _evaluate(coupling: CouplingSet, nu: np.ndarray) -> tuple:
 
 def objective_f(coupling: CouplingSet, nu: np.ndarray, groups) -> float:
     """Negated approximate sum rate (bit/s): the quantity descent minimizes."""
-    _check_layout(coupling, groups)
+    _check_layout(groups, coupling.groups)
     return -coupling.bw_hz * _evaluate(coupling, nu)[3]
 
 
@@ -248,7 +236,7 @@ def euclidean_grad(coupling: CouplingSet, nu: np.ndarray, groups) -> np.ndarray:
     Only each group's current bottleneck user contributes (subgradient of the
     min); C^ii nu is evaluated through the rank-1 structure c (c^H nu).
     """
-    _check_layout(coupling, groups)
+    _check_layout(groups, coupling.groups)
     d, terms, users, _ = _evaluate(coupling, nu)
     rows = coupling._grad_rows.get(users)
     if rows is None:
@@ -275,28 +263,15 @@ def retract(nu_bar: np.ndarray) -> np.ndarray:
     """Element-wise normalization back onto the unit-modulus manifold.
 
     Entries already on the circle to within a few ulp pass through unchanged,
-    which makes the retraction exactly idempotent. A zero-magnitude or
-    non-finite entry raises a ``retraction singularity`` ValueError; the
-    normalization itself is :func:`retract_unchecked`, for a caller that
-    checks what it uses of the result instead.
+    which makes the retraction exactly idempotent. A zero or non-finite
+    entry comes out nan; numpy warns unless the caller's ``np.errstate``
+    ignores invalid divisions, as both descents' does. A tangent step from
+    the circle has modulus at least 1, so only a non-finite start or
+    gradient makes one, and each descent raises a ``retraction
+    singularity`` on the nan in the value it compares: ``optimize_phases``
+    in f, the RF descent in a reached trial's residual norm.
     """
     mags = _abs(nu_bar)
-    # a zero or nan magnitude fails the lower bound, an infinite one the
-    # upper; bare ufunc reductions, since every line-search trial retracts
-    if not (_min_reduce(mags, None) >= 1e-300 and _max_reduce(mags, None) < math.inf):
-        raise ValueError("retraction singularity: zero-magnitude or non-finite entry")
-    return retract_unchecked(nu_bar, mags)
-
-
-def retract_unchecked(nu_bar: np.ndarray, mags: np.ndarray | None = None) -> np.ndarray:
-    """:func:`retract` without its singularity check, given ``|nu_bar|`` or not.
-
-    The same bits wherever :func:`retract` returns. A zero-magnitude or
-    non-finite entry comes out nan, and numpy warns of an invalid division
-    unless the caller's ``np.errstate`` ignores it.
-    """
-    if mags is None:
-        mags = _abs(nu_bar)
     on_circle = _abs(mags - 1.0) <= _CIRCLE_TOL
     return _where(on_circle, nu_bar, nu_bar / mags)
 
@@ -319,17 +294,24 @@ class OptimizeResult:
     converged: bool = False
 
 
-def optimize_phases(coupling: CouplingSet, groups, nu0: np.ndarray) -> OptimizeResult:
-    """Armijo-backtracked Riemannian descent from ``nu0``.
+@np.errstate(divide="ignore", invalid="ignore")
+def optimize_phases(coupling: CouplingSet, nu0: np.ndarray) -> OptimizeResult:
+    """Armijo-backtracked Riemannian descent from ``nu0``, on the coupling
+    set's group layout.
 
     The line search runs on the bandwidth-normalized objective so the unit
     initial step is meaningful; reported f values carry the bandwidth back.
-    Returns the last accepted iterate; the f trace is non-increasing.
+    Returns the last accepted iterate; the f trace is non-increasing. A
+    zero or non-finite entry of ``nu0`` or of a trial raises a ``retraction
+    singularity`` ValueError on the nan it leaves in f (see :func:`retract`).
     """
+    groups = coupling.groups
     nu = retract(np.asarray(nu0, dtype=np.complex128).copy())
     w = coupling.bw_hz
     inv_w = 1.0 / w
     f_cur = objective_f(coupling, nu, groups) / w
+    if math.isnan(f_cur):
+        raise ValueError(_SINGULARITY)
     trace: list[TraceRow] = []
     converged = False
     nu_prev = rgrad_prev = None
@@ -365,6 +347,8 @@ def optimize_phases(coupling: CouplingSet, groups, nu0: np.ndarray) -> OptimizeR
                 accepted = True
                 f_new = f_cand
                 break
+            if math.isnan(f_cand):
+                raise ValueError(_SINGULARITY)
             step *= _SHRINK
         if not accepted:
             # No descent within line-search resolution: numerically stationary.

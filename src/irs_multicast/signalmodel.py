@@ -25,31 +25,27 @@ __all__ = [
 
 
 def validate_groups(groups, cfg: SystemConfig) -> np.ndarray:
-    """Check that ``groups`` (``cfg.groups()`` if None) partitions users
-    0..K-1 into ``cfg.h_groups`` groups and return the membership vector
-    ``group_of`` (K,): ``group_of[k]`` is the index of user k's group."""
-    groups = cfg.groups() if groups is None else groups
-    if len(groups) != cfg.h_groups:
-        raise ValueError(f"{len(groups)} groups given, the config has h_groups={cfg.h_groups}")
-    group_of = np.full(cfg.k_users, -1)
-    for h, members in enumerate(groups):
-        if len(members) == 0:
-            raise ValueError("empty group")
-        for k in members:
-            if not 0 <= k < cfg.k_users:
-                raise ValueError(f"user index {k} out of range")
-            if group_of[k] >= 0:
-                raise ValueError(f"user {k} appears in more than one group")
-            group_of[k] = h
-    if np.any(group_of < 0):
-        raise ValueError("groups must cover every user exactly once")
-    return group_of
+    """The membership vector ``group_of`` (K,) of the config's layout
+    ``cfg.groups()``: ``group_of[k]`` is the index of user k's group.
+
+    ``groups`` (None for the config's) must be that layout, as tuples or
+    lists of the same members in the same order; any other is refused.
+    """
+    if groups is not None:
+        _check_layout(groups, cfg.groups())
+    return np.repeat(np.arange(cfg.h_groups), cfg.group_sizes)
 
 
-def stream_snr_scale(group_of: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+def _check_layout(groups, layout: tuple) -> None:
+    """Refuse ``groups`` unless they list the members of ``layout`` in its order."""
+    if groups != layout and tuple(map(tuple, groups)) != layout:
+        raise ValueError(f"groups {groups!r} are not the config's layout {layout!r}")
+
+
+def stream_snr_scale(cfg: SystemConfig) -> np.ndarray:
     """Each user's per-stream SNR scale ``P/(|G_h| H zeta sigma^2)`` (K,): Lemma 1's
     P/(H zeta) per stream, shared by the |G_h| members of the user's group h."""
-    sizes = np.bincount(group_of)[group_of]
+    sizes = np.repeat(cfg.group_sizes, cfg.group_sizes)
     return cfg.power_w / (sizes * cfg.h_groups * cfg.zeta * cfg.noise_w)
 
 
@@ -86,15 +82,14 @@ class RateReport:
         return np.maximum(self.intra, self.inter) / sig
 
 
-def sum_rate(bf: BeamformerSet, h_eff: np.ndarray, cfg: SystemConfig,
-             groups=None) -> RateReport:
-    """Evaluate the full multicast objective: sum over groups of min member rate,
-    on the effective channels ``h_eff`` (K, N_U, N_B).
+def sum_rate(bf: BeamformerSet, h_eff: np.ndarray, cfg: SystemConfig) -> RateReport:
+    """Evaluate the full multicast objective: sum over the config's groups of
+    the min member rate, on the effective channels ``h_eff`` (K, N_U, N_B).
 
     Interference sums run over the explicit off-diagonal entries (not
     total-minus-diagonal, which cancels interference 1e16x below the signal).
     """
-    group_of = validate_groups(groups, cfg)
+    group_of = validate_groups(None, cfg)
     zeta = cfg.zeta
     # every user's zeta x H*zeta stream gains W_k^H H_k B, as powers with the
     # columns of the user's own group first, then the other groups' in order

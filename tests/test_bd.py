@@ -26,7 +26,7 @@ def test_one_group_gets_the_identity_null_basis(desk_cfg):
     cfg = dataclasses.replace(desk_cfg, k_users=1, h_groups=1, group_sizes=(1,),
                               m_bs=4, m_ue=4)
     h_eff = random_complex(np.random.default_rng(3), cfg.n_ue, cfg.n_bs)[None]
-    decomp = bd.decompose(h_eff, cfg.groups(), cfg)
+    decomp = bd.decompose(h_eff, cfg)
     np.testing.assert_array_equal(decomp.v0[0], np.eye(cfg.n_bs))
     res = mk.svd(h_eff[0])
     np.testing.assert_array_equal(decomp.u1[0], res.u[:, :cfg.zeta])
@@ -39,7 +39,7 @@ def test_other_groups_spanning_the_bs_space_leave_no_null_space(desk_cfg):
     rng = np.random.default_rng(2)
     h_eff = np.stack([random_complex(rng, desk_cfg.n_ue, desk_cfg.n_bs) for _ in range(2)])
     with pytest.raises(bd.BdInfeasibleError, match="^insufficient BS antennas for BD$"):
-        bd.decompose(h_eff, desk_cfg.groups(), desk_cfg)
+        bd.decompose(h_eff, desk_cfg)
 
 
 def test_null_space_thinner_than_the_streams_is_rejected(desk_cfg):
@@ -52,7 +52,7 @@ def test_null_space_thinner_than_the_streams_is_rejected(desk_cfg):
     assert desk_cfg.zeta == 2
     with pytest.raises(bd.BdInfeasibleError,
                        match="^group 0: null space dimension 1 < zeta=2$"):
-        bd.decompose(h_eff, desk_cfg.groups(), desk_cfg)
+        bd.decompose(h_eff, desk_cfg)
 
 
 def test_single_user_degenerates_to_eigen_beamforming(desk_cfg):
@@ -151,11 +151,10 @@ def test_unitary_left_multiplication_preserves_singulars(desk_cfg):
     chset = ch.generate_channels(desk_cfg, rng)
     nu = ch.random_phase_vector(desk_cfg.n_irs, rng)
     h_eff = ch.effective_channels(chset, nu, desk_cfg)
-    groups = desk_cfg.groups()
-    decomp = bd.decompose(h_eff, groups, desk_cfg)
+    decomp = bd.decompose(h_eff, desk_cfg)
     q, _ = np.linalg.qr(random_complex(rng, desk_cfg.n_ue, desk_cfg.n_ue))
     h_rot = q @ h_eff
-    decomp_rot = bd.decompose(h_rot, groups, desk_cfg)
+    decomp_rot = bd.decompose(h_rot, desk_cfg)
     assert decomp.s1.shape == (desk_cfg.k_users, desk_cfg.zeta)
     np.testing.assert_allclose(decomp.s1, decomp_rot.s1, rtol=1e-9)
 
@@ -234,12 +233,12 @@ def test_rank_test_keeps_the_exact_decision(desk_cfg, monkeypatch, s_proj, feasi
     assert (s > tol * np.linalg.norm(h_eff[0], 2)) == feasible
     calls = spy_on_two_norms(monkeypatch)
     if feasible:
-        decomp = bd.decompose(h_eff, desk_cfg.groups(), desk_cfg)
+        decomp = bd.decompose(h_eff, desk_cfg)
         assert np.array_equal(decomp.s1[0], mk.svd(proj).s[:desk_cfg.zeta])
     else:
         with pytest.raises(bd.BdInfeasibleError,
                            match="user 0: projected channel rank below zeta"):
-            bd.decompose(h_eff, desk_cfg.groups(), desk_cfg)
+            bd.decompose(h_eff, desk_cfg)
     assert len(calls) == (0 if s_proj > 3.2e-9 else 1)
 
 
@@ -251,5 +250,5 @@ def test_feasible_full_scale_decompose_takes_no_two_norm(monkeypatch):
         chset = ch.generate_channels(cfg, rng)
         h_eff = ch.effective_channels(chset, ch.random_phase_vector(cfg.n_irs, rng), cfg)
         for nulling in (True, False):
-            bd.decompose(h_eff, cfg.groups(), cfg, nulling)
+            bd.decompose(h_eff, cfg, nulling)
     assert calls == []

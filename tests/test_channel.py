@@ -130,17 +130,24 @@ def test_config_validation(desk_cfg):
                        ("user_center", (1e200, 0.0, 0.0)), ("user_radius", 1e300)):
         with pytest.raises(ch.ConfigError, match=f"^{field} "):
             dataclasses.replace(desk_cfg, **{field: bad})
-    # the bounds themselves pass: no loss at 1 m, scatterers as strong as the
-    # LOS ray, and a 1e150 m BS link at those losses, whose weakest stream
-    # power (~1e-296) is normal; a 1e150 m user link as well is not (~1e-593)
-    dataclasses.replace(desk_cfg, los_pathloss_db=0.0, nlos_backoff_db=0.0,
-                        bs_pos=(1e150, 0.0, 0.0))
+    # the bounds themselves pass: no loss at 1 m and scatterers as strong as
+    # the LOS ray. A 1e150 m BS link at those losses keeps its weakest stream
+    # power (~1e-296) normal, but its strongest SNR (~1e-280) rounds 1 + SNR
+    # to 1, and every run of it failed as invalid; a 1e150 m user link as
+    # well takes the weakest stream power out of range (~1e-593)
+    dataclasses.replace(desk_cfg, los_pathloss_db=0.0, nlos_backoff_db=0.0)
+    with pytest.raises(ch.ConfigError, match="^bs_pos .* strongest stream's SNR: log10 -279.5 "):
+        dataclasses.replace(desk_cfg, los_pathloss_db=0.0, nlos_backoff_db=0.0,
+                            bs_pos=(1e150, 0.0, 0.0))
     with pytest.raises(ch.ConfigError, match="^bs_pos .* channel power: log10 -592.9 "):
         dataclasses.replace(desk_cfg, los_pathloss_db=0.0, nlos_backoff_db=0.0,
                             bs_pos=(1e150, 0.0, 0.0), user_radius=1e150)
     # an integral float is a count, stored as an int
     cfg = dataclasses.replace(desk_cfg, n_bs=16.0)
     assert cfg == desk_cfg and type(cfg.n_bs) is int
+
+
+NORMAL = "is outside float64's normal range [-307.7, 308.3]"
 
 
 @pytest.mark.parametrize("change, message", [
@@ -156,7 +163,11 @@ def test_config_validation(desk_cfg):
                            "stream's gradient coefficient: log10 310.3 "),
     ({"bw_hz": 1e305}, "bw_hz of 1e+305 sets most of the gain of the strongest stream's "
                        "gradient coefficient: "),
-], ids=["channel", "received", "snr_scale", "snr", "gradient", "gradient_bw"])
+    ({"los_pathloss_db": 200.0}, "los_pathloss_db of 200.0 sets most of the loss of the "
+                                 "strongest stream's SNR: log10 -23.9 is below -20.7, where "
+                                 "1 + SNR rounds to 1 even over a coherent sum of the 8 x 3 "
+                                 "paths"),
+], ids=["channel", "received", "snr_scale", "snr", "gradient", "gradient_bw", "resolution"])
 def test_link_budget_names_the_power_and_the_field_that_leave_the_normal_range(
         desk_cfg, change, message):
     # one log-domain budget of the cascaded per-stream powers, in the order
@@ -164,8 +175,10 @@ def test_link_budget_names_the_power_and_the_field_that_leave_the_normal_range(
     # it replaced and then failed its runs or wrote rates of 0
     with pytest.raises(ch.ConfigError) as exc:
         dataclasses.replace(desk_cfg, **change)
-    assert str(exc.value).startswith(message)
-    assert str(exc.value).endswith("is outside float64's normal range [-307.7, 308.3]")
+    text = str(exc.value)
+    assert text.startswith(message)
+    # the resolution stage's message is given whole
+    assert text == message or text.endswith(NORMAL)
 
 
 def test_link_budget_passes_every_preset_and_a_gain_its_runs_carry(desk_cfg):

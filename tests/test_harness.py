@@ -609,6 +609,10 @@ def test_cli_config_error_exit_code(tmp_path):
     # and then failed every run as invalid
     ({"los_pathloss_db": 3000}, "los_pathloss_db"),
     ({"bs_pos": [1e150, 0, 0]}, "bs_pos"),
+    # at 0 dB losses the 1e150 m BS link keeps every power normal, but its
+    # strongest SNR, ~1e-280, rounds 1 + SNR to 1: every run failed as
+    # invalid (sum rate 0.0)
+    ({"los_pathloss_db": 0, "nlos_backoff_db": 0, "bs_pos": [1e150, 0, 0]}, "bs_pos"),
 ])
 def test_cli_config_no_run_can_use_is_a_config_error(tmp_path, capsys, change, field):
     doc = dataclasses.asdict(harness.DESK_CONFIG)

@@ -501,7 +501,7 @@ def test_ladder_length_leaves_factor_bit_identical(monkeypatch, shape, n_rf):
     st = hf.FactorSettings(max_alternations=20)
     b = _rf_limited_target(shape)
     rounds = []   # the trial rounds of each step, per ladder length
-    project, normalize = hf.tangent_project, hf.retract_unchecked
+    project, normalize = hf.tangent_project, hf.retract
 
     def spy_project(grad, x):
         rounds[-1].append(0)
@@ -512,7 +512,7 @@ def test_ladder_length_leaves_factor_bit_identical(monkeypatch, shape, n_rf):
         return normalize(nu_bar)
 
     monkeypatch.setattr(hf, "tangent_project", spy_project)
-    monkeypatch.setattr(hf, "retract_unchecked", spy_normalize)
+    monkeypatch.setattr(hf, "retract", spy_normalize)
     results = []
     for ladder in (1, 2, hf._LADDER):
         monkeypatch.setattr(hf, "_LADDER", ladder)
@@ -542,7 +542,7 @@ def test_a_discarded_singular_rung_neither_raises_nor_warns(monkeypatch, bad, sh
     b = _rf_limited_target(shape)
     monkeypatch.setattr(hf, "_LADDER", hf._MAX_BACKTRACKS)
     want = hf.factor(b, n_rf, st, rng=np.random.default_rng(5))
-    normalize = hf.retract_unchecked
+    normalize = hf.retract
     ladders = []
 
     def corrupt_last_rung(nu_bar):
@@ -552,7 +552,7 @@ def test_a_discarded_singular_rung_neither_raises_nor_warns(monkeypatch, bad, sh
             ladders.append(nu_bar.shape[1])
         return normalize(nu_bar)
 
-    monkeypatch.setattr(hf, "retract_unchecked", corrupt_last_rung)
+    monkeypatch.setattr(hf, "retract", corrupt_last_rung)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = hf.factor(b, n_rf, st, rng=np.random.default_rng(5))
@@ -568,14 +568,14 @@ def test_a_discarded_singular_rung_neither_raises_nor_warns(monkeypatch, bad, sh
 def test_a_reached_singular_trial_raises(monkeypatch, first, bad, shape, n_rf):
     # the first trial of the last matrix, or the first rung of the first
     # ladder, which a matrix that failed its first trial always reaches
-    normalize = hf.retract_unchecked
+    normalize = hf.retract
 
     def corrupt(nu_bar):
         if (nu_bar.ndim == 4) != first:
             nu_bar[(0,) * (nu_bar.ndim - 3) + (-1, 0, 0)] = bad
         return normalize(nu_bar)
 
-    monkeypatch.setattr(hf, "retract_unchecked", corrupt)
+    monkeypatch.setattr(hf, "retract", corrupt)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="retraction singularity"):

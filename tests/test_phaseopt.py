@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -206,12 +207,10 @@ def test_gradient_uses_bottleneck_user(multiuser_cfg):
     np.testing.assert_allclose(grad, manual, rtol=1e-12)
 
 
-@pytest.mark.parametrize("groups", [((0, 1, 2, 3),), ((0, 2), (1, 3)), ((0, 9), (1, 3))])
-@pytest.mark.parametrize("call", [
-    lambda cs, nu, groups: po.objective_f(cs, nu, groups),
-    lambda cs, nu, groups: po.euclidean_grad(cs, nu, groups),
-    lambda cs, nu, groups: po.optimize_phases(cs, groups, nu),
-], ids=["objective_f", "euclidean_grad", "optimize_phases"])
+@pytest.mark.parametrize("groups", [((0, 1, 2, 3),), ((0, 2), (1, 3)), ((0, 9), (1, 3)),
+                                    ((1, 0), (3, 2))])
+@pytest.mark.parametrize("call", [po.objective_f, po.euclidean_grad],
+                         ids=["objective_f", "euclidean_grad"])
 def test_phase_functions_refuse_a_layout_other_than_the_coupling_sets(multiuser_cfg,
                                                                       call, groups):
     # the coupling set's scales and stream pairing hold for ((0, 1), (2, 3))
@@ -220,10 +219,10 @@ def test_phase_functions_refuse_a_layout_other_than_the_coupling_sets(multiuser_
     _, cs, rng = make_coupling(multiuser_cfg, 0)
     assert cs.groups == ((0, 1), (2, 3))
     nu = unit_phases(multiuser_cfg.n_irs, rng)
-    with pytest.raises(ValueError, match="not the layout"):
+    with pytest.raises(ValueError, match="not the config's layout"):
         call(cs, nu, groups)
-    # the same groups in another member order, or as lists, are its layout
-    assert call(cs, nu, [[1, 0], [3, 2]]) is not None
+    # the same members in the same order, as lists, are its layout
+    assert call(cs, nu, [[0, 1], [2, 3]]) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -255,13 +254,18 @@ def test_retract_examples():
     np.testing.assert_allclose(po.retract(nu), nu, atol=1e-15)
 
 
-@pytest.mark.parametrize("bad", [0.0, math.nan, math.inf, complex(math.nan, 1.0),
-                                 complex(1.0, -math.inf)])
-def test_retract_rejects_zero_and_non_finite_entries(bad):
-    with pytest.raises(ValueError, match="retraction singularity"):
-        po.retract(np.array([bad, 1.0 + 0j]))
-    with pytest.raises(ValueError, match="retraction singularity"):
-        po.retract(np.array([[1.0, 1j], [bad, 1.0]], dtype=np.complex128))
+SINGULAR = [0.0, math.nan, math.inf, complex(math.nan, 1.0), complex(1.0, -math.inf)]
+
+
+@pytest.mark.parametrize("bad", SINGULAR)
+def test_retract_turns_zero_and_non_finite_entries_into_nan(bad):
+    # nothing is checked: the nan reaches the descent that retracted it
+    for nu_bar in (np.array([bad, 2.0 + 0j]),
+                   np.array([[1.0, 1j], [bad, 2.0]], dtype=np.complex128)):
+        with warnings.catch_warnings(), np.errstate(divide="ignore", invalid="ignore"):
+            warnings.simplefilter("error")
+            out = po.retract(nu_bar)
+        assert np.isnan(out.flat[-2]) and abs(out.flat[-1]) == 1.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -275,9 +279,39 @@ def test_retract_unit_modulus_and_idempotent(seed, m):
     np.testing.assert_array_equal(po.retract(out), out)
 
 
-def test_retract_singularity():
-    with pytest.raises(ValueError, match="singularity"):
-        po.retract(np.array([1.0 + 0j, 0.0]))
+@pytest.mark.parametrize("bad", SINGULAR)
+def test_descent_raises_on_a_singular_start(desk_cfg, monkeypatch, bad):
+    # on the start's objective, before a gradient of nans is formed
+    _, cs, rng = make_coupling(desk_cfg, 0)
+    nu0 = unit_phases(desk_cfg.n_irs, rng)
+    nu0[5] = bad
+    monkeypatch.setattr(po, "euclidean_grad", None)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="retraction singularity"):
+            po.optimize_phases(cs, nu0)
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+@pytest.mark.parametrize("iteration", [1, 3])
+def test_descent_raises_on_a_singular_trial(desk_cfg, monkeypatch, bad, iteration):
+    # a non-finite gradient makes every trial of its step singular
+    _, cs, rng = make_coupling(desk_cfg, 0)
+    grad, calls = po.euclidean_grad, []
+
+    def corrupt(coupling, nu, groups):
+        calls.append(None)
+        out = grad(coupling, nu, groups)
+        if len(calls) == iteration:
+            out[3] = bad
+        return out
+
+    monkeypatch.setattr(po, "euclidean_grad", corrupt)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="retraction singularity"):
+            po.optimize_phases(cs, unit_phases(desk_cfg.n_irs, rng))
+    assert len(calls) == iteration
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +324,7 @@ def test_optimizer_stationary_start_takes_no_steps(desk_cfg):
     # the phase-aligned point maximizes |nu^H c|: the Riemannian gradient
     # vanishes there and the optimizer must return immediately
     nu_star = po.retract(np.exp(1j * np.angle(cs.c[0, 0])))
-    res = po.optimize_phases(cs, cfg.groups(), nu_star)
+    res = po.optimize_phases(cs, nu_star)
     assert res.iterations == 0
     assert res.converged
     np.testing.assert_array_equal(res.nu, nu_star)
@@ -301,7 +335,7 @@ def test_optimizer_reaches_alignment_optimum(desk_cfg):
     for seed in range(3):
         _, cs, rng = make_coupling(cfg, 31 + seed)
         nu0 = unit_phases(cfg.n_irs, rng)
-        res = po.optimize_phases(cs, cfg.groups(), nu0)
+        res = po.optimize_phases(cs, nu0)
         c = cs.c[0, 0]
         achieved = abs(np.conj(res.nu) @ c)
         assert achieved >= 0.99 * np.sum(np.abs(c))
@@ -310,7 +344,7 @@ def test_optimizer_reaches_alignment_optimum(desk_cfg):
 def test_optimizer_trace_monotone_and_capped(desk_cfg):
     _, cs, rng = make_coupling(desk_cfg, 35)
     nu0 = unit_phases(desk_cfg.n_irs, rng)
-    res = po.optimize_phases(cs, desk_cfg.groups(), nu0)
+    res = po.optimize_phases(cs, nu0)
     assert res.iterations <= 500
     f = np.array([row.f_value for row in res.trace])
     assert np.all(np.diff(f) <= 0)
@@ -323,7 +357,7 @@ def test_optimizer_converges_within_tens_of_iterations(desk_cfg):
     for seed in (36, 37, 38):
         _, cs, rng = make_coupling(desk_cfg, seed)
         nu0 = unit_phases(desk_cfg.n_irs, rng)
-        res = po.optimize_phases(cs, desk_cfg.groups(), nu0)
+        res = po.optimize_phases(cs, nu0)
         f = np.array([row.f_value for row in res.trace])
         f0 = po.objective_f(cs, nu0, desk_cfg.groups())
         total_drop = f0 - f[-1]
@@ -350,7 +384,7 @@ def test_offdiag_small_relative_to_diagonal_after_optimization(desk_cfg):
     for seed in range(5):
         chset, cs, rng = make_coupling(desk_cfg, 50 + seed)
         nu0 = unit_phases(desk_cfg.n_irs, rng)
-        res = po.optimize_phases(cs, desk_cfg.groups(), nu0)
+        res = po.optimize_phases(cs, nu0)
         off = 0.0
         for k, cols in enumerate(cs.diag_cols):
             dep, arr = sorted_steering(desk_cfg, chset, k)
@@ -428,22 +462,21 @@ def test_kernels_bit_identical_to_reference_loops(preset):
         for _ in range(3):
             assert_kernels_match_reference(cs, unit_phases(cfg.n_irs, rng), groups)
         # and along a descent, where the bottleneck picks move
-        res = po.optimize_phases(cs, groups, unit_phases(cfg.n_irs, rng))
+        res = po.optimize_phases(cs, unit_phases(cfg.n_irs, rng))
         assert_kernels_match_reference(cs, res.nu, groups)
 
 
 def test_kernels_bit_identical_on_a_planted_tie(multiuser_cfg):
     # users 0 and 1 share their coupling, so their rates tie exactly and the
-    # bottleneck goes to the lower index, whatever the member order
+    # bottleneck goes to the lower index
     _, cs, rng = make_coupling(multiuser_cfg, 310)
     c, b = cs.c.copy(), cs.b.copy()
     c[1], b[1] = c[0], b[0]
     cs = dataclasses.replace(cs, c=c, b=b)
     nu = unit_phases(multiuser_cfg.n_irs, rng)
-    for groups in (((0, 1), (2, 3)), ((1, 0), (3, 2))):
-        d = po._stream_gains(cs, nu)
-        assert _bottlenecks(cs, d, groups)[0][0] == 0
-        assert_kernels_match_reference(cs, nu, groups)
+    groups = multiuser_cfg.groups()
+    assert _bottlenecks(cs, po._stream_gains(cs, nu), groups)[0][0] == 0
+    assert_kernels_match_reference(cs, nu, groups)
 
 
 def test_stream_rates_bit_identical_on_many_gains(desk_cfg):
@@ -597,7 +630,7 @@ def test_descent_bit_identical_to_prior_descent(monkeypatch, preset):
             cs = po.coupling_vectors(chset, cfg, cfg.groups())
             want, want_calls = _prior_optimize(cs, cfg.groups(), nu0)
             calls[:] = [0, 0]
-            got = po.optimize_phases(cs, cfg.groups(), nu0)
+            got = po.optimize_phases(cs, nu0)
             assert np.array_equal(got.nu, want.nu)
             assert got.f_value == want.f_value
             assert got.trace == want.trace and got.iterations > 0
