@@ -158,6 +158,11 @@ class SystemConfig:
             raise ConfigError(
                 f"RF chain bounds violated: need zeta={self.zeta}"
                 f" <= m_ue={self.m_ue} <= n_ue={self.n_ue}")
+        # every H_k = H^R_k diag(conj nu) H^B has rank <= min(Y, L)
+        if self.zeta > min(self.paths_y, self.paths_l):
+            raise ConfigError(
+                f"zeta of {self.zeta} exceeds min(paths_y={self.paths_y}, "
+                f"paths_l={self.paths_l}), the largest rank of a user channel")
         if len(self.group_sizes) != self.h_groups:
             raise ConfigError(
                 f"group_sizes has {len(self.group_sizes)} entries, expected {self.h_groups}")

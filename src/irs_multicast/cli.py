@@ -14,14 +14,6 @@ from . import harness
 from .bd import BdInfeasibleError
 from .channel import ConfigError, load_config
 
-# Each report and how it runs a spec; a report reads only --config, --seeds,
-# --base-seed and --out.
-REPORTS = {
-    "theorem1": lambda spec, out: harness.theorem1_report(
-        spec.config, spec.n_seeds, out, base_seed=spec.base_seed),
-}
-
-
 class _Parser(argparse.ArgumentParser):
     """A usage error is a configuration error (exit 1), not argparse's exit 2."""
 
@@ -46,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--base-seed", type=int, default=0)
     parser.add_argument("--out", help="output CSV path (default: stdout)")
     parser.add_argument("--trace", help="per-iteration phase-optimizer trace CSV of every run")
-    parser.add_argument("--report", choices=REPORTS,
+    parser.add_argument("--report", choices=("theorem1",),
                         help="emit a named report instead of a sweep")
     parser.add_argument("--timing", action="store_true", default=None,
                         help="record wall-clock ms per run (breaks byte determinism)")
@@ -72,10 +64,11 @@ def _check_writable(path) -> None:
 
 
 def _run_report(name: str, spec: harness.ExperimentSpec, out) -> int:
-    """Write the named report; a failure inside it, or failed runs behind its
+    """Write the named report, which reads only --config, --seeds,
+    --base-seed and --out; a failure inside it, or failed runs behind its
     rows (its CSV still holds the rows it has), exits 2 with one stderr line."""
     try:
-        REPORTS[name](spec, out)
+        harness.theorem1_report(spec.config, spec.n_seeds, out, base_seed=spec.base_seed)
     except harness.ReportRunsFailed as exc:
         print(f"report {name}: {exc}", file=sys.stderr)
         return 2
@@ -118,10 +111,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
+    text = harness.records_csv_text(records)
     if args.out:
-        harness.write_records_csv(args.out, records)
+        with open(args.out, "w", newline="") as fh:
+            fh.write(text)
     else:
-        sys.stdout.write(harness.records_csv_text(records))
+        sys.stdout.write(text)
     if args.trace:
         harness.write_trace(args.trace, records)
     return 2 if any(not r.ok for r in records) else 0

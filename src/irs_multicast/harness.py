@@ -36,7 +36,6 @@ __all__ = [
     "run_proposed",
     "run_baseline",
     "sweep",
-    "write_records_csv",
     "records_csv_text",
     "write_trace",
     "theorem1_report",
@@ -349,11 +348,6 @@ def records_csv_text(records: list[RunRecord]) -> str:
                str(int(round(r.wall_ms)))]
         buf.write(",".join(row) + "\n")
     return buf.getvalue()
-
-
-def write_records_csv(path, records: list[RunRecord]) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(records_csv_text(records))
 
 
 def _write_report(out_path, rows: list[dict], fieldnames) -> None:

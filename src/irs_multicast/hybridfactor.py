@@ -4,10 +4,11 @@ Alternates Riemannian descent on the RF matrix entries (the complex circle
 manifold, reusing the phase-optimizer's tangent projection and retraction)
 with the least-squares baseband update ``F_B = pinv(F_R) B``. With at least
 twice as many RF chains as target columns no alternation is needed: the
-two-phase split writes an exact ``F_R`` and ``F_B`` in closed form. The same
-:func:`factor` serves the transmit beamformer and the ``(K, N_U, zeta)``
-stack of every receive combiner: a stack is P independent problems of one
-shape, run by one engine in lockstep.
+two-phase split writes an exact ``F_R`` and ``F_B`` in closed form, each
+nonzero column (an equal-modulus one too) a sum of two constant-modulus
+columns. The same :func:`factor` serves the transmit beamformer and the
+``(K, N_U, zeta)`` stack of every receive combiner: a stack is P independent
+problems of one shape, run by one engine in lockstep.
 
 Bit-exact contract, for the phase-copy start and the alternation only: the
 iterates (gradient, tangent projection, Barzilai-Borwein step, retraction,
@@ -74,10 +75,6 @@ __all__ = [
 ]
 
 
-# Relative modulus spread below which the two-phase split copies a target
-# column's phases instead of splitting them.
-_EQUAL_MODULUS = 1e-12
-
 # Stopping rules of the alternation and Armijo line search of the RF descent.
 _TOL = 1e-6             # stop on relative residual change below this
 _FLOOR = 1e-9           # stop outright once the relative residual is this small
@@ -140,30 +137,23 @@ def _two_phase_split(b: np.ndarray, n_rf: int,
     with a = arg v and t = arccos(|v| / 2c). With 2c the peak modulus of
     target column i, its split pair goes to RF columns i and cols+i, and
     ``F_B`` holds c at rows i and cols+i of column i; every other entry of
-    ``F_B`` is zero, so the remaining RF columns keep their random draw.
-
-    A column whose entries all have the peak modulus, to within
-    ``_EQUAL_MODULUS`` relative, has t ~ 0: the pair would be two
-    (near-)identical columns. Its phases alone then reproduce it, ``F_B``
-    holds the peak at row i, and the partner column keeps its random draw. A
-    zero column keeps both draws and a zero ``F_B`` column.
+    ``F_B`` is zero. An equal-modulus column has t = 0 and splits into two
+    equal columns, which stays exact because ``F_B`` is written, not solved
+    for. A zero column and the spare chains keep their random draw.
     """
     cols = b.shape[-1]
     x = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, b.shape[:-1] + (n_rf,)))
     mag = np.abs(b)
     peak = mag.max(axis=-2, keepdims=True)
     live = peak > 0.0
-    ratio = np.clip(mag / np.where(live, peak, 1.0), 0.0, 1.0)
-    split = live & (ratio.min(axis=-2, keepdims=True) < 1.0 - _EQUAL_MODULUS)
     ang = np.angle(b)
-    t = np.where(split, np.arccos(ratio), 0.0)
+    t = np.arccos(mag / np.where(live, peak, 1.0))   # mag <= peak: in [0, pi/2]
     pair = slice(cols, 2 * cols)
     x[..., :cols] = np.where(live, np.exp(1j * (ang + t)), x[..., :cols])
-    x[..., pair] = np.where(split, np.exp(1j * (ang - t)), x[..., pair])
+    x[..., pair] = np.where(live, np.exp(1j * (ang - t)), x[..., pair])
     idx = np.arange(cols)
     f_bb = np.zeros(b.shape[:-2] + (n_rf, cols), dtype=np.complex128)
-    f_bb[..., idx, idx] = np.where(split, peak / 2.0, peak)[..., 0, :]
-    f_bb[..., cols + idx, idx] = np.where(split, peak / 2.0, 0.0)[..., 0, :]
+    f_bb[..., idx, idx] = f_bb[..., cols + idx, idx] = (peak / 2.0)[..., 0, :]
     return x, f_bb
 
 

@@ -131,9 +131,6 @@ def coupling_vectors(chset: ChannelSet, cfg: SystemConfig, groups=None) -> Coupl
     group_of = validate_groups(groups, cfg)
     zeta = cfg.zeta
     y, ell = cfg.paths_y, cfg.paths_l
-    if zeta > min(y, ell):
-        raise ValueError(
-            f"zeta={zeta} exceeds available paths (Y={y}, L={ell})")
     if cfg.h_groups * zeta > y:
         raise ValueError(
             f"group-blocked pairing needs Y >= H*zeta ({cfg.h_groups * zeta}), got Y={y}")

@@ -86,6 +86,10 @@ def test_config_validation(desk_cfg):
         dataclasses.replace(desk_cfg, m_ue=1)
     with pytest.raises(ch.ConfigError, match="n_irs"):
         dataclasses.replace(desk_cfg, n_irs=63)
+    # every user channel has rank <= min(paths_y, paths_l) = 3 on desk, so
+    # 4 streams failed every run of every baseline
+    with pytest.raises(ch.ConfigError, match="^zeta of 4 .*paths_y=8, paths_l=3"):
+        dataclasses.replace(desk_cfg, zeta=4, m_ue=4)
     with pytest.raises(ch.ConfigError, match="group_sizes"):
         dataclasses.replace(desk_cfg, group_sizes=(1, 1, 1))
     with pytest.raises(ch.ConfigError, match="k_users"):
@@ -211,6 +215,16 @@ def test_config_groups_partition(multiuser_cfg):
     assert groups == ((0, 1), (2, 3))
 
 
+def test_config_refuses_more_streams_than_paths(desk_cfg):
+    # every user channel has rank <= min(paths_y, paths_l), so fewer paths
+    # than zeta = 2 streams on either link is a config no run can use; the
+    # bound itself passes
+    for field in ("paths_y", "paths_l"):
+        with pytest.raises(ch.ConfigError, match=f"^zeta of 2 .*{field}=1"):
+            dataclasses.replace(desk_cfg, **{field: 1})
+    assert dataclasses.replace(desk_cfg, paths_l=2).paths_l == 2
+
+
 def test_config_db_conversions(desk_cfg):
     assert math.isclose(desk_cfg.power_w, 100.0)
     assert math.isclose(desk_cfg.noise_w, 1e-12)
@@ -250,8 +264,9 @@ def test_config_invalid_json(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_bs_irs_single_unit_path_norm(desk_cfg):
-    # one path of unit gain: rank 1 and the norm of the link scale sqrt(N_B M / Y)
-    cfg = dataclasses.replace(desk_cfg, paths_y=1)
+    # one path of unit gain: rank 1 and the norm of the link scale sqrt(N_B M / Y);
+    # one path carries one stream
+    cfg = dataclasses.replace(desk_cfg, paths_y=1, zeta=1, m_bs=4, m_ue=2)
     a_irs = ch.upa_response(0.3, 0.1, cfg.f_y, cfg.f_z)[None, :]
     a_bs = ch.ula_response(-0.2, cfg.n_bs)[None, :]
     h = ch._path_sum(np.array([1.0 + 0j]), a_irs, a_bs, math.sqrt(cfg.n_bs * cfg.n_irs))
@@ -266,7 +281,7 @@ def test_bs_irs_single_unit_path_norm(desk_cfg):
 
 
 def test_irs_user_single_unit_path_norm(desk_cfg):
-    cfg = dataclasses.replace(desk_cfg, paths_l=1)
+    cfg = dataclasses.replace(desk_cfg, paths_l=1, zeta=1, m_bs=4, m_ue=2)
     a_ue = ch.ula_response(0.5, cfg.n_ue)[None, :]
     a_irs = ch.upa_response(-0.4, 0.2, cfg.f_y, cfg.f_z)[None, :]
     h = ch._path_sum(np.array([1.0 + 0j]), a_ue, a_irs, math.sqrt(cfg.n_irs * cfg.n_ue))

@@ -296,8 +296,8 @@ def small_configs(draw, rf_limited=False):
     """Small valid configs with m_bs >= 2*H*zeta and m_ue >= 2*zeta, where the
     hybrid step starts from an exact split, or with ``rf_limited`` at least
     one side below that, where the hybrid factorization alternates; the path
-    counts may leave too few paths for the coupling or for BD, which must
-    end in failure records."""
+    counts, each at least zeta, may leave too few BS-side paths for the
+    group-blocked coupling or for BD, which must end in failure records."""
     zeta = draw(st.integers(1, 2))
     sizes = tuple(draw(st.lists(st.integers(1, 2), min_size=1, max_size=2)))
     per_stream = 1 if rf_limited else 2
@@ -309,8 +309,8 @@ def small_configs(draw, rf_limited=False):
         harness.DESK_CONFIG, n_bs=m_bs + draw(st.integers(0, 6)),
         n_ue=m_ue + draw(st.integers(0, 4)), m_bs=m_bs, m_ue=m_ue,
         n_irs=f_y * f_z, f_y=f_y, f_z=f_z, k_users=sum(sizes), h_groups=len(sizes),
-        group_sizes=sizes, zeta=zeta, paths_y=draw(st.integers(1, 10)),
-        paths_l=draw(st.integers(1, 4)), power_dbm=draw(st.floats(0.0, 50.0)))
+        group_sizes=sizes, zeta=zeta, paths_y=draw(st.integers(zeta, 10)),
+        paths_l=draw(st.integers(zeta, 4)), power_dbm=draw(st.floats(0.0, 50.0)))
 
 
 def _check_failure_contract(cfg, seed):
@@ -336,6 +336,32 @@ def test_sweep_on_random_configs_keeps_the_failure_contract(cfg, seed):
 @given(small_configs(rf_limited=True), st.integers(0, 10_000))
 def test_rf_limited_sweep_on_random_configs_keeps_the_failure_contract(cfg, seed):
     _check_failure_contract(cfg, seed)
+
+
+# proposed's median per-stream SINR (dB) over seeds 0-3, as measured when
+# this test was written, and whether d outrates proposed on the preset
+_REGIMES = {"desk": (-5.1, False), "desk_multiuser": (-20.0, True),
+            "full_scale": (0.8, False)}
+
+
+@pytest.mark.parametrize("preset", sorted(_REGIMES))
+def test_preset_operating_regime(preset):
+    # a change that moves a preset's operating point shows here: its SNR band
+    # and baseline ordering. desk_multiuser sits on the BD feasibility edge
+    # (paths_y = 2 * paths_l + zeta), where nulling costs more than it buys
+    # and d, which drops the null projection, leads
+    sinr_db, d_leads = _REGIMES[preset]
+    spec = harness.ExperimentSpec(config=ch.load_config(CONFIG_DIR / f"{preset}.json"),
+                                  baselines=("proposed", "b", "d"), n_seeds=4)
+    records = harness.sweep(spec)
+    assert all(r.ok for r in records)
+    sinr = np.concatenate([r.report.sinr.ravel() for r in records
+                           if r.baseline == "proposed"])
+    assert abs(10.0 * math.log10(np.median(sinr)) - sinr_db) <= 3.0
+    mean = {b: np.mean([r.sum_rate_bps for r in records if r.baseline == b])
+            for b in spec.baselines}
+    assert mean["proposed"] > mean["b"]
+    assert (mean["d"] > mean["proposed"]) == d_leads
 
 
 @pytest.mark.parametrize("var", ["streams", "groups"])
@@ -613,6 +639,9 @@ def test_cli_config_error_exit_code(tmp_path):
     # strongest SNR, ~1e-280, rounds 1 + SNR to 1: every run failed as
     # invalid (sum rate 0.0)
     ({"los_pathloss_db": 0, "nlos_backoff_db": 0, "bs_pos": [1e150, 0, 0]}, "bs_pos"),
+    # 4 streams over user channels of rank <= min(8, 3) failed every run of
+    # every baseline, as invalid or bd-infeasible
+    ({"zeta": 4, "m_ue": 4}, "zeta"),
 ])
 def test_cli_config_no_run_can_use_is_a_config_error(tmp_path, capsys, change, field):
     doc = dataclasses.asdict(harness.DESK_CONFIG)
@@ -651,10 +680,12 @@ def test_config_seed_other_than_zero_is_a_config_error(tmp_path, capsys):
     ["--sweep", "elements", "--sweep-values", "16.4", "--seeds", "1"],
     ["--sweep", "streams", "--sweep-values", "1.4", "--seeds", "1"],
     ["--sweep", "groups", "--sweep-values", "0.6", "--seeds", "1"],
+    ["--sweep", "streams", "--sweep-values", "4", "--seeds", "1"],
 ])
 def test_cli_rejects_negative_seeds_and_fractional_counts(tmp_path, capsys, args):
     # a negative base seed ended in a numpy traceback (exit 2 as "invalid"
-    # in a report); a fractional count wrote ok rows of the rounded count
+    # in a report); a fractional count wrote ok rows of the rounded count;
+    # 4 streams, above desk's min(paths_y, paths_l) = 3, failed every row
     out = tmp_path / "o.csv"
     assert cli_main(args + ["--out", str(out)]) == 1
     assert capsys.readouterr().err.startswith("config error:")

@@ -99,7 +99,7 @@ def test_two_phase_split_initial_residual_is_rounding():
 
 
 def test_two_phase_split_equal_modulus_column_is_exact():
-    # all |v| = 0.5, so t = 0 everywhere: one RF column copies the phases
+    # all |v| = 0.5, so t = 0 everywhere: both RF columns copy the phases
     b = np.array([[0.3 + 0.4j], [-0.3 + 0.4j], [0.4 - 0.3j], [-0.4 - 0.3j]])
     assert np.all(np.abs(b) == 0.5)
     res = hf.factor(b, 2, rng=np.random.default_rng(0))
@@ -107,37 +107,44 @@ def test_two_phase_split_equal_modulus_column_is_exact():
     assert res.final_residual <= hf._FLOOR
 
 
-def test_two_phase_split_copies_columns_equal_to_rounding():
-    # steering-like combiners: moduli equal up to an ulp, so t is 0 or ~1e-8;
-    # a split would write two near-identical columns, an ill-conditioned F_R
-    # whose start misses the floor and sets off the alternation
+def test_two_phase_split_splits_steering_like_columns_exactly():
+    # steering-like combiners: moduli equal up to an ulp, so t is 0 or ~1e-8
+    # and the pair is two (near-)identical columns; F_B is written, not
+    # solved for, so the start is exact and no alternation runs
     rng = np.random.default_rng(1)
     spread = 0
     for seed in range(40):
         b = (np.exp(1j * rng.uniform(0, 2 * np.pi, 4)) / 2.0).reshape(4, 1)
         spread += int(np.ptp(np.abs(b)) > 0.0)
         x, f_bb = hf._two_phase_split(b, 2, np.random.default_rng(seed))
-        np.testing.assert_array_equal(x[:, 0], np.exp(1j * np.angle(b[:, 0])))
-        np.testing.assert_array_equal(f_bb, [[np.max(np.abs(b))], [0.0]])
+        peak = np.max(np.abs(b))
+        t = np.arccos(np.abs(b[:, 0]) / peak)
+        np.testing.assert_array_equal(x[:, 0], np.exp(1j * (np.angle(b[:, 0]) + t)))
+        np.testing.assert_array_equal(x[:, 1], np.exp(1j * (np.angle(b[:, 0]) - t)))
+        np.testing.assert_array_equal(f_bb, [[peak / 2.0], [peak / 2.0]])
         res = hf.factor(b, 2, rng=np.random.default_rng(seed))
         assert res.alternations == 0
-        assert res.final_residual <= hf._FLOOR
+        assert res.final_residual <= 1e-15
     assert spread > 20
 
 
-def test_two_phase_split_keeps_the_partner_draw():
-    # the partner column of a copied target column is the random draw, and
-    # every split column is as before: x[:, i] = e^{j(a+t)}, x[:, cols+i] = e^{j(a-t)}
+def test_two_phase_split_keeps_the_draw_of_zero_columns_and_spare_chains():
+    # every live column splits, an equal-modulus one too: x[:, i] = e^{j(a+t)},
+    # x[:, cols+i] = e^{j(a-t)}; only the zero column's pair and the spare
+    # chain keep the random draw
     rng = np.random.default_rng(2)
-    b = np.hstack([0.5 * np.array([[1.0], [1j], [-1.0], [-1j]]), random_complex(rng, 4, 1)])
-    x, _ = hf._two_phase_split(b, 5, np.random.default_rng(3))
-    draw = np.exp(1j * np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, (4, 5)))
-    np.testing.assert_array_equal(x[:, 2], draw[:, 2])
-    np.testing.assert_array_equal(x[:, 4], draw[:, 4])
-    col = b[:, 1]
-    t = np.arccos(np.clip(np.abs(col) / np.max(np.abs(col)), 0.0, 1.0))
-    np.testing.assert_array_equal(x[:, 1], np.exp(1j * (np.angle(col) + t)))
-    np.testing.assert_array_equal(x[:, 3], np.exp(1j * (np.angle(col) - t)))
+    b = np.hstack([0.5 * np.array([[1.0], [1j], [-1.0], [-1j]]), random_complex(rng, 4, 1),
+                   np.zeros((4, 1))])
+    x, _ = hf._two_phase_split(b, 7, np.random.default_rng(3))
+    draw = np.exp(1j * np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, (4, 7)))
+    for j in (2, 5, 6):
+        np.testing.assert_array_equal(x[:, j], draw[:, j])
+    for i in (0, 1):
+        col = b[:, i]
+        t = np.arccos(np.abs(col) / np.max(np.abs(col)))
+        np.testing.assert_array_equal(x[:, i], np.exp(1j * (np.angle(col) + t)))
+        np.testing.assert_array_equal(x[:, 3 + i], np.exp(1j * (np.angle(col) - t)))
+    np.testing.assert_array_equal(x[:, 0], x[:, 3])   # t = 0: two equal columns
 
 
 def _split_target(rng, rows):
@@ -149,22 +156,43 @@ def _split_target(rng, rows):
 
 @pytest.mark.parametrize("n_rf", [6, 8])
 def test_two_phase_split_writes_the_baseband_in_closed_form(n_rf):
-    # n_rf = 2*cols and > 2*cols: F_B has c = peak/2 at rows i and cols+i of a
-    # split column i, the peak at row i of an equal-modulus column, zeros else
+    # n_rf = 2*cols and > 2*cols: F_B has c = peak/2 at rows i and cols+i of
+    # every live column i, zeros else
     b = _split_target(np.random.default_rng(7), 8)
     x, f_bb = hf._two_phase_split(b, n_rf, np.random.default_rng(8))
     peak = np.max(np.abs(b), axis=0)
     want = np.zeros((n_rf, 3), dtype=complex)
     want[0, 0] = want[3, 0] = peak[0] / 2.0
-    want[1, 1] = peak[1]
+    want[1, 1] = want[4, 1] = peak[1] / 2.0
     np.testing.assert_array_equal(f_bb, want)
     draw = np.exp(1j * np.random.default_rng(8).uniform(0.0, 2.0 * np.pi, (8, n_rf)))
-    # the equal-modulus partner, the zero column's pair and the spare chains
-    # keep the random draw
-    for j in [2, 4, 5] + list(range(6, n_rf)):
+    # the zero column's pair and the spare chains keep the random draw
+    for j in [2, 5] + list(range(6, n_rf)):
         np.testing.assert_array_equal(x[:, j], draw[:, j])
     np.testing.assert_allclose(np.abs(x), 1.0, rtol=0, atol=1e-15)
     np.testing.assert_allclose(x @ f_bb, b, rtol=0, atol=1e-12)
+
+
+def test_two_phase_split_is_exact_on_many_equal_modulus_targets():
+    # seeded equal-modulus targets of 1-4 columns, 4-64 rows and 2*cols to
+    # 2*cols+2 chains, a zero column in every fifth: each live column's pair
+    # is two (near-)equal columns, the start is exact with no alternation,
+    # and every RF entry is within an ulp of unit modulus
+    rng = np.random.default_rng(11)
+    worst_res = worst_mod = 0.0
+    for n in range(300):
+        cols, rows = int(rng.integers(1, 5)), int(rng.integers(4, 65))
+        b = np.exp(1j * rng.uniform(0, 2 * np.pi, (rows, cols))) * rng.uniform(0.1, 3.0, cols)
+        if n % 5 == 0:
+            b[:, rng.integers(cols)] = 0.0
+            if not b.any():
+                continue
+        res = hf.factor(b, 2 * cols + int(rng.integers(0, 3)), rng=rng)
+        assert res.alternations == 0 and len(res.residuals) == 1
+        worst_res = max(worst_res, res.final_residual)
+        worst_mod = max(worst_mod, np.max(np.abs(np.abs(res.f_rf) - 1.0)))
+    assert worst_res <= 1e-15
+    assert worst_mod <= 2.3e-16
 
 
 @pytest.mark.parametrize("n_rf", [6, 7, 8])

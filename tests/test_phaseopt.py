@@ -110,13 +110,6 @@ def test_coupling_b_nonnegative_and_gain_sorted(desk_cfg):
     assert np.all(np.diff(np.abs(cs.beta_eff), axis=1) <= 1e-12)
 
 
-def test_coupling_too_few_paths_rejected(desk_cfg):
-    cfg = dataclasses.replace(desk_cfg, paths_l=1)
-    chset = ch.generate_channels(cfg, np.random.default_rng(5))
-    with pytest.raises(ValueError, match="paths"):
-        po.coupling_vectors(chset, cfg)
-
-
 def test_coupling_blocked_needs_enough_bs_paths(desk_cfg):
     cfg = dataclasses.replace(desk_cfg, paths_y=3)
     chset = ch.generate_channels(cfg, np.random.default_rng(6))
