@@ -26,7 +26,7 @@ __all__ = [
 ]
 
 
-class BdInfeasibleError(RuntimeError):
+class BdInfeasibleError(ValueError):
     """The geometry cannot support BD with the requested stream count."""
 
 

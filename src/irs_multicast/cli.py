@@ -11,7 +11,6 @@ import os
 import sys
 
 from . import harness
-from .bd import BdInfeasibleError
 from .channel import ConfigError, load_config
 
 class _Parser(argparse.ArgumentParser):
@@ -57,6 +56,8 @@ def _parse_values(text: str | None) -> tuple[float, ...]:
 def _check_writable(path) -> None:
     """Refuse an output path that cannot be written, before any run and
     without creating it."""
+    if not path:
+        raise ConfigError("cannot write ''")
     parent = os.path.dirname(os.path.abspath(path))
     if os.path.isdir(path) or not os.access(parent, os.W_OK | os.X_OK) or \
             (os.path.exists(path) and not os.access(path, os.W_OK)):
@@ -74,7 +75,7 @@ def _run_report(name: str, spec: harness.ExperimentSpec, out) -> int:
         return 2
     except ConfigError:
         raise
-    except (ValueError, BdInfeasibleError) as exc:
+    except ValueError as exc:
         print(f"report {name} failed: {harness._failure(exc)}", file=sys.stderr)
         return 2
     if out is None:
@@ -85,7 +86,7 @@ def _run_report(name: str, spec: harness.ExperimentSpec, out) -> int:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.report:
+        if args.report is not None:
             unread = {"--sweep": args.sweep, "--sweep-values": args.sweep_values,
                       "--trace": args.trace, "--timing": args.timing,
                       "--baselines": args.baselines}
@@ -93,8 +94,8 @@ def main(argv=None) -> int:
             if given:
                 raise ConfigError(f"report {args.report} does not read {', '.join(given)}")
         spec = harness.ExperimentSpec(
-            config=load_config(args.config) if args.config else harness.DESK_CONFIG,
-            sweep_var=args.sweep or "none",
+            config=load_config(args.config) if args.config is not None else harness.DESK_CONFIG,
+            sweep_var="none" if args.sweep is None else args.sweep,
             sweep_values=_parse_values(args.sweep_values),
             baselines=("proposed",) if args.baselines is None else tuple(args.baselines.split(",")),
             n_seeds=args.seeds,
@@ -103,21 +104,22 @@ def main(argv=None) -> int:
         for path in (args.out, args.trace):
             if path is not None:
                 _check_writable(path)
-        if args.out and args.trace and os.path.realpath(args.out) == os.path.realpath(args.trace):
+        if None not in (args.out, args.trace) and \
+                os.path.realpath(args.out) == os.path.realpath(args.trace):
             raise ConfigError(f"--out and --trace name one file, {args.out}")
-        if args.report:
+        if args.report is not None:
             return _run_report(args.report, spec, args.out)
         records = harness.sweep(spec)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     text = harness.records_csv_text(records)
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", newline="") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    if args.trace:
+    if args.trace is not None:
         harness.write_trace(args.trace, records)
     return 2 if any(not r.ok for r in records) else 0
 

@@ -10,9 +10,7 @@ as such), or the hybrid factorization (skipped: fully digital).
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
 import math
 import time
 from dataclasses import dataclass, field
@@ -210,7 +208,7 @@ def _stage(shared: dict, key, compute):
     if out is None:
         try:
             out = compute()
-        except (bd.BdInfeasibleError, ValueError) as exc:
+        except ValueError as exc:
             out = exc
         shared[key] = out
     if isinstance(out, Exception):
@@ -277,7 +275,7 @@ def _run(baseline: str, cfg: SystemConfig, rng: np.random.Generator,
                     energy_eff_bps_per_w=_energy_efficiency(report.sum_rate, cfg),
                     report=report, trace=list(trace), bd_s1=decomp.s1,
                     sigma_approx=approx)
-    except (bd.BdInfeasibleError, ValueError) as exc:
+    except ValueError as exc:
         args["status"] = f"failed:{_failure(exc)}"
     wall = (time.perf_counter() - t0) * 1000.0 if measure_walltime else 0.0
     # status is one CSV field; keep the schema intact whatever the message
@@ -334,30 +332,19 @@ def sweep(spec: ExperimentSpec) -> list[RunRecord]:
     return records
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _csv_text(columns, rows) -> str:
+    """Headed CSV text: each value's ``str`` (a float's is its ``repr``)
+    joined by commas, every line ending in ``\n``. No field needs quoting:
+    ``_run`` replaces the commas and newlines of a status, and every other
+    field is a number or a baseline name."""
+    return "".join(",".join(map(str, row)) + "\n" for row in (columns, *rows))
 
 
 def records_csv_text(records: list[RunRecord]) -> str:
-    buf = io.StringIO()
-    buf.write(CSV_HEADER + "\n")
-    for r in records:
-        row = [str(r.seed), r.baseline, r.sweep_var, _fmt(r.sweep_value),
-               _fmt(r.sum_rate_bps), str(r.s1_iters), str(r.s2_iters),
-               _fmt(r.energy_eff_bps_per_w), r.status,
-               str(int(round(r.wall_ms)))]
-        buf.write(",".join(row) + "\n")
-    return buf.getvalue()
-
-
-def _write_report(out_path, rows: list[dict], fieldnames) -> None:
-    """Write rows as a headed CSV, lines ending in ``\n`` like the sweep's."""
-    if out_path is None:
-        return
-    with open(out_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
+    return _csv_text(CSV_HEADER.split(","), (
+        (r.seed, r.baseline, r.sweep_var, float(r.sweep_value), float(r.sum_rate_bps),
+         r.s1_iters, r.s2_iters, float(r.energy_eff_bps_per_w), r.status,
+         int(round(r.wall_ms))) for r in records))
 
 
 _TRACE_COLUMNS = ("seed", "baseline", "sweep_value", "iter", "f_value", "step_size",
@@ -367,10 +354,10 @@ _TRACE_COLUMNS = ("seed", "baseline", "sweep_value", "iter", "f_value", "step_si
 def write_trace(path, records: list[RunRecord]) -> None:
     """Write the optimizer traces of ``records`` as CSV: one row per accepted
     iteration of every traced run, keyed by seed, baseline and sweep value."""
-    rows = [dict(zip(_TRACE_COLUMNS, (r.seed, r.baseline, r.sweep_value,
-                                      *dataclasses.astuple(t))))
-            for r in records for t in r.trace]
-    _write_report(path, rows, _TRACE_COLUMNS)
+    with open(path, "w", newline="") as fh:
+        fh.write(_csv_text(_TRACE_COLUMNS, (
+            (r.seed, r.baseline, r.sweep_value, *dataclasses.astuple(t))
+            for r in records for t in r.trace)))
 
 
 _THEOREM1_COLUMNS = ("seed", "n_antennas", "user", "sigma_true_fnorm",
@@ -412,7 +399,9 @@ def theorem1_report(cfg: SystemConfig, seeds: int, out_path=None,
             true, approx = float(np.linalg.norm(true_s)), float(np.linalg.norm(approx_s))
             rows.append(dict(zip(_THEOREM1_COLUMNS, (r.seed, n, k, true, approx,
                                                      abs(true - approx) / true))))
-    _write_report(out_path, rows, _THEOREM1_COLUMNS)
+    if out_path is not None:
+        with open(out_path, "w", newline="") as fh:
+            fh.write(_csv_text(_THEOREM1_COLUMNS, (row.values() for row in rows)))
     failed = [r for _, r in runs if not r.ok]
     if failed:
         raise ReportRunsFailed(f"{len(failed)} of {len(runs)} runs failed "

@@ -301,8 +301,8 @@ def _rf_descent(x: np.ndarray, f_bb: np.ndarray, b: np.ndarray,
     return out
 
 
-def factor(b: np.ndarray, n_rf: int, settings: FactorSettings | None = None,
-           rng: np.random.Generator | None = None) -> FactorResult:
+def factor(b: np.ndarray, n_rf: int, settings: FactorSettings | None = None, *,
+           rng: np.random.Generator) -> FactorResult:
     """Alternating constant-modulus factorization ``B ~ F_R F_B``.
 
     ``b`` is one ``(n, cols)`` matrix or a ``(P, n, cols)`` stack, factored as
@@ -315,7 +315,6 @@ def factor(b: np.ndarray, n_rf: int, settings: FactorSettings | None = None,
     to rounding and no alternation runs.
     """
     st = settings or FactorSettings()
-    rng = rng or np.random.default_rng(0)
     b = np.asarray(b, dtype=np.complex128)
     if b.ndim not in (2, 3) or b.size == 0:
         raise ValueError("need a nonempty target matrix or stack of matrices")

@@ -42,10 +42,11 @@ loops' operation order, summed over streams along axis 0, which adds them
 in the loops' order too.
 
 Each phase point is evaluated once: ``objective_f`` and ``euclidean_grad``
-share one memo on the coupling set, keyed by the values of ``nu`` and ``b``
-(dtype, shape and bytes). It holds the stream gains, their terms and each
-group's bottleneck user, so the gradient at an accepted point reuses the
-line search's evaluation; a new ``b`` also drops the stored gradient rows.
+share one memo on the coupling set, keyed by the value of ``nu`` (dtype,
+shape and bytes). It holds the stream gains, their terms and each group's
+bottleneck user, so the gradient at an accepted point reuses the line
+search's evaluation. The coupling set's ``c`` and ``b`` are read-only, so
+neither the memo nor the stored gradient rows can outlive them.
 """
 
 from __future__ import annotations
@@ -97,6 +98,7 @@ class CouplingSet:
     k's i-th strongest path and its paired BS-side path j = ``diag_cols[k, i]``
     (the group-blocked pairing), so ``nu^H c[k, i]`` is the paper-style d_ii.
     Effective gains carry the channel scale prefactors and antenna gains.
+    ``c`` and ``b`` are stored as read-only copies.
     """
 
     c: np.ndarray              # (K, zeta, M)
@@ -109,16 +111,21 @@ class CouplingSet:
     groups: tuple              # the config's layout, cfg.groups()
     # The last [key, value] of _evaluate: the descent evaluates each accepted
     # point twice, by objective_f in the line search and by euclidean_grad at
-    # the next iteration. Keyed by the values it reads, nu and b, never by
-    # object ids; c and bw_hz are fixed per set, and dataclasses.replace
-    # starts a new memo.
+    # the next iteration. Keyed by the value of nu, never by its id; c, b and
+    # bw_hz are fixed per set, and dataclasses.replace starts a new memo.
     _memo: list = field(default_factory=lambda: [None, None], init=False,
                         repr=False, compare=False)
     # euclidean_grad's rows per tuple of bottleneck users: the flat stream
     # index and the negated gradient coefficients -bw_hz * (2 b / ln 2) * c,
-    # each entry the loops' product, formed once per coupling set, b and
-    # users (a new b clears them).
+    # each entry the loops' product, formed once per coupling set and users.
     _grad_rows: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # the memo and the gradient rows read c and b, so neither may change
+        for name in ("c", "b"):
+            a = np.array(getattr(self, name))
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
 
 def coupling_vectors(chset: ChannelSet, cfg: SystemConfig, groups=None) -> CouplingSet:
@@ -201,20 +208,16 @@ def _evaluate(coupling: CouplingSet, nu: np.ndarray) -> tuple:
     ``1 + b |d|^2``, each group's bottleneck user and the sum of their rates.
 
     The layout is the coupling set's, which every caller has checked. The
-    result is shared with the next call on equal ``nu`` and ``b``; callers
-    only read it.
+    result is shared with the next call on an equal ``nu``; callers only
+    read it.
     """
     memo = coupling._memo
-    b = coupling.b
-    key = (nu.dtype, nu.shape, nu.tobytes(), b.tobytes())
-    last = memo[0]
-    if key == last:
+    key = (nu.dtype, nu.shape, nu.tobytes())
+    if key == memo[0]:
         return memo[1]
-    if last is None or key[3] != last[3]:
-        coupling._grad_rows.clear()
     d = _stream_gains(coupling, nu)
     d.flags.writeable = False
-    _, terms, rates = _stream_rates(b, d)
+    _, terms, rates = _stream_rates(coupling.b, d)
     picks = _pick(coupling.groups, rates)
     value = d, terms, tuple([k for k, _ in picks]), sum(rate for _, rate in picks)
     memo[:] = key, value

@@ -124,7 +124,7 @@ class ConstraintReport:
 
     rf_modulus_dev: float       # max | |entry| - 1 | over the RF factors, 0 if none
     power_ratio: float          # ||tx||_F^2 / P
-    phase_modulus_dev: float    # max | |nu_m| - 1 |, 0 if no nu given
+    phase_modulus_dev: float    # max | |nu_m| - 1 |
 
     def ok(self) -> bool:
         return (self.rf_modulus_dev <= _RF_TOL
@@ -133,11 +133,9 @@ class ConstraintReport:
 
 
 def check_constraints(bf: BeamformerSet, cfg: SystemConfig,
-                      nu: np.ndarray | None = None) -> ConstraintReport:
+                      nu: np.ndarray) -> ConstraintReport:
     rf_dev = float(max((np.max(np.abs(np.abs(r) - 1.0)) for r in bf.rf), default=0.0))
     power_ratio = float(np.linalg.norm(bf.tx, "fro") ** 2 / cfg.power_w)
-    phase_dev = 0.0
-    if nu is not None:
-        phase_dev = float(np.max(np.abs(np.abs(nu) - 1.0)))
+    phase_dev = float(np.max(np.abs(np.abs(nu) - 1.0)))
     return ConstraintReport(rf_modulus_dev=rf_dev, power_ratio=power_ratio,
                             phase_modulus_dev=phase_dev)

@@ -590,6 +590,9 @@ def test_cli_config_error_exit_code(tmp_path):
     worse.write_text("{")
     assert cli_main(["--config", str(worse)]) == 1
     assert cli_main(["--config", str(tmp_path / "missing.json")]) == 1
+    # an empty path ran the desk preset as if no config were given
+    assert cli_main(["--config", "", "--out", str(tmp_path / "o.csv")]) == 1
+    assert not (tmp_path / "o.csv").exists()
     # values that used to yield an ok row with a meaningless rate, or a
     # traceback from deep inside the run
     for key, value in (("bw_hz", -1), ("n_bs", 16.5), ("power_dbm", 4000),
@@ -729,6 +732,12 @@ def test_cli_rejects_negative_seeds_and_fractional_counts(tmp_path, capsys, args
     (["--out", "{tmp}"], "cannot write"),
     (["--trace", "{tmp}/missing/t.csv"], "cannot write"),
     (["--report", "theorem1", "--out", "{tmp}/missing/x.csv"], "cannot write"),
+    # an empty path: the report ran every run and then raised
+    # FileNotFoundError; a sweep wrote no trace, or printed its CSV, and
+    # exited 0
+    (["--report", "theorem1", "--seeds", "1", "--out", ""], "cannot write ''"),
+    (["--seeds", "1", "--trace", ""], "cannot write ''"),
+    (["--seeds", "1", "--out", ""], "cannot write ''"),
     # the trace overwrote the sweep CSV and the run exited 0
     (["--seeds", "1", "--out", "{tmp}/same.csv", "--trace", "{tmp}/same.csv"],
      "--out and --trace name one file"),
@@ -804,6 +813,39 @@ def test_cli_csvs_end_lines_with_newline_only(tmp_path, capsys):
     for name, text in texts.items():
         assert text.count(b"\n") > 1 and text.endswith(b"\n"), name
         assert b"\r" not in text, name
+
+
+def _csv_module_text(columns, rows) -> str:
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def test_cli_csvs_equal_the_csv_module_rendering_of_their_rows(tmp_path):
+    # the one CSV writer joins each value's str with commas; the csv module,
+    # which wrote the trace and theorem1 CSVs, renders the same rows alike
+    paths = {name: tmp_path / f"{name}.csv" for name in ("sweep", "trace", "theorem1")}
+    assert cli_main(["--seeds", "2", "--baselines", "proposed,b", "--out", str(paths["sweep"]),
+                     "--trace", str(paths["trace"])]) == 0
+    assert cli_main(["--report", "theorem1", "--seeds", "2",
+                     "--out", str(paths["theorem1"])]) == 0
+    records = harness.sweep(harness.ExperimentSpec(baselines=("proposed", "b"), n_seeds=2))
+    trace = [(r.seed, r.baseline, r.sweep_value, *dataclasses.astuple(t))
+             for r in records for t in r.trace]
+    sweep = [(r.seed, r.baseline, r.sweep_var, float(r.sweep_value), float(r.sum_rate_bps),
+              r.s1_iters, r.s2_iters, float(r.energy_eff_bps_per_w), r.status,
+              int(round(r.wall_ms))) for r in records]
+    theorem1 = harness.theorem1_report(harness.DESK_CONFIG, 2)
+    assert trace and theorem1
+    want = {
+        "sweep": _csv_module_text(harness.CSV_HEADER.split(","), sweep),
+        "trace": _csv_module_text(harness._TRACE_COLUMNS, trace),
+        "theorem1": _csv_module_text(list(theorem1[0]), [row.values() for row in theorem1]),
+    }
+    for name, path in paths.items():
+        assert path.read_bytes() == want[name].encode(), name
 
 
 def test_cli_report_theorem1(tmp_path):

@@ -363,12 +363,13 @@ def test_factor_invariants():
 
 
 def test_factor_rejects_bad_input():
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        hf.factor(np.zeros((0, 2)), 2)
+        hf.factor(np.zeros((0, 2)), 2, rng=rng)
     with pytest.raises(ValueError):
-        hf.factor(np.zeros((4, 2), dtype=complex), 2)
+        hf.factor(np.zeros((4, 2), dtype=complex), 2, rng=rng)
     with pytest.raises(ValueError):
-        hf.factor(np.ones((4, 2), dtype=complex), 0)
+        hf.factor(np.ones((4, 2), dtype=complex), 0, rng=rng)
 
 
 @pytest.mark.parametrize("n_rf", [4, 3])   # the exact split and the phase-copy start

@@ -652,7 +652,7 @@ def test_kernels_read_no_stale_rates_across_coupling_sets(desk_cfg):
 
 
 # ---------------------------------------------------------------------------
-# One evaluation per phase point: the memo keyed by the values of nu and b
+# One evaluation per phase point: the memo keyed by the value of nu
 # ---------------------------------------------------------------------------
 
 def _count_vecdot(monkeypatch):
@@ -695,21 +695,31 @@ def test_gradient_after_an_in_place_change_of_the_phases(monkeypatch, multiuser_
 
 
 @pytest.mark.parametrize("preset", ["desk", "desk_multiuser"])
-def test_gradient_after_an_in_place_change_of_b(preset):
-    # the stored gradient rows carry b, so a new b must replace them as well
+def test_coupling_set_refuses_in_place_writes_and_replace_starts_fresh(preset):
+    # the memo and the stored gradient rows read c and b, so an in-place
+    # write, which left both stale, is refused; a set with another c or b is
+    # a new one, with its own memo and rows, holding copies of its arrays
     cfg = ch.load_config(CONFIG_DIR / f"{preset}.json")
     groups = cfg.groups()
     _, cs, rng = make_coupling(cfg, 422)
     nu = unit_phases(cfg.n_irs, rng)
-    po.euclidean_grad(cs, nu, groups)
-    for scale in (3.0, 0.25):
-        po.objective_f(cs, nu, groups)
-        cs.b[:, 0] *= scale
-        assert po.objective_f(cs, nu, groups) == _prior_objective(cs, nu, groups)
-        assert np.array_equal(po.euclidean_grad(cs, nu, groups), _prior_grad(cs, nu, groups))
-        cs.b[1, -1] *= scale
-        assert np.array_equal(po.euclidean_grad(cs, nu, groups), _prior_grad(cs, nu, groups))
-        assert po.objective_f(cs, nu, groups) == _prior_objective(cs, nu, groups)
+    f0 = po.objective_f(cs, nu, groups)
+    g0 = po.euclidean_grad(cs, nu, groups)
+    for name in ("c", "b"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(cs, name)[...] *= 2.0
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(cs, name)[0, 0] = 0.0
+    assert po.objective_f(cs, nu, groups) == f0 == _prior_objective(cs, nu, groups)
+    assert np.array_equal(po.euclidean_grad(cs, nu, groups), g0)
+    for change in ({"b": cs.b * 3.0}, {"b": cs.b * 0.25}, {"c": cs.c * 2.0}):
+        new = dataclasses.replace(cs, **change)
+        for value in change.values():
+            value[...] = 0.0    # the caller's array stays its own
+        f = po.objective_f(new, nu, groups)
+        assert f == _prior_objective(new, nu, groups) and f != f0
+        assert np.array_equal(po.euclidean_grad(new, nu, groups), _prior_grad(new, nu, groups))
+        assert po.objective_f(new, nu, groups) == f
 
 
 def test_stream_rules_on_python_floats_equal_the_array_forms():

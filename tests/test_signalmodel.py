@@ -199,9 +199,10 @@ def test_zeroing_interferers_increases_sinr(multiuser_cfg):
 def test_check_constraints_power_scaling(desk_cfg):
     rng = np.random.default_rng(10)
     bf = random_digital_bf(desk_cfg, rng)
-    ratio = sm.check_constraints(bf, desk_cfg).power_ratio
+    nu = ch.random_phase_vector(desk_cfg.n_irs, rng)
+    ratio = sm.check_constraints(bf, desk_cfg, nu).power_ratio
     bf.tx *= 2.0
-    assert math.isclose(sm.check_constraints(bf, desk_cfg).power_ratio,
+    assert math.isclose(sm.check_constraints(bf, desk_cfg, nu).power_ratio,
                         4.0 * ratio, rel_tol=1e-12)
 
 
