@@ -77,14 +77,14 @@ def decompose(h_eff: np.ndarray, cfg: SystemConfig, nulling: bool = True) -> BdD
                     f"group {h}: null space dimension {v0.shape[1]} < zeta={zeta}")
         for k in members:
             proj = h_eff[k] if v0 is None else h_eff[k] @ v0
-            res = mk.svd(proj)
+            u, s, vh = mk.svd(proj)
             # Rank of the projection judged against the unprojected channel's
             # scale ||H_k||_2: when the cascade shares the other groups' path
             # space the projection leaves pure rounding noise, which is full
             # rank relative to itself but zero relative to H_k. ||H_k||_F
             # bounds ||H_k||_2 from above, so the 2-norm (one more SVD) is
             # taken only for a projection that fails the Frobenius bound.
-            s_min = res.s[zeta - 1]
+            s_min = s[zeta - 1]
             rank_tol = mk.default_rank_tol(proj.shape)
             if s_min <= rank_tol * float(np.linalg.norm(h_eff[k])) * (1.0 + 1e-12):
                 hk_scale = float(np.linalg.norm(h_eff[k], 2))
@@ -92,7 +92,7 @@ def decompose(h_eff: np.ndarray, cfg: SystemConfig, nulling: bool = True) -> BdD
                     raise BdInfeasibleError(
                         f"user {k}: projected channel rank below zeta={zeta}"
                         " (effective channel collapses in the other groups' null space)")
-            u1[k], s1[k], v1[k] = res.u[:, :zeta], res.s[:zeta], res.vh[:zeta, :].conj().T
+            u1[k], s1[k], v1[k] = u[:, :zeta], s[:zeta], vh[:zeta, :].conj().T
         v0s.append(v0)
     return BdDecomposition(v0=tuple(v0s), u1=u1, s1=s1, v1=tuple(v1))
 

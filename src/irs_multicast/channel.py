@@ -295,10 +295,12 @@ def config_from_dict(data: dict) -> SystemConfig:
 
 def load_config(path) -> SystemConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from None
     if not isinstance(data, dict):

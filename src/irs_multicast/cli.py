@@ -1,7 +1,7 @@
 """``simulate`` command line entry point.
 
-Exit codes: 0 full success, 1 configuration error, 2 partial run failures
-(rows flagged in the status column) or a failed report.
+Exit codes: 0 full success, 1 configuration error or a failed write, 2 partial
+run failures (rows flagged in the status column) or a failed report.
 """
 
 from __future__ import annotations
@@ -64,12 +64,22 @@ def _check_writable(path) -> None:
         raise ConfigError(f"cannot write {path}")
 
 
+def _write(path, write) -> None:
+    """``write()``, which writes ``path``; an OS error on the way (a full disk,
+    an I/O error) refuses the path as ``_check_writable`` does, with a reason."""
+    try:
+        write()
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _run_report(name: str, spec: harness.ExperimentSpec, out) -> int:
     """Write the named report, which reads only --config, --seeds,
     --base-seed and --out; a failure inside it, or failed runs behind its
     rows (its CSV still holds the rows it has), exits 2 with one stderr line."""
     try:
-        harness.theorem1_report(spec.config, spec.n_seeds, out, base_seed=spec.base_seed)
+        _write(out, lambda: harness.theorem1_report(spec.config, spec.n_seeds, out,
+                                                    base_seed=spec.base_seed))
     except harness.ReportRunsFailed as exc:
         print(f"report {name}: {exc}", file=sys.stderr)
         return 2
@@ -110,17 +120,16 @@ def main(argv=None) -> int:
         if args.report is not None:
             return _run_report(args.report, spec, args.out)
         records = harness.sweep(spec)
+        text = harness.records_csv_text(records)
+        if args.out is None:
+            sys.stdout.write(text)
+        else:
+            _write(args.out, lambda: harness._write_text(args.out, text))
+        if args.trace is not None:
+            _write(args.trace, lambda: harness.write_trace(args.trace, records))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    text = harness.records_csv_text(records)
-    if args.out is not None:
-        with open(args.out, "w", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    if args.trace is not None:
-        harness.write_trace(args.trace, records)
     return 2 if any(not r.ok for r in records) else 0
 
 

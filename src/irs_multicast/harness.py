@@ -112,6 +112,8 @@ class ExperimentSpec:
                 raise ConfigError(f"unknown baseline {b!r}")
         if len(set(self.baselines)) != len(self.baselines):
             raise ConfigError(f"repeated baseline in {','.join(self.baselines)}")
+        for name in ("n_seeds", "base_seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.n_seeds < 1:
             raise ConfigError("need at least one seed")
         if self.base_seed < 0:
@@ -183,13 +185,13 @@ def _hybridize(bf_digital: sm.BeamformerSet, cfg: SystemConfig,
                rng: np.random.Generator) -> tuple[sm.BeamformerSet, int]:
     """Factor a digital set into RF/baseband parts, the transmit matrix in one
     call and the (K, N_U, zeta) combiner stack in another, and compose F_R F_B
-    and every W_R W_B once; returns the hybrid set and the max alternation
-    count."""
+    and every W_R W_B once; returns the hybrid set, whose ``rf`` keeps the
+    factors as they come, and the max alternation count."""
     tx = hf.factor(bf_digital.tx, cfg.m_bs, rng=rng)
     f_bb = hf.normalize_power(tx.f_rf, tx.f_bb, cfg.power_w)
     rx = hf.factor(bf_digital.combiners, cfg.m_ue, rng=rng)
     return sm.BeamformerSet(tx=tx.f_rf @ f_bb, combiners=rx.f_rf @ rx.f_bb,
-                            rf=(tx.f_rf, *rx.f_rf)), max(tx.alternations, rx.alternations)
+                            rf=(tx.f_rf, rx.f_rf)), max(tx.alternations, rx.alternations)
 
 
 def _failure(exc: Exception) -> str:
@@ -340,6 +342,12 @@ def _csv_text(columns, rows) -> str:
     return "".join(",".join(map(str, row)) + "\n" for row in (columns, *rows))
 
 
+def _write_text(path, text: str) -> None:
+    """Write ``text`` to ``path`` as is, with no newline translation."""
+    with open(path, "w", newline="") as fh:
+        fh.write(text)
+
+
 def records_csv_text(records: list[RunRecord]) -> str:
     return _csv_text(CSV_HEADER.split(","), (
         (r.seed, r.baseline, r.sweep_var, float(r.sweep_value), float(r.sum_rate_bps),
@@ -354,10 +362,9 @@ _TRACE_COLUMNS = ("seed", "baseline", "sweep_value", "iter", "f_value", "step_si
 def write_trace(path, records: list[RunRecord]) -> None:
     """Write the optimizer traces of ``records`` as CSV: one row per accepted
     iteration of every traced run, keyed by seed, baseline and sweep value."""
-    with open(path, "w", newline="") as fh:
-        fh.write(_csv_text(_TRACE_COLUMNS, (
-            (r.seed, r.baseline, r.sweep_value, *dataclasses.astuple(t))
-            for r in records for t in r.trace)))
+    _write_text(path, _csv_text(_TRACE_COLUMNS, (
+        (r.seed, r.baseline, r.sweep_value, *dataclasses.astuple(t))
+        for r in records for t in r.trace)))
 
 
 _THEOREM1_COLUMNS = ("seed", "n_antennas", "user", "sigma_true_fnorm",
@@ -400,8 +407,7 @@ def theorem1_report(cfg: SystemConfig, seeds: int, out_path=None,
             rows.append(dict(zip(_THEOREM1_COLUMNS, (r.seed, n, k, true, approx,
                                                      abs(true - approx) / true))))
     if out_path is not None:
-        with open(out_path, "w", newline="") as fh:
-            fh.write(_csv_text(_THEOREM1_COLUMNS, (row.values() for row in rows)))
+        _write_text(out_path, _csv_text(_THEOREM1_COLUMNS, (row.values() for row in rows)))
     failed = [r for _, r in runs if not r.ok]
     if failed:
         raise ReportRunsFailed(f"{len(failed)} of {len(runs)} runs failed "

@@ -117,21 +117,19 @@ class FactorResult:
         return self.residuals[-1] if self.residuals else math.inf
 
 
-def _phase_copy_init(b: np.ndarray, n_rf: int, rng: np.random.Generator) -> np.ndarray:
-    """Phase-copy warm start from B's leading columns, for a matrix or a
-    stack; random phases fill gaps."""
-    x = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, b.shape[:-1] + (n_rf,)))
-    take = min(b.shape[-1], n_rf)
+def _phase_copy_init(b: np.ndarray, x: np.ndarray) -> None:
+    """Write the phase-copy warm start from B's leading columns, for a matrix
+    or a stack, over the random RF fill ``x``, which keeps the gaps."""
+    take = min(b.shape[-1], x.shape[-1])
     lead = b[..., :take]
     nz = np.abs(lead) > 0.0
     x[..., :take][nz] = lead[nz] / np.abs(lead[nz])
-    return x
 
 
-def _two_phase_split(b: np.ndarray, n_rf: int,
-                     rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+def _two_phase_split(b: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Exact factorization ``B = F_R F_B`` of a matrix, or of every matrix of
-    a stack, in closed form when ``n_rf >= 2 * cols``.
+    a stack, in closed form on ``n_rf >= 2 * cols`` chains: ``F_R`` is
+    written over the random RF fill ``x``, and ``F_B`` is returned.
 
     Every complex entry v with |v| <= 2c splits as c(e^{j(a+t)} + e^{j(a-t)})
     with a = arg v and t = arccos(|v| / 2c). With 2c the peak modulus of
@@ -139,10 +137,9 @@ def _two_phase_split(b: np.ndarray, n_rf: int,
     ``F_B`` holds c at rows i and cols+i of column i; every other entry of
     ``F_B`` is zero. An equal-modulus column has t = 0 and splits into two
     equal columns, which stays exact because ``F_B`` is written, not solved
-    for. A zero column and the spare chains keep their random draw.
+    for. A zero column and the spare chains keep their random fill.
     """
     cols = b.shape[-1]
-    x = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, b.shape[:-1] + (n_rf,)))
     mag = np.abs(b)
     peak = mag.max(axis=-2, keepdims=True)
     live = peak > 0.0
@@ -152,9 +149,9 @@ def _two_phase_split(b: np.ndarray, n_rf: int,
     x[..., :cols] = np.where(live, np.exp(1j * (ang + t)), x[..., :cols])
     x[..., pair] = np.where(live, np.exp(1j * (ang - t)), x[..., pair])
     idx = np.arange(cols)
-    f_bb = np.zeros(b.shape[:-2] + (n_rf, cols), dtype=np.complex128)
+    f_bb = np.zeros(b.shape[:-2] + (x.shape[-1], cols), dtype=np.complex128)
     f_bb[..., idx, idx] = f_bb[..., cols + idx, idx] = (peak / 2.0)[..., 0, :]
-    return x, f_bb
+    return f_bb
 
 
 def _fro_norm(m: np.ndarray) -> float:
@@ -329,10 +326,12 @@ def factor(b: np.ndarray, n_rf: int, settings: FactorSettings | None = None, *,
         if not 0.0 < norm < math.inf:   # zero, or a nan or inf entry
             raise ValueError(f"target matrix norm {norm!r} must be finite and > 0")
     scale = [max(norm ** 2, 1e-300) for norm in b_norm]
+    # one random RF fill, which either start writes over, drawn whichever it is
+    x = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, stack.shape[:-1] + (n_rf,)))
     if st.init_mode == "auto" and n_rf >= 2 * stack.shape[2]:
-        x, f_bb = _two_phase_split(stack, n_rf, rng)
+        f_bb = _two_phase_split(stack, x)
     else:
-        x = _phase_copy_init(stack, n_rf, rng)
+        _phase_copy_init(stack, x)
         f_bb = np.linalg.pinv(x) @ stack
     resid = stack - x @ f_bb
     residuals = [[r / norm] for r, norm in zip(_fro_norms(resid), b_norm)]

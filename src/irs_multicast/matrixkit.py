@@ -1,18 +1,16 @@
 """Dense complex matrix primitives: SVD and null-space bases.
 
-Thin, contract-enforcing wrappers around ``numpy.linalg``. The SVD is made
-deterministic across runs by a fixed per-column phase convention, which the
-rest of the library relies on for reproducible beamformers.
+Thin, contract-enforcing wrappers around ``numpy.linalg``. The SVD returns
+numpy's ``(u, s, vh)`` triple, made deterministic across runs by a fixed
+per-column phase convention, which the rest of the library relies on for
+reproducible beamformers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "SvdResult",
     "svd",
     "nullspace_basis",
     "default_rank_tol",
@@ -22,15 +20,6 @@ __all__ = [
 def default_rank_tol(shape: tuple[int, int]) -> float:
     """Relative singular-value cutoff below which directions count as null."""
     return 1e-10 * max(shape)
-
-
-@dataclass(frozen=True)
-class SvdResult:
-    """Thin SVD ``a = u @ diag(s) @ vh`` with s real, non-negative, descending."""
-
-    u: np.ndarray
-    s: np.ndarray
-    vh: np.ndarray
 
 
 def _fix_column_phases(u: np.ndarray, vh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -51,8 +40,9 @@ def _as_matrix(a) -> np.ndarray:
     return a
 
 
-def svd(a) -> SvdResult:
-    """Deterministic thin SVD of a complex matrix.
+def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Deterministic thin SVD ``a = u @ diag(s) @ vh`` of a complex matrix,
+    as the triple ``(u, s, vh)`` with s real, non-negative, descending.
 
     Raises
     ------
@@ -66,7 +56,7 @@ def svd(a) -> SvdResult:
         raise ValueError("matrix has non-finite entries")
     u, s, vh = np.linalg.svd(a, full_matrices=False)
     u, vh = _fix_column_phases(u, vh)
-    return SvdResult(u=u, s=s, vh=vh)
+    return u, s, vh
 
 
 def nullspace_basis(a) -> np.ndarray:
@@ -74,12 +64,10 @@ def nullspace_basis(a) -> np.ndarray:
 
     Columns span the right singular directions whose singular values fall
     below ``default_rank_tol(a.shape) * s_max``. A matrix with zero rows
-    constrains nothing and yields the full identity basis.
+    constrains nothing: it has no singular values, so rank 0, and numpy's
+    full ``vh`` is the identity, the full basis.
     """
     a = _as_matrix(a)
-    n = a.shape[1]
-    if a.shape[0] == 0:
-        return np.eye(n, dtype=np.complex128)
     rel_tol = default_rank_tol(a.shape)
     _, s, vh = np.linalg.svd(a, full_matrices=True)
     smax = s[0] if s.size else 0.0

@@ -95,17 +95,17 @@ class CouplingSet:
     """Coupling data of every user, stacked so that row k belongs to user k.
 
     ``c[k, i]`` is the pure steering product conj(a_dep,i) * a_arr,j of user
-    k's i-th strongest path and its paired BS-side path j = ``diag_cols[k, i]``
-    (the group-blocked pairing), so ``nu^H c[k, i]`` is the paper-style d_ii.
-    Effective gains carry the channel scale prefactors and antenna gains.
+    k's i-th strongest path and its paired BS-side path j, the sorted
+    BS-side path h*zeta+i of k's group h (the group-blocked pairing), so
+    ``nu^H c[k, i]`` is the paper-style d_ii. ``gain[k, i]`` is that pair's
+    effective gain product alpha_j beta_i, with the channel scale prefactors
+    and antenna gains; ``b`` is its squared modulus at the stream SNR scale.
     ``c`` and ``b`` are stored as read-only copies.
     """
 
     c: np.ndarray              # (K, zeta, M)
     b: np.ndarray              # (K, zeta) SINR scale factors
-    alpha_eff: np.ndarray      # (Y,) BS-side effective gains, |.| descending
-    beta_eff: np.ndarray       # (K, L) user-side effective gains, |.| descending
-    diag_cols: np.ndarray      # (K, zeta) BS-side column index per stream
+    gain: np.ndarray           # (K, zeta) paired effective gains alpha_j beta_i
     zeta: int
     bw_hz: float
     groups: tuple              # the config's layout, cfg.groups()
@@ -151,11 +151,10 @@ def coupling_vectors(chset: ChannelSet, cfg: SystemConfig, groups=None) -> Coupl
     beta_sorted = np.take_along_axis(beta, order_b, axis=1)
     dep_vecs = np.take_along_axis(up.a_irs, order_b[:, :zeta, None], axis=1)
     cols = group_of[:, None] * zeta + np.arange(zeta)
-    scale = stream_snr_scale(cfg)
-    b = scale[:, None] * np.abs(alpha_sorted[cols] * beta_sorted[:, :zeta]) ** 2
-    return CouplingSet(c=np.conj(dep_vecs) * arr_vecs[cols], b=b, alpha_eff=alpha_sorted,
-                       beta_eff=beta_sorted, diag_cols=cols, zeta=zeta, bw_hz=cfg.bw_hz,
-                       groups=cfg.groups())
+    gain = alpha_sorted[cols] * beta_sorted[:, :zeta]
+    b = stream_snr_scale(cfg)[:, None] * np.abs(gain) ** 2
+    return CouplingSet(c=np.conj(dep_vecs) * arr_vecs[cols], b=b, gain=gain, zeta=zeta,
+                       bw_hz=cfg.bw_hz, groups=cfg.groups())
 
 
 def _stream_gains(coupling: CouplingSet, nu: np.ndarray) -> np.ndarray:
@@ -166,24 +165,18 @@ def _stream_gains(coupling: CouplingSet, nu: np.ndarray) -> np.ndarray:
 def sigma_approx(coupling: CouplingSet, nu: np.ndarray) -> np.ndarray:
     """Diagonal approximation of the projected singular values, (K, zeta).
 
-    Entry (k, i) is ``alpha_i beta_i nu^H c^ii`` for user k's paired paths; its
-    modulus approximates the i-th entry of the projected channel's singular
-    spectrum.
+    Entry (k, i) is ``gain[k, i] nu^H c[k, i]``, the paired gain product
+    alpha_j beta_i times the stream gain; its modulus approximates the i-th
+    entry of the projected channel's singular spectrum.
     """
-    d = _stream_gains(coupling, nu)
-    for k in range(d.shape[0]):
-        for i in range(coupling.zeta):
-            gain = coupling.alpha_eff[coupling.diag_cols[k, i]] * coupling.beta_eff[k, i]
-            d[k, i] = gain * d[k, i]
-    return d
+    return coupling.gain * _stream_gains(coupling, nu)
 
 
-def _stream_rates(b: np.ndarray, d: np.ndarray) -> tuple[list, list, list]:
-    """Squared stream gains ``|d|^2``, the terms ``1 + b |d|^2`` (both flat,
-    row-major lists of Python floats) and each row's rate in bit/s/Hz,
-    ``sum_i log2(term_i)`` summed in stream order."""
-    sq = [abs(z) ** 2 for z in d.ravel().tolist()]
-    terms = [1.0 + bi * s for bi, s in zip(b.ravel().tolist(), sq)]
+def _stream_rates(b: np.ndarray, d: np.ndarray) -> tuple[list, list]:
+    """The terms ``1 + b |d|^2`` (a flat, row-major list of Python floats)
+    and each row's rate in bit/s/Hz, ``sum_i log2(term_i)`` summed in stream
+    order."""
+    terms = [1.0 + bi * abs(z) ** 2 for bi, z in zip(b.ravel().tolist(), d.ravel().tolist())]
     width = d.shape[-1]
     rates = []
     for start in range(0, len(terms), width):
@@ -191,7 +184,7 @@ def _stream_rates(b: np.ndarray, d: np.ndarray) -> tuple[list, list, list]:
         for t in terms[start:start + width]:
             rate += math.log2(t)
         rates.append(rate)
-    return sq, terms, rates
+    return terms, rates
 
 
 def _pick(groups, rates: list[float]) -> list[tuple[int, float]]:
@@ -217,7 +210,7 @@ def _evaluate(coupling: CouplingSet, nu: np.ndarray) -> tuple:
         return memo[1]
     d = _stream_gains(coupling, nu)
     d.flags.writeable = False
-    _, terms, rates = _stream_rates(coupling.b, d)
+    terms, rates = _stream_rates(coupling.b, d)
     picks = _pick(coupling.groups, rates)
     value = d, terms, tuple([k for k, _ in picks]), sum(rate for _, rate in picks)
     memo[:] = key, value

@@ -56,7 +56,8 @@ class BeamformerSet:
     ``tx`` is the N_B x H*zeta transmit matrix (F_R F_B when hybrid) and
     ``combiners`` the (K, N_U, zeta) stack of every user's combiner
     (W_R,k W_B,k when hybrid). ``rf`` holds the analog factors the
-    unit-modulus constraint applies to; it is empty for a fully digital set.
+    unit-modulus constraint applies to, ``(F_R, W_R)`` with W_R the
+    (K, N_U, m_ue) stack of every user's; it is empty for a fully digital set.
     """
 
     tx: np.ndarray

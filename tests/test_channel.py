@@ -259,6 +259,15 @@ def test_config_invalid_json(tmp_path):
         ch.load_config(path)
 
 
+def test_config_not_utf8(tmp_path):
+    # a UTF-16 byte-order mark ended in a UnicodeDecodeError traceback
+    path = tmp_path / "cfg.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ch.ConfigError, match="is not UTF-8 text") as exc:
+        ch.load_config(path)
+    assert str(exc.value).startswith(str(path))
+
+
 # ---------------------------------------------------------------------------
 # Channel generation
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import csv
 import dataclasses
+import errno
 import io
 import json
 import math
+import os
 import weakref
 
 import numpy as np
@@ -42,6 +44,17 @@ def test_spec_validation():
     with pytest.raises(ch.ConfigError, match="need a sweep"):
         small_spec(sweep_var="none", sweep_values=(20.0, 30.0))
     assert small_spec(sweep_var="none", sweep_values=(0.0,)).sweep_values == (0.0,)
+    # a fractional seed count or base seed passed and then failed the sweep
+    # with a TypeError, a string count raised one here, and True ran one seed
+    for field, value in (("n_seeds", 2.5), ("base_seed", 1.5), ("n_seeds", "2"),
+                         ("n_seeds", True)):
+        with pytest.raises(ch.ConfigError, match=f"^{field} must be an integer"):
+            small_spec(**{field: value})
+    with pytest.raises(ch.ConfigError, match="^n_seeds must be an integer, got 2.5$"):
+        harness.theorem1_report(harness.DESK_CONFIG, seeds=2.5)
+    spec = small_spec(n_seeds=np.int64(3), base_seed=2.0)
+    assert (spec.n_seeds, spec.base_seed) == (3, 2)
+    assert type(spec.n_seeds) is type(spec.base_seed) is int
 
 
 def test_desk_preset_matches_config_file():
@@ -760,6 +773,32 @@ def test_cli_help_still_exits_0(capsys):
         cli_main(["--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.startswith("usage: simulate")
+
+
+@pytest.fixture
+def full_output(tmp_path, monkeypatch):
+    """An output path whose write fails with ENOSPC: /dev/full where the CLI
+    may write it, else a path whose write is made to fail so."""
+    if os.path.exists("/dev/full") and os.access("/dev", os.W_OK | os.X_OK):
+        return "/dev/full"
+
+    def full(path, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(harness, "_write_text", full)
+    return str(tmp_path / "full.csv")
+
+
+@pytest.mark.parametrize("args", [
+    ["--seeds", "1", "--out"],
+    ["--seeds", "1", "--trace"],
+    ["--report", "theorem1", "--seeds", "1", "--out"],
+], ids=["out", "trace", "report"])
+def test_cli_failed_output_write_is_one_line_exit_1(capsys, full_output, args):
+    # a full disk ended each write in an OSError traceback
+    assert cli_main(args + [full_output]) == 1
+    assert capsys.readouterr().err == \
+        f"config error: cannot write {full_output}: {os.strerror(errno.ENOSPC)}\n"
 
 
 def test_cli_partial_failure_exit_code(tmp_path):

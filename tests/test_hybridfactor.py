@@ -24,6 +24,11 @@ def planted(rng, n, n_rf, cols):
     return x @ y
 
 
+def random_fill(rows, n_rf, seed):
+    """The random RF fill that ``factor`` draws before either start."""
+    return unit_modulus(np.random.default_rng(seed), rows, n_rf)
+
+
 @pytest.mark.parametrize("max_alternations", [0, 3])
 def test_factor_baseband_is_pinv_of_its_rf_times_target(max_alternations):
     # the phase-copy start and every alternation take F_B = pinv(F_R) @ B
@@ -116,7 +121,8 @@ def test_two_phase_split_splits_steering_like_columns_exactly():
     for seed in range(40):
         b = (np.exp(1j * rng.uniform(0, 2 * np.pi, 4)) / 2.0).reshape(4, 1)
         spread += int(np.ptp(np.abs(b)) > 0.0)
-        x, f_bb = hf._two_phase_split(b, 2, np.random.default_rng(seed))
+        x = random_fill(4, 2, seed)
+        f_bb = hf._two_phase_split(b, x)
         peak = np.max(np.abs(b))
         t = np.arccos(np.abs(b[:, 0]) / peak)
         np.testing.assert_array_equal(x[:, 0], np.exp(1j * (np.angle(b[:, 0]) + t)))
@@ -135,8 +141,9 @@ def test_two_phase_split_keeps_the_draw_of_zero_columns_and_spare_chains():
     rng = np.random.default_rng(2)
     b = np.hstack([0.5 * np.array([[1.0], [1j], [-1.0], [-1j]]), random_complex(rng, 4, 1),
                    np.zeros((4, 1))])
-    x, _ = hf._two_phase_split(b, 7, np.random.default_rng(3))
-    draw = np.exp(1j * np.random.default_rng(3).uniform(0.0, 2.0 * np.pi, (4, 7)))
+    x = random_fill(4, 7, 3)
+    hf._two_phase_split(b, x)
+    draw = random_fill(4, 7, 3)
     for j in (2, 5, 6):
         np.testing.assert_array_equal(x[:, j], draw[:, j])
     for i in (0, 1):
@@ -159,13 +166,14 @@ def test_two_phase_split_writes_the_baseband_in_closed_form(n_rf):
     # n_rf = 2*cols and > 2*cols: F_B has c = peak/2 at rows i and cols+i of
     # every live column i, zeros else
     b = _split_target(np.random.default_rng(7), 8)
-    x, f_bb = hf._two_phase_split(b, n_rf, np.random.default_rng(8))
+    x = random_fill(8, n_rf, 8)
+    f_bb = hf._two_phase_split(b, x)
     peak = np.max(np.abs(b), axis=0)
     want = np.zeros((n_rf, 3), dtype=complex)
     want[0, 0] = want[3, 0] = peak[0] / 2.0
     want[1, 1] = want[4, 1] = peak[1] / 2.0
     np.testing.assert_array_equal(f_bb, want)
-    draw = np.exp(1j * np.random.default_rng(8).uniform(0.0, 2.0 * np.pi, (8, n_rf)))
+    draw = random_fill(8, n_rf, 8)
     # the zero column's pair and the spare chains keep the random draw
     for j in [2, 5] + list(range(6, n_rf)):
         np.testing.assert_array_equal(x[:, j], draw[:, j])
@@ -256,7 +264,8 @@ def _reference_factor(b, n_rf, st, rng):
     b = np.asarray(b, dtype=np.complex128)
     assert n_rf < 2 * b.shape[1]
     b_norm = float(np.linalg.norm(b, "fro"))
-    x = hf._phase_copy_init(b, n_rf, rng)
+    x = unit_modulus(rng, b.shape[0], n_rf)
+    hf._phase_copy_init(b, x)
     f_bb = np.linalg.pinv(x) @ b
     residuals = [float(np.linalg.norm(b - x @ f_bb, "fro")) / b_norm]
     backtracks = 0
@@ -407,18 +416,25 @@ def test_normalize_power_zero_product():
                            np.zeros((2, 2), dtype=complex), 1.0)
 
 
-def test_factor_receive_exact_when_chains_match_columns():
+def test_factor_phase_copy_is_exact_on_unit_modulus_columns():
+    # as many chains as columns: the phase copy writes the target into F_R
     rng = np.random.default_rng(8)
     j_k = unit_modulus(rng, 16, 2)
     res = hf.factor(j_k, 2, rng=rng)
     assert res.final_residual < 1e-12
 
 
-def test_factor_receive_monotone_residuals():
+def test_factor_combiner_stack_at_too_few_chains_has_monotone_residuals():
+    # a (K, N_U, zeta) combiner stack at fewer than 2*zeta chains takes the
+    # phase-copy start and alternates; every matrix's trace is non-increasing
     rng = np.random.default_rng(9)
-    j_k = random_complex(rng, 16, 2)
-    res = hf.factor(j_k, 4, rng=rng)
-    assert np.all(np.diff(res.residuals) <= 0)
+    stack = np.stack([random_complex(rng, 16, 2) for _ in range(4)])
+    res = hf.factor(stack, 3, rng=rng)
+    assert res.alternations > 0
+    assert len(res.residuals) == 4
+    for trace in res.residuals:
+        assert len(trace) > 1
+        assert np.all(np.diff(trace) <= 0)
 
 
 def test_hybrid_reproduces_digital_rate(desk_cfg):
@@ -429,7 +445,9 @@ def test_hybrid_reproduces_digital_rate(desk_cfg):
     h_eff = ch.effective_channels(chset, nu, desk_cfg)
     bf, _ = bd.build_beamformers(h_eff, desk_cfg.groups(), desk_cfg)
     hybrid, _ = harness._hybridize(bf, desk_cfg, rng)
-    assert len(hybrid.rf) == 1 + desk_cfg.k_users
+    f_rf, w_rf = hybrid.rf
+    assert f_rf.shape == (desk_cfg.n_bs, desk_cfg.m_bs)
+    assert w_rf.shape == (desk_cfg.k_users, desk_cfg.n_ue, desk_cfg.m_ue)
     digital_rate = sm.sum_rate(bf, h_eff, desk_cfg).sum_rate
     hybrid_rate = sm.sum_rate(hybrid, h_eff, desk_cfg).sum_rate
     assert abs(hybrid_rate - digital_rate) / digital_rate < 0.05

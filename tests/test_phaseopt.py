@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from irs_multicast import channel as ch
 from irs_multicast import harness
 from irs_multicast import phaseopt as po
+from irs_multicast.signalmodel import stream_snr_scale
 
 from conftest import CONFIG_DIR, user_paths
 
@@ -33,16 +34,30 @@ def unit_phases(m, rng):
 # Coupling construction
 # ---------------------------------------------------------------------------
 
-def sorted_steering(cfg, chset, k):
-    """Gain-sorted (user-side, BS-side) IRS steering vectors of user k."""
-    def vectors(paths, order):
-        return [ch.upa_response(paths.az_irs[i], paths.el_irs[i], cfg.f_y, cfg.f_z)
-                for i in order]
-    bs, up = chset.bs_paths, user_paths(chset)[k]
-    alpha = cfg.g_tx_lin * math.sqrt(cfg.n_bs * cfg.n_irs / cfg.paths_y) * bs.gains
-    beta = cfg.g_rx_lin * math.sqrt(cfg.n_irs * cfg.n_ue / cfg.paths_l) * up.gains
-    return (vectors(up, np.argsort(-np.abs(beta), kind="stable")),
-            vectors(bs, np.argsort(-np.abs(alpha), kind="stable")))
+def effective_gains(cfg, chset, k):
+    """User k's (user-side, BS-side) effective path gains, unsorted."""
+    alpha = cfg.g_tx_lin * math.sqrt(cfg.n_bs * cfg.n_irs / cfg.paths_y) * chset.bs_paths.gains
+    beta = cfg.g_rx_lin * math.sqrt(cfg.n_irs * cfg.n_ue / cfg.paths_l) \
+        * user_paths(chset)[k].gains
+    return beta, alpha
+
+
+def sorted_paths(cfg, chset, k):
+    """User k's (user-side, BS-side) effective gains and IRS steering
+    vectors, each pair sorted by descending gain modulus."""
+    def by_gain(paths, gains):
+        order = np.argsort(-np.abs(gains), kind="stable")
+        return gains[order], [ch.upa_response(paths.az_irs[i], paths.el_irs[i], cfg.f_y,
+                                              cfg.f_z) for i in order]
+    beta, alpha = effective_gains(cfg, chset, k)
+    return by_gain(user_paths(chset)[k], beta), by_gain(chset.bs_paths, alpha)
+
+
+def paired_cols(cfg, k):
+    """The sorted BS-side paths that user k's streams pair with: the block
+    h*zeta, ..., h*zeta+zeta-1 of its group h."""
+    h = next(h for h, members in enumerate(cfg.groups()) if k in members)
+    return np.arange(h * cfg.zeta, (h + 1) * cfg.zeta)
 
 
 def test_coupling_identity_with_reflection_matrix(desk_cfg):
@@ -51,8 +66,8 @@ def test_coupling_identity_with_reflection_matrix(desk_cfg):
     nu = unit_phases(desk_cfg.n_irs, rng)
     phi = np.diag(np.conj(nu))
     for k, ck in enumerate(cs.c):
-        dep, arr = sorted_steering(desk_cfg, chset, k)
-        for i, j in enumerate(cs.diag_cols[k]):
+        (_, dep), (_, arr) = sorted_paths(desk_cfg, chset, k)
+        for i, j in enumerate(paired_cols(desk_cfg, k)):
             direct = dep[i].conj() @ phi @ arr[j]
             assert abs(direct - np.conj(nu) @ ck[i]) < 1e-12
 
@@ -61,8 +76,8 @@ def test_coupling_rows_are_paired_steering_products(multiuser_cfg):
     chset, cs, _ = make_coupling(multiuser_cfg, 3)
     assert cs.c.shape == (multiuser_cfg.k_users, multiuser_cfg.zeta, multiuser_cfg.n_irs)
     for k in range(multiuser_cfg.k_users):
-        dep, arr = sorted_steering(multiuser_cfg, chset, k)
-        for i, j in enumerate(cs.diag_cols[k]):
+        (_, dep), (_, arr) = sorted_paths(multiuser_cfg, chset, k)
+        for i, j in enumerate(paired_cols(multiuser_cfg, k)):
             np.testing.assert_array_equal(cs.c[k, i], np.conj(dep[i]) * arr[j])
 
 
@@ -95,19 +110,31 @@ def test_coupling_outer_products_rank_one_psd(desk_cfg):
 
 
 def test_coupling_group_blocked_pairing(multiuser_cfg):
-    _, cs, _ = make_coupling(multiuser_cfg, 2)
+    # stream i of a user in group h pairs the user's i-th strongest path with
+    # the sorted BS-side path h*zeta+i
+    chset, cs, _ = make_coupling(multiuser_cfg, 2)
     zeta = multiuser_cfg.zeta
-    for k, cols in enumerate(cs.diag_cols):
-        h = 0 if k in multiuser_cfg.groups()[0] else 1
-        np.testing.assert_array_equal(cols, np.arange(h * zeta, (h + 1) * zeta))
+    assert multiuser_cfg.h_groups == 2
+    for h, members in enumerate(multiuser_cfg.groups()):
+        cols = np.arange(h * zeta, (h + 1) * zeta)
+        for k in members:
+            (beta, _), (alpha, _) = sorted_paths(multiuser_cfg, chset, k)
+            np.testing.assert_array_equal(cs.gain[k], alpha[cols] * beta[:zeta])
 
 
 def test_coupling_b_nonnegative_and_gain_sorted(desk_cfg):
-    _, cs, _ = make_coupling(desk_cfg, 4)
-    assert cs.b.shape == (desk_cfg.k_users, desk_cfg.zeta) and np.all(cs.b >= 0)
-    assert cs.beta_eff.shape == (desk_cfg.k_users, desk_cfg.paths_l)
-    assert np.all(np.diff(np.abs(cs.alpha_eff)) <= 1e-12)
-    assert np.all(np.diff(np.abs(cs.beta_eff), axis=1) <= 1e-12)
+    chset, cs, _ = make_coupling(desk_cfg, 4)
+    assert cs.b.shape == cs.gain.shape == (desk_cfg.k_users, desk_cfg.zeta)
+    assert np.all(cs.b >= 0)
+    scale = stream_snr_scale(desk_cfg)
+    assert np.array_equal(cs.b, scale[:, None] * np.abs(cs.gain) ** 2)
+    # |gain[k, i]| is the i-th largest user-side modulus of user k times the
+    # paired BS-side modulus in descending order, sorted here by value alone
+    for k in range(desk_cfg.k_users):
+        beta, alpha = effective_gains(desk_cfg, chset, k)
+        beta_desc, alpha_desc = -np.sort(-np.abs(beta)), -np.sort(-np.abs(alpha))
+        expected = alpha_desc[paired_cols(desk_cfg, k)] * beta_desc[:desk_cfg.zeta]
+        np.testing.assert_allclose(np.abs(cs.gain[k]), expected, rtol=1e-14)
 
 
 def test_coupling_blocked_needs_enough_bs_paths(desk_cfg):
@@ -121,11 +148,27 @@ def test_coupling_blocked_needs_enough_bs_paths(desk_cfg):
 # Approximation and objective
 # ---------------------------------------------------------------------------
 
+@pytest.mark.parametrize("preset", ["desk", "desk_multiuser", "full_scale"])
+def test_sigma_approx_equals_the_per_entry_loop(preset):
+    # the one array product alpha_j beta_i nu^H c rounds apart from the
+    # scalar loop it replaced only in the last bits
+    cfg = ch.load_config(CONFIG_DIR / f"{preset}.json")
+    for seed in range(4):
+        chset, cs, rng = make_coupling(cfg, 340 + seed)
+        nu = unit_phases(cfg.n_irs, rng)
+        want = np.empty((cfg.k_users, cfg.zeta), dtype=np.complex128)
+        for k in range(cfg.k_users):
+            (beta, _), (alpha, _) = sorted_paths(cfg, chset, k)
+            for i, j in enumerate(paired_cols(cfg, k)):
+                want[k, i] = alpha[j] * beta[i] * (np.conj(nu) @ cs.c[k, i])
+        np.testing.assert_allclose(po.sigma_approx(cs, nu), want, rtol=1e-15, atol=0)
+
+
 def test_sigma_approx_alignment_extremes(desk_cfg):
     cfg = single_user_cfg(desk_cfg)
     _, cs, _ = make_coupling(cfg, 7)
     c = cs.c[0, 0]
-    gain = abs(cs.alpha_eff[cs.diag_cols[0, 0]] * cs.beta_eff[0, 0])
+    gain = abs(cs.gain[0, 0])
     nu_aligned = np.exp(1j * np.angle(c))
     d = po.sigma_approx(cs, nu_aligned)[0]
     assert math.isclose(abs(d[0]), gain * np.sum(np.abs(c)), rel_tol=1e-12)
@@ -379,14 +422,13 @@ def test_offdiag_small_relative_to_diagonal_after_optimization(desk_cfg):
         nu0 = unit_phases(desk_cfg.n_irs, rng)
         res = po.optimize_phases(cs, nu0)
         off = 0.0
-        for k, cols in enumerate(cs.diag_cols):
-            dep, arr = sorted_steering(desk_cfg, chset, k)
+        for k in range(desk_cfg.k_users):
+            (_, dep), (_, arr) = sorted_paths(desk_cfg, chset, k)
             d = np.abs((np.conj(dep) * np.conj(res.nu)) @ np.transpose(arr))
-            d[np.arange(cs.zeta), cols] = 0.0
+            d[np.arange(cs.zeta), paired_cols(desk_cfg, k)] = 0.0
             off = max(off, float(d.max()))
         off_mags.append(off)
-        gain = cs.alpha_eff[cs.diag_cols[:, 0]] * cs.beta_eff[:, 0]
-        diag_mags.append(np.max(np.abs(po.sigma_approx(cs, res.nu)[:, 0] / gain)))
+        diag_mags.append(np.max(np.abs(po.sigma_approx(cs, res.nu)[:, 0] / cs.gain[:, 0])))
     assert np.mean(off_mags) < np.mean(diag_mags)
 
 
@@ -405,7 +447,7 @@ def _reference_stream_gains(coupling, nu):
 
 def _bottlenecks(coupling, d, groups):
     """Per group: (bottleneck user, its rate) as objective_f picks them."""
-    return po._pick(groups, po._stream_rates(coupling.b, d)[2])
+    return po._pick(groups, po._stream_rates(coupling.b, d)[1])
 
 
 def _reference_bottlenecks(coupling, d, groups):
@@ -479,13 +521,14 @@ def test_stream_rates_bit_identical_on_many_gains(desk_cfg):
     shape = (5000, 4)
     d = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * rng.uniform(0, 3, shape)
     cs = dataclasses.replace(cs, b=rng.uniform(0.0, 1e3, shape))
-    sq, _, rates = po._stream_rates(cs.b, d)
-    sq = np.reshape(sq, shape)
+    terms, rates = po._stream_rates(cs.b, d)
+    terms = np.reshape(terms, shape)
     for k in range(shape[0]):
         rate = 0.0
         for i in range(shape[1]):
-            assert sq[k, i] == abs(d[k, i]) ** 2
-            rate += math.log2(1.0 + cs.b[k, i] * abs(d[k, i]) ** 2)
+            term = 1.0 + cs.b[k, i] * abs(d[k, i]) ** 2
+            assert terms[k, i] == term
+            rate += math.log2(term)
         assert rates[k] == rate
 
 

@@ -211,12 +211,11 @@ def test_check_constraints_compliant_hybrid(desk_cfg):
     f_rf = np.exp(1j * rng.uniform(0, 2 * np.pi, (desk_cfg.n_bs, desk_cfg.m_bs)))
     f_bb = random_complex(rng, desk_cfg.m_bs, desk_cfg.h_groups * desk_cfg.zeta)
     f_bb *= math.sqrt(desk_cfg.power_w) / np.linalg.norm(f_rf @ f_bb)
-    w_rf = [np.exp(1j * rng.uniform(0, 2 * np.pi, (desk_cfg.n_ue, desk_cfg.m_ue)))
-            for _ in range(desk_cfg.k_users)]
-    w_bb = [random_complex(rng, desk_cfg.m_ue, desk_cfg.zeta)
-            for _ in range(desk_cfg.k_users)]
-    bf = sm.BeamformerSet(tx=f_rf @ f_bb, combiners=[w @ b for w, b in zip(w_rf, w_bb)],
-                          rf=(f_rf, *w_rf))
+    w_rf = np.exp(1j * rng.uniform(0, 2 * np.pi,
+                                   (desk_cfg.k_users, desk_cfg.n_ue, desk_cfg.m_ue)))
+    w_bb = np.stack([random_complex(rng, desk_cfg.m_ue, desk_cfg.zeta)
+                     for _ in range(desk_cfg.k_users)])
+    bf = sm.BeamformerSet(tx=f_rf @ f_bb, combiners=w_rf @ w_bb, rf=(f_rf, w_rf))
     nu = ch.random_phase_vector(desk_cfg.n_irs, rng)
     rep = sm.check_constraints(bf, desk_cfg, nu)
     assert rep.rf_modulus_dev < 1e-9
@@ -224,7 +223,7 @@ def test_check_constraints_compliant_hybrid(desk_cfg):
     assert rep.phase_modulus_dev < 1e-12
     assert rep.ok()
     # one user's W_R entry off the unit circle violates the constraint
-    w_rf[1][2, 0] *= 1.5
+    w_rf[1, 2, 0] *= 1.5
     rep = sm.check_constraints(bf, desk_cfg, nu)
     assert math.isclose(rep.rf_modulus_dev, 0.5, rel_tol=1e-12)
     assert not rep.ok()
