@@ -241,8 +241,9 @@ def _link_budget(cfg: SystemConfig) -> None:
         return -2.0 * math.log10(max(length, 1.0)) if length * length < math.inf else -math.inf
 
     channel = {"g_tx_dbi": cfg.g_tx_dbi / 10.0, "g_rx_dbi": cfg.g_rx_dbi / 10.0,
-               "n_irs": math.log10(cfg.n_bs * cfg.n_irs / cfg.paths_y)
-               + math.log10(cfg.n_irs * cfg.n_ue / cfg.paths_l),
+               "n_bs": math.log10(cfg.n_bs), "n_ue": math.log10(cfg.n_ue),
+               "n_irs": 2.0 * math.log10(cfg.n_irs), "paths_y": -math.log10(cfg.paths_y),
+               "paths_l": -math.log10(cfg.paths_l),
                "los_pathloss_db": -cfg.los_pathloss_db / 5.0,
                "bs_pos": link(math.dist(cfg.bs_pos, cfg.irs_pos))}
     per_stream = (cfg.power_dbm - 30.0) / 10.0 - math.log10(cfg.h_groups * cfg.zeta)

@@ -64,33 +64,19 @@ def _check_writable(path) -> None:
         raise ConfigError(f"cannot write {path}")
 
 
-def _write(path, write) -> None:
-    """``write()``, which writes ``path``; an OS error on the way (a full disk,
-    an I/O error) refuses the path as ``_check_writable`` does, with a reason."""
+def _write(path, text: str) -> None:
+    """Write ``text`` as is to ``path``, or to stdout if ``path`` is None; an OS
+    error on the way (a full disk, an I/O error) refuses it with the reason."""
     try:
-        write()
+        if path is None:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        else:
+            with open(path, "w", newline="") as fh:
+                fh.write(text)
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
-
-
-def _run_report(name: str, spec: harness.ExperimentSpec, out) -> int:
-    """Write the named report, which reads only --config, --seeds,
-    --base-seed and --out; a failure inside it, or failed runs behind its
-    rows (its CSV still holds the rows it has), exits 2 with one stderr line."""
-    try:
-        _write(out, lambda: harness.theorem1_report(spec.config, spec.n_seeds, out,
-                                                    base_seed=spec.base_seed))
-    except harness.ReportRunsFailed as exc:
-        print(f"report {name}: {exc}", file=sys.stderr)
-        return 2
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        print(f"report {name} failed: {harness._failure(exc)}", file=sys.stderr)
-        return 2
-    if out is None:
-        print(f"report {name} computed (use --out to persist)", file=sys.stderr)
-    return 0
+        where = "stdout" if path is None else path
+        raise ConfigError(f"cannot write {where}: {exc.strerror or exc}") from None
 
 
 def main(argv=None) -> int:
@@ -118,15 +104,28 @@ def main(argv=None) -> int:
                 os.path.realpath(args.out) == os.path.realpath(args.trace):
             raise ConfigError(f"--out and --trace name one file, {args.out}")
         if args.report is not None:
-            return _run_report(args.report, spec, args.out)
+            # the report reads only --config, --seeds, --base-seed and --out; a
+            # failure inside it, or failed runs behind its rows (written
+            # first), exits 2 with one stderr line
+            failure = None
+            try:
+                rows = harness.theorem1_report(spec.config, spec.n_seeds,
+                                               base_seed=spec.base_seed)
+            except harness.ReportRunsFailed as exc:
+                rows, failure = exc.rows, f"report {args.report}: {exc}"
+            except ConfigError:
+                raise
+            except ValueError as exc:
+                print(f"report {args.report} failed: {harness._failure(exc)}", file=sys.stderr)
+                return 2
+            _write(args.out, harness.theorem1_csv_text(rows))
+            if failure is not None:
+                print(failure, file=sys.stderr)
+            return 0 if failure is None else 2
         records = harness.sweep(spec)
-        text = harness.records_csv_text(records)
-        if args.out is None:
-            sys.stdout.write(text)
-        else:
-            _write(args.out, lambda: harness._write_text(args.out, text))
+        _write(args.out, harness.records_csv_text(records))
         if args.trace is not None:
-            _write(args.trace, lambda: harness.write_trace(args.trace, records))
+            _write(args.trace, harness.trace_csv_text(records))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1

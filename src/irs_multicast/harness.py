@@ -35,8 +35,9 @@ __all__ = [
     "run_baseline",
     "sweep",
     "records_csv_text",
-    "write_trace",
+    "trace_csv_text",
     "theorem1_report",
+    "theorem1_csv_text",
 ]
 
 # The preset of configs/desk.json, the default when no config is given: every
@@ -342,12 +343,6 @@ def _csv_text(columns, rows) -> str:
     return "".join(",".join(map(str, row)) + "\n" for row in (columns, *rows))
 
 
-def _write_text(path, text: str) -> None:
-    """Write ``text`` to ``path`` as is, with no newline translation."""
-    with open(path, "w", newline="") as fh:
-        fh.write(text)
-
-
 def records_csv_text(records: list[RunRecord]) -> str:
     return _csv_text(CSV_HEADER.split(","), (
         (r.seed, r.baseline, r.sweep_var, float(r.sweep_value), float(r.sum_rate_bps),
@@ -359,12 +354,12 @@ _TRACE_COLUMNS = ("seed", "baseline", "sweep_value", "iter", "f_value", "step_si
                   "grad_norm", "backtracks")
 
 
-def write_trace(path, records: list[RunRecord]) -> None:
-    """Write the optimizer traces of ``records`` as CSV: one row per accepted
+def trace_csv_text(records: list[RunRecord]) -> str:
+    """The optimizer traces of ``records`` as CSV: one row per accepted
     iteration of every traced run, keyed by seed, baseline and sweep value."""
-    _write_text(path, _csv_text(_TRACE_COLUMNS, (
+    return _csv_text(_TRACE_COLUMNS, (
         (r.seed, r.baseline, r.sweep_value, *dataclasses.astuple(t))
-        for r in records for t in r.trace)))
+        for r in records for t in r.trace))
 
 
 _THEOREM1_COLUMNS = ("seed", "n_antennas", "user", "sigma_true_fnorm",
@@ -372,10 +367,14 @@ _THEOREM1_COLUMNS = ("seed", "n_antennas", "user", "sigma_true_fnorm",
 
 
 class ReportRunsFailed(RuntimeError):
-    """Runs behind a report failed; the report holds the rows of the others."""
+    """Runs behind a report failed; ``rows`` holds the rows of the others."""
+
+    def __init__(self, message: str, rows: list[dict]):
+        super().__init__(message)
+        self.rows = rows
 
 
-def theorem1_report(cfg: SystemConfig, seeds: int, out_path=None,
+def theorem1_report(cfg: SystemConfig, seeds: int,
                     n_values: tuple[int, ...] = (16, 32, 64),
                     base_seed: int = 0) -> list[dict]:
     """Truncated-SVD fidelity: true projected singular norms vs the coupling
@@ -384,9 +383,9 @@ def theorem1_report(cfg: SystemConfig, seeds: int, out_path=None,
     A view of the digital-BD runs (baseline ``a``) of one sweep per antenna
     count; path draws do not depend on the antenna count, so the comparison
     is paired. Antenna counts the config's RF chains cannot carry are
-    skipped; if none is left, the last one's ConfigError is raised. The rows
-    of the ok runs are written first; then, if any run failed, ReportRunsFailed
-    names the failed count and the first failed status.
+    skipped; if none is left, the last one's ConfigError is raised. If any
+    run failed, ReportRunsFailed names the failed count and the first failed
+    status, and carries the rows of the ok runs.
     """
     runs, skipped = [], None
     for n in n_values:
@@ -406,11 +405,12 @@ def theorem1_report(cfg: SystemConfig, seeds: int, out_path=None,
             true, approx = float(np.linalg.norm(true_s)), float(np.linalg.norm(approx_s))
             rows.append(dict(zip(_THEOREM1_COLUMNS, (r.seed, n, k, true, approx,
                                                      abs(true - approx) / true))))
-    if out_path is not None:
-        _write_text(out_path, _csv_text(_THEOREM1_COLUMNS, (row.values() for row in rows)))
     failed = [r for _, r in runs if not r.ok]
     if failed:
         raise ReportRunsFailed(f"{len(failed)} of {len(runs)} runs failed "
-                               f"({failed[0].status})")
+                               f"({failed[0].status})", rows)
     return rows
 
+
+def theorem1_csv_text(rows: list[dict]) -> str:
+    return _csv_text(_THEOREM1_COLUMNS, (row.values() for row in rows))

@@ -171,7 +171,22 @@ NORMAL = "is outside float64's normal range [-307.7, 308.3]"
                                  "strongest stream's SNR: log10 -23.9 is below -20.7, where "
                                  "1 + SNR rounds to 1 even over a coherent sum of the 8 x 3 "
                                  "paths"),
-], ids=["channel", "received", "snr_scale", "snr", "gradient", "gradient_bw", "resolution"])
+    # one term per array field: the array scales were one term named n_irs,
+    # and a count past float's range ended in an OverflowError traceback
+    ({"n_bs": 1e300}, f"n_bs of {int(1e300)} sets most of the gain of the strongest "
+                      "stream's gradient coefficient: log10 311.5 "),
+    ({"n_ue": 1e300}, f"n_ue of {int(1e300)} sets most of the gain of the strongest "
+                      "stream's gradient coefficient: log10 311.5 "),
+    ({"paths_y": 1e300}, f"paths_y of {int(1e300)} sets most of the loss of the weakest "
+                         "stream's channel power: log10 -313.3 "),
+    ({"n_bs": 10 ** 400}, f"n_bs of {10 ** 400} sets most of the gain of the weakest "
+                          "stream's channel power: log10 384.6 "),
+    ({"n_ue": 10 ** 400}, f"n_ue of {10 ** 400} sets most of the gain of the weakest "
+                          "stream's channel power: log10 384.6 "),
+    ({"paths_y": 10 ** 400}, f"paths_y of {10 ** 400} sets most of the loss of the weakest "
+                             "stream's channel power: log10 -413.3 "),
+], ids=["channel", "received", "snr_scale", "snr", "gradient", "gradient_bw", "resolution",
+        "n_bs", "n_ue", "paths_y", "n_bs_401_digits", "n_ue_401_digits", "paths_y_401_digits"])
 def test_link_budget_names_the_power_and_the_field_that_leave_the_normal_range(
         desk_cfg, change, message):
     # one log-domain budget of the cascaded per-stream powers, in the order

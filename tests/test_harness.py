@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import sys
 import weakref
 
 import numpy as np
@@ -13,7 +14,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from irs_multicast import channel as ch
-from irs_multicast import harness
+from irs_multicast import cli, harness
 from irs_multicast.cli import main as cli_main
 
 from conftest import CONFIG_DIR
@@ -477,23 +478,20 @@ def test_energy_efficiency_formula(desk_cfg):
     assert eff < 1e9 / desk_cfg.power_w
 
 
-def test_theorem1_report_structure(tmp_path, desk_cfg):
-    out = tmp_path / "t1.csv"
-    rows = harness.theorem1_report(desk_cfg, seeds=2, out_path=out,
-                                   n_values=(16, 32))
+def test_theorem1_report_structure(desk_cfg):
+    rows = harness.theorem1_report(desk_cfg, seeds=2, n_values=(16, 32))
     assert len(rows) == 2 * 2 * desk_cfg.k_users
     again = harness.theorem1_report(desk_cfg, seeds=2, n_values=(16, 32))
     assert rows == again
     for row in rows:
         assert math.isfinite(row["rel_gap"])
-    header = out.read_text().splitlines()[0]
+    header = harness.theorem1_csv_text(rows).splitlines()[0]
     assert header == "seed,n_antennas,user,sigma_true_fnorm,sigma_approx_fnorm,rel_gap"
 
 
 def test_theorem1_report_keeps_rows_of_successful_runs(tmp_path, monkeypatch, capsys,
                                                        desk_cfg):
-    clean = tmp_path / "clean.csv"
-    harness.theorem1_report(desk_cfg, seeds=2, out_path=clean, n_values=(16, 64))
+    clean = harness.theorem1_report(desk_cfg, seeds=2, n_values=(16, 64))
     build = harness.bd.build_beamformers
 
     def fail_at_32(h_eff, groups, cfg, nulling=True):
@@ -502,11 +500,17 @@ def test_theorem1_report_keeps_rows_of_successful_runs(tmp_path, monkeypatch, ca
         return build(h_eff, groups, cfg, nulling)
 
     monkeypatch.setattr(harness.bd, "build_beamformers", fail_at_32)
+    with pytest.raises(harness.ReportRunsFailed) as exc:
+        harness.theorem1_report(desk_cfg, seeds=2)
+    assert exc.value.rows == clean
+    # the CLI writes the ok rows, to its file or to stdout, then the failure
     out = tmp_path / "t1.csv"
-    assert cli_main(["--report", "theorem1", "--seeds", "2", "--out", str(out)]) == 2
-    assert capsys.readouterr().err == \
-        "report theorem1: 2 of 6 runs failed (failed:bd-infeasible (injected))\n"
-    assert out.read_text() == clean.read_text()
+    for args in (["--out", str(out)], []):
+        assert cli_main(["--report", "theorem1", "--seeds", "2", *args]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == \
+            "report theorem1: 2 of 6 runs failed (failed:bd-infeasible (injected))\n"
+        assert (out.read_text() if args else captured.out) == harness.theorem1_csv_text(clean)
 
 
 def test_theorem1_report_skips_antenna_counts_the_rf_chains_exceed(tmp_path, capsys,
@@ -775,17 +779,20 @@ def test_cli_help_still_exits_0(capsys):
     assert capsys.readouterr().out.startswith("usage: simulate")
 
 
+class _FullFile(io.StringIO):
+    """A file whose every write fails as one on a full disk does."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
 @pytest.fixture
 def full_output(tmp_path, monkeypatch):
     """An output path whose write fails with ENOSPC: /dev/full where the CLI
-    may write it, else a path whose write is made to fail so."""
+    may write it, else a path the CLI's one write opens as a full file."""
     if os.path.exists("/dev/full") and os.access("/dev", os.W_OK | os.X_OK):
         return "/dev/full"
-
-    def full(path, text):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-    monkeypatch.setattr(harness, "_write_text", full)
+    monkeypatch.setattr(cli, "open", lambda *args, **kw: _FullFile(), raising=False)
     return str(tmp_path / "full.csv")
 
 
@@ -793,12 +800,32 @@ def full_output(tmp_path, monkeypatch):
     ["--seeds", "1", "--out"],
     ["--seeds", "1", "--trace"],
     ["--report", "theorem1", "--seeds", "1", "--out"],
-], ids=["out", "trace", "report"])
-def test_cli_failed_output_write_is_one_line_exit_1(capsys, full_output, args):
-    # a full disk ended each write in an OSError traceback
-    assert cli_main(args + [full_output]) == 1
+    ["--seeds", "1"],
+    ["--report", "theorem1", "--seeds", "1"],
+], ids=["out", "trace", "report", "stdout", "report_stdout"])
+def test_cli_failed_output_write_is_one_line_exit_1(capsys, monkeypatch, full_output, args):
+    # a full disk ended each write in an OSError traceback, stdout's too
+    if args[-1].startswith("--"):
+        args, where = args + [full_output], full_output
+    else:
+        monkeypatch.setattr(sys, "stdout", _FullFile())
+        where = "stdout"
+    assert cli_main(args) == 1
     assert capsys.readouterr().err == \
-        f"config error: cannot write {full_output}: {os.strerror(errno.ENOSPC)}\n"
+        f"config error: cannot write {where}: {os.strerror(errno.ENOSPC)}\n"
+
+
+def test_cli_timing_changes_only_wall_ms(capsys):
+    # full_scale runs take tens of ms, so a timed run's wall_ms is not 0
+    args = ["--config", str(CONFIG_DIR / "full_scale.json"), "--seeds", "2"]
+    assert cli_main(args) == 0
+    plain = [line.rsplit(",", 1) for line in capsys.readouterr().out.splitlines()]
+    assert cli_main(args + ["--timing"]) == 0
+    timed = [line.rsplit(",", 1) for line in capsys.readouterr().out.splitlines()]
+    assert [row[0] for row in timed] == [row[0] for row in plain]
+    assert plain[0][1] == timed[0][1] == "wall_ms"
+    assert all(row[1] == "0" for row in plain[1:])
+    assert all(int(row[1]) > 0 for row in timed[1:])
 
 
 def test_cli_partial_failure_exit_code(tmp_path):

@@ -402,11 +402,9 @@ def test_optimizer_converges_within_tens_of_iterations(desk_cfg):
         assert k95 <= 50
 
 
-def test_optimizer_writes_trace_csv(tmp_path, desk_cfg):
+def test_optimizer_writes_trace_csv(desk_cfg):
     rec = harness.run_proposed(desk_cfg, np.random.default_rng(37), seed=37)
-    path = tmp_path / "trace.csv"
-    harness.write_trace(path, [rec])
-    lines = path.read_text().splitlines()
+    lines = harness.trace_csv_text([rec]).splitlines()
     assert lines[0] == "seed,baseline,sweep_value,iter,f_value,step_size,grad_norm,backtracks"
     assert len(lines) == len(rec.trace) + 1 == rec.s1_iters + 1
     assert lines[1].startswith("37,proposed,0.0,1,")
