@@ -272,7 +272,7 @@ def _link_budget(cfg: SystemConfig) -> None:
                               f"float64's normal range [{lo:.1f}, {hi:.1f}]")
     # snr is the strongest stream's, from the loop's last pass
     total = sum(snr.values())
-    floor = math.log10(2.0 ** -53) - 2.0 * math.log10(10.0 * cfg.paths_y * cfg.paths_l)
+    floor = math.log10(2.0 ** -53) - 2.0 * (1.0 + math.log10(cfg.paths_y) + math.log10(cfg.paths_l))
     if total < floor:
         name = min(snr, key=snr.get)
         raise ConfigError(f"{name} of {getattr(cfg, name)!r} sets most of the loss of the "

@@ -75,8 +75,9 @@ def _write(path, text: str) -> None:
             with open(path, "w", newline="") as fh:
                 fh.write(text)
     except OSError as exc:
-        where = "stdout" if path is None else path
-        raise ConfigError(f"cannot write {where}: {exc.strerror or exc}") from None
+        if path is None:  # the exit's flush would fail on the bytes left buffered
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        raise ConfigError(f"cannot write {path or 'stdout'}: {exc.strerror or exc}") from None
 
 
 def main(argv=None) -> int:

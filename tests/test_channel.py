@@ -208,6 +208,11 @@ def test_link_budget_passes_every_preset_and_a_gain_its_runs_carry(desk_cfg):
     cfg = dataclasses.replace(desk_cfg, g_tx_dbi=2900.0)
     rec = harness.run_baseline("proposed", cfg, np.random.default_rng(0))
     assert rec.status == "ok" and math.isfinite(rec.sum_rate_bps) and rec.sum_rate_bps > 0
+    # counts beyond float's range whose gain and loss cancel pass the budget
+    # (its SNR floor overflowed on their product); their runs fail labeled
+    cfg = dataclasses.replace(desk_cfg, n_bs=10 ** 400, paths_y=10 ** 400)
+    rec = harness.run_baseline("proposed", cfg, np.random.default_rng(0))
+    assert rec.status == "failed:invalid (Maximum allowed dimension exceeded)"
 
 
 def test_config_positions_are_three_reals_and_links_have_two_ends(desk_cfg):

@@ -5,8 +5,10 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -785,6 +787,10 @@ class _FullFile(io.StringIO):
     def write(self, text):
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
+    def fileno(self):
+        """A descriptor of the null device, where the CLI points a failed stdout."""
+        return os.open(os.devnull, os.O_WRONLY)
+
 
 @pytest.fixture
 def full_output(tmp_path, monkeypatch):
@@ -813,6 +819,22 @@ def test_cli_failed_output_write_is_one_line_exit_1(capsys, monkeypatch, full_ou
     assert cli_main(args) == 1
     assert capsys.readouterr().err == \
         f"config error: cannot write {where}: {os.strerror(errno.ENOSPC)}\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("args", [["--seeds", "1"], ["--report", "theorem1", "--seeds", "1"]],
+                         ids=["sweep", "report"])
+def test_cli_full_stdout_is_one_line_exit_1_at_process_exit(args):
+    # a failed flush leaves the CSV in stdout's buffer; the interpreter's own
+    # flush at exit failed on it again, printed "Exception ignored" and exited
+    # 120. PYTHONUNBUFFERED gives stdout no such buffer, so it is unset here
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-m", "irs_multicast.cli", *args], stdout=full,
+                              stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == \
+        (1, f"config error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")
 
 
 def test_cli_timing_changes_only_wall_ms(capsys):
