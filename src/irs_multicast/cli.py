@@ -7,6 +7,7 @@ run failures (rows flagged in the status column) or a failed report.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 
@@ -101,6 +102,8 @@ def main(argv=None) -> int:
         for path in (args.out, args.trace):
             if path is not None:
                 _check_writable(path)
+        if args.out is None and sys.stdout is None:   # started with fd 1 closed
+            raise ConfigError(f"cannot write stdout: {os.strerror(errno.EBADF)}")
         if None not in (args.out, args.trace) and \
                 os.path.realpath(args.out) == os.path.realpath(args.trace):
             raise ConfigError(f"--out and --trace name one file, {args.out}")

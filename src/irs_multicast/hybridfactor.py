@@ -32,12 +32,14 @@ each equal to its per-matrix form over 3,000 random stacks of 4: batched
 ``matmul``; stacked ``np.linalg.pinv``; ``np.add.reduce(x, (1, 2))``
 against ``np.add.reduce(x_i, None)``; division by, and multiplication with,
 a ``(P, 1, 1)`` complex array of real values against the Python float; and
-one ``rng.uniform(size=(P, n, r))`` draw against P draws of ``(n, r)``. The
-norms stay per matrix, and ``q`` and the Armijo scalars stay Python floats
-per matrix, because their ``** 2`` is libm ``pow``, which numpy's square is
-not. A target is copied once so that each of its matrices is contiguous in
-its own memory order, the layout a compacted stack has, and every matrix
-meets the same ``matmul`` kernel alone or stacked.
+one ``rng.uniform(size=(P, n, r))`` draw against P draws of ``(n, r)``. One
+call, :func:`_fro_norms`, takes the norms of a stack or a ladder, each matrix
+summed in its memory order, to ``np.linalg.norm``'s bits; ``q`` and the
+Armijo scalars stay Python floats per matrix, because their ``** 2`` is libm
+``pow``, which numpy's square is not. A target is copied once so that each
+of its matrices is contiguous in its own memory order, the layout a
+compacted stack has, and every matrix meets the same ``matmul`` kernel alone
+or stacked.
 
 Ladders: a matrix that fails the first trial of a step tries its next
 ``_LADDER`` halvings at once, one broadcast ``X - t G`` over an
@@ -51,11 +53,11 @@ like the stack rules above, over 3,000 random ladders. The gradient is
 divided by ``scale`` as numpy's complex division by a real does it, by
 multiplying its float64 view with the reciprocal (the phase optimizer's
 rule). The retraction, :func:`phaseopt.retract`, checks nothing: a zero or
-non-finite entry of a trial turns into a nan in that trial's residual norm,
-and the walk, which takes a rung's norm only when it reaches the rung,
-raises the ``retraction singularity`` there, as the phase descent raises
-it on a nan objective. A discarded rung is never read, and the descent
-runs under an ``np.errstate`` that keeps its divisions silent.
+non-finite entry of a trial turns into a nan in that trial's residual norm.
+A round takes all its trials' norms at once; the walk reads them in rung
+order and raises the ``retraction singularity`` on a rung it reaches, as the
+phase descent raises it on a nan objective. A discarded rung's norm is never
+read, and the descent runs under an ``np.errstate`` that keeps it silent.
 """
 
 from __future__ import annotations
@@ -154,20 +156,13 @@ def _two_phase_split(b: np.ndarray, x: np.ndarray) -> np.ndarray:
     return f_bb
 
 
-def _fro_norm(m: np.ndarray) -> float:
-    """``np.linalg.norm(m, "fro")`` of a complex matrix, minus the dispatch.
-
-    The same ravel, real-part dots and square root, so the value is
-    bit-identical.
-    """
-    v = m.ravel(order="K")
-    re, im = v.real, v.imag
-    return math.sqrt(re.dot(re) + im.dot(im))
-
-
-def _fro_norms(m: np.ndarray) -> list[float]:
-    """:func:`_fro_norm` of every matrix of a stack."""
-    return [_fro_norm(mi) for mi in m]
+def _fro_norms(m: np.ndarray) -> list:
+    """``np.linalg.norm`` of every matrix of a ``(P, n, c)`` stack or an
+    ``(L, w, n, c)`` ladder, bit for bit (see the module's contract)."""
+    if m.strides[-2] < m.strides[-1]:   # column-major matrices
+        m = m.swapaxes(-1, -2)
+    v = m.reshape(m.shape[:-2] + (-1,))
+    return np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag)).tolist()
 
 
 # a zero or non-finite entry of a trial divides 0/0 in its normalization,
@@ -254,12 +249,13 @@ def _rf_descent(x: np.ndarray, f_bb: np.ndarray, b: np.ndarray,
                 x_new, resid_new = cand[0], cand_resid[0]
             elif x_new is None:
                 x_new, resid_new = x.copy(), resid.copy()
+            norms = _fro_norms(cand_resid)
             failed = []
             for j, i in enumerate(trial):
                 # walk the rungs in order up to the first Armijo pass; the
-                # rest are discarded unread
+                # rest are discarded, their norms unread
                 for k in range(rungs):
-                    nrm = _fro_norm(cand_resid[k, j])
+                    nrm = norms[k][j]
                     if math.isnan(nrm):   # a zero or non-finite entry in cand[k, j]
                         raise ValueError(_SINGULARITY)
                     q_cand = nrm ** 2 / scale[i]
@@ -337,10 +333,12 @@ def factor(b: np.ndarray, n_rf: int, settings: FactorSettings | None = None, *,
     residuals = [[r / norm] for r, norm in zip(_fro_norms(resid), b_norm)]
     alternations = 0
     act = [i for i, trace in enumerate(residuals) if trace[0] > _FLOOR]
-    x_a, f_a, r_a, b_a = (a[act] for a in (x, f_bb, resid, stack))
+    # the matrices still alternating: rows ``keep`` of x_a, f_a, r_a and b_a
+    x_a, f_a, r_a, b_a, keep = x, f_bb, resid, stack, act
     for it in range(1, st.max_alternations + 1):
         if not act:
             break
+        x_a, f_a, r_a, b_a = (a[keep] for a in (x_a, f_a, r_a, b_a))
         x_new = _rf_descent(x_a, f_a, b_a, [scale[i] for i in act], r_a)
         f_new = np.linalg.pinv(x_new) @ b_a
         r_new = b_a - x_new @ f_new
@@ -360,7 +358,7 @@ def factor(b: np.ndarray, n_rf: int, settings: FactorSettings | None = None, *,
         rows = [act[j] for j in taken]
         x[rows], f_bb[rows] = x_new[taken], f_new[taken]
         act = [act[j] for j in going]
-        x_a, f_a, r_a, b_a = (a[going] for a in (x_new, f_new, r_new, b_a))
+        x_a, f_a, r_a, keep = x_new, f_new, r_new, going
     if b.ndim == 2:
         return FactorResult(f_rf=x[0], f_bb=f_bb[0], residuals=residuals[0],
                             alternations=alternations)

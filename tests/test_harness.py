@@ -837,6 +837,28 @@ def test_cli_full_stdout_is_one_line_exit_1_at_process_exit(args):
         (1, f"config error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")
 
 
+@pytest.mark.parametrize("args", [["--seeds", "1"], ["--report", "theorem1", "--seeds", "1"]],
+                         ids=["sweep", "report"])
+def test_cli_closed_stdout_is_one_line_exit_1_before_any_run(monkeypatch, capsys, args):
+    # started with fd 1 closed, Python sets sys.stdout to None: every run ran,
+    # then the write ended in an AttributeError traceback
+    want = f"config error: cannot write stdout: {os.strerror(errno.EBADF)}\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "irs_multicast.cli", *args],
+                          preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE,
+                          text=True, env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (1, want)
+
+    def no_run(*a, **kw):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(harness, "sweep", no_run)
+    monkeypatch.setattr(harness, "theorem1_report", no_run)
+    monkeypatch.setattr(sys, "stdout", None)
+    assert cli_main(args) == 1
+    assert capsys.readouterr().err == want
+
+
 def test_cli_timing_changes_only_wall_ms(capsys):
     # full_scale runs take tens of ms, so a timed run's wall_ms is not 0
     args = ["--config", str(CONFIG_DIR / "full_scale.json"), "--seeds", "2"]

@@ -329,6 +329,25 @@ def _reference_factor(b, n_rf, st, rng):
                            alternations=alternations), backtracks
 
 
+@pytest.mark.parametrize("layout", ["c", "fortran", "column_major_matrices"])
+@pytest.mark.parametrize("shape", [(4, 16, 2), (4, 3, 16, 4), (6, 2, 5, 1)])
+def test_fro_norms_bit_identical_to_numpy_norm(shape, layout):
+    # a stack of targets or residuals, and a ladder of trial residuals: each
+    # matrix's norm must keep np.linalg.norm's bits, whatever the memory order
+    rng = np.random.default_rng(list(shape))
+    for _ in range(200):
+        m = random_complex(rng, math.prod(shape[:-1]), shape[-1]).reshape(shape)
+        m *= 10.0 ** rng.uniform(-3.0, 3.0)
+        if layout == "fortran":
+            m = np.asfortranarray(m)
+        elif layout == "column_major_matrices":
+            m = np.ascontiguousarray(m.swapaxes(-1, -2)).swapaxes(-1, -2)
+        got = np.array(hf._fro_norms(m))
+        assert got.shape == shape[:-2]
+        assert [got[idx] for idx in np.ndindex(got.shape)] == \
+            [np.linalg.norm(m[idx]) for idx in np.ndindex(got.shape)]
+
+
 @pytest.mark.parametrize("rows, cols, n_rf", [(16, 2, 3), (16, 4, 6)])
 def test_factor_bit_identical_to_reference(rows, cols, n_rf):
     # fewer than 2*cols chains: no exact split, so every call alternates;
