@@ -81,6 +81,16 @@ def _write(path, text: str) -> None:
         raise ConfigError(f"cannot write {path or 'stdout'}: {exc.strerror or exc}") from None
 
 
+def _say(line: str) -> None:
+    """Print one diagnostic line to stderr; with fd 2 closed (sys.stderr None)
+    or unwritable, nothing more can be said, and the exit code alone reports."""
+    if sys.stderr is not None:
+        try:
+            print(line, file=sys.stderr, flush=True)
+        except OSError:   # the exit's flush would fail on the bytes left buffered
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stderr.fileno())
+
+
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
@@ -120,18 +130,18 @@ def main(argv=None) -> int:
             except ConfigError:
                 raise
             except ValueError as exc:
-                print(f"report {args.report} failed: {harness._failure(exc)}", file=sys.stderr)
+                _say(f"report {args.report} failed: {harness._failure(exc)}")
                 return 2
             _write(args.out, harness.theorem1_csv_text(rows))
             if failure is not None:
-                print(failure, file=sys.stderr)
+                _say(failure)
             return 0 if failure is None else 2
         records = harness.sweep(spec)
         _write(args.out, harness.records_csv_text(records))
         if args.trace is not None:
             _write(args.trace, harness.trace_csv_text(records))
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        _say(f"config error: {exc}")
         return 1
     return 2 if any(not r.ok for r in records) else 0
 

@@ -299,7 +299,7 @@ def optimize_phases(coupling: CouplingSet, nu0: np.ndarray) -> OptimizeResult:
     singularity`` ValueError on the nan it leaves in f (see :func:`retract`).
     """
     groups = coupling.groups
-    nu = retract(np.asarray(nu0, dtype=np.complex128).copy())
+    nu = retract(np.asarray(nu0, dtype=np.complex128))
     w = coupling.bw_hz
     inv_w = 1.0 / w
     f_cur = objective_f(coupling, nu, groups) / w

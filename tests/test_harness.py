@@ -859,6 +859,38 @@ def test_cli_closed_stdout_is_one_line_exit_1_before_any_run(monkeypatch, capsys
     assert capsys.readouterr().err == want
 
 
+def _close_stderr():
+    os.close(2)
+
+
+def _read_only_stderr():
+    os.close(2)
+    os.set_inheritable(os.open(os.devnull, os.O_RDONLY), True)   # lands on fd 2
+
+
+@pytest.mark.parametrize("stderr", [_close_stderr, _read_only_stderr], ids=["closed", "read_only"])
+def test_cli_unwritable_stderr_keeps_every_exit_code(tmp_path, stderr):
+    # with fd 2 closed Python sets sys.stderr to None, and print sent each
+    # diagnostic to stdout; with fd 2 unwritable, a report whose runs failed
+    # wrote its CSV, then raised an OSError on its stderr line and exited 1.
+    # PYTHONUNBUFFERED would hide a line left in stderr's buffer, on which the
+    # interpreter's flush at exit fails (exit 120), so it is unset here
+    table2 = str(CONFIG_DIR / "table2_faithful.json")
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(cli.__file__).resolve().parents[1])
+    report, sweep = tmp_path / "report.csv", tmp_path / "sweep.csv"
+    for want, args in [
+            (2, ["--config", table2, "--report", "theorem1", "--seeds", "1", "--out", report]),
+            (1, ["--baselines", "c,c", "--seeds", "1"]),
+            (2, ["--config", table2, "--seeds", "1", "--out", sweep])]:
+        proc = subprocess.run([sys.executable, "-m", "irs_multicast.cli", *map(str, args)],
+                              preexec_fn=stderr, stdout=subprocess.PIPE, text=True,
+                              env=env, timeout=120)
+        assert (proc.returncode, proc.stdout) == (want, "")
+    assert report.read_text() == harness.theorem1_csv_text([])   # its rows all failed
+    assert sweep.read_text().count(",failed:invalid (group-blocked pairing") == 1
+
+
 def test_cli_timing_changes_only_wall_ms(capsys):
     # full_scale runs take tens of ms, so a timed run's wall_ms is not 0
     args = ["--config", str(CONFIG_DIR / "full_scale.json"), "--seeds", "2"]

@@ -560,6 +560,18 @@ def _rf_limited_target(shape):
     return random_complex(rng, math.prod(shape[:-1]), shape[-1]).reshape(shape)
 
 
+@pytest.mark.parametrize("n_rf", [4, 3])   # the exact split and the phase-copy start
+@pytest.mark.parametrize("shape", [(16, 2), (4, 16, 2)])
+def test_factor_never_writes_its_target(shape, n_rf):
+    # the harness hands one BD output (bf.tx, bf.combiners) to several
+    # baselines' factor calls, so a call must leave its target as it found it
+    b = _rf_limited_target(shape)
+    before = b.tobytes()
+    res = hf.factor(b, n_rf, hf.FactorSettings(max_alternations=4), rng=np.random.default_rng(5))
+    assert res.alternations == (0 if n_rf == 4 else 4)
+    assert b.tobytes() == before
+
+
 @pytest.mark.parametrize("shape, n_rf", [((16, 4), 6), ((4, 16, 2), 3)])
 def test_ladder_length_leaves_factor_bit_identical(monkeypatch, shape, n_rf):
     # the halvings a failing matrix tries at once change the work, never the
