@@ -52,7 +52,10 @@ def decompose(h_eff: np.ndarray, cfg: SystemConfig, nulling: bool = True) -> BdD
     of the effective channels ``h_eff`` (K, N_U, N_B), on the config's groups.
 
     With ``nulling=False`` the inter-group null projection is dropped and
-    each user's factors come from its raw effective channel.
+    each user's factors come from its raw effective channel. Where user k's
+    channel alone is another group's constraint stack, that stack's SVD
+    ``H_k = U S Vh`` gives them: ``H_k V0`` is ``U`` times the small core
+    ``S Vh V0`` of rank(H_k) rows, so only the core is decomposed.
 
     Raises
     ------
@@ -66,26 +69,35 @@ def decompose(h_eff: np.ndarray, cfg: SystemConfig, nulling: bool = True) -> BdD
     v0s, v1 = [], [None] * k_users
     u1 = np.empty((k_users, n_ue, zeta), dtype=np.complex128)
     s1 = np.empty((k_users, zeta))
+    nulls, own = [], {}
+    for h in range(cfg.h_groups if nulling else 0):
+        others = np.flatnonzero(group_of != h)
+        nulls.append(mk.nullspace_svd(h_eff[others].reshape(-1, n_bs)))
+        if others.size == 1:  # one user's channel: its SVD is that user's own
+            own[int(others[0])] = nulls[h]
     for h, members in enumerate(cfg.groups()):
         v0 = None
         if nulling:
-            v0 = mk.nullspace_basis(h_eff[group_of != h].reshape(-1, n_bs))
+            v0 = nulls[h].basis
             if v0.shape[1] == 0:
                 raise BdInfeasibleError("insufficient BS antennas for BD")
             if v0.shape[1] < zeta:
                 raise BdInfeasibleError(
                     f"group {h}: null space dimension {v0.shape[1]} < zeta={zeta}")
         for k in members:
-            proj = h_eff[k] if v0 is None else h_eff[k] @ v0
-            u, s, vh = mk.svd(proj)
+            if k in own:
+                u, s, vh = own[k].svd_times(v0)
+            else:
+                u, s, vh = mk.svd(h_eff[k] if v0 is None else h_eff[k] @ v0)
             # Rank of the projection judged against the unprojected channel's
             # scale ||H_k||_2: when the cascade shares the other groups' path
             # space the projection leaves pure rounding noise, which is full
             # rank relative to itself but zero relative to H_k. ||H_k||_F
             # bounds ||H_k||_2 from above, so the 2-norm (one more SVD) is
-            # taken only for a projection that fails the Frobenius bound.
-            s_min = s[zeta - 1]
-            rank_tol = mk.default_rank_tol(proj.shape)
+            # taken only for a projection that fails the Frobenius bound. A
+            # core of rank below zeta has no zeta-th singular value: it is 0.
+            s_min = s[zeta - 1] if s.size >= zeta else 0.0
+            rank_tol = mk.default_rank_tol((n_ue, n_bs if v0 is None else v0.shape[1]))
             if s_min <= rank_tol * float(np.linalg.norm(h_eff[k])) * (1.0 + 1e-12):
                 hk_scale = float(np.linalg.norm(h_eff[k], 2))
                 if hk_scale == 0.0 or s_min <= rank_tol * hk_scale:

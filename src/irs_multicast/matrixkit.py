@@ -8,10 +8,14 @@ reproducible beamformers.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 __all__ = [
     "svd",
+    "NullSpaceSvd",
+    "nullspace_svd",
     "nullspace_basis",
     "default_rank_tol",
 ]
@@ -59,17 +63,44 @@ def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return u, s, vh
 
 
-def nullspace_basis(a) -> np.ndarray:
-    """Orthonormal basis of the numerical null space of ``a``.
+class NullSpaceSvd(NamedTuple):
+    """Full SVD ``a = u @ diag(s) @ vh`` in numpy's phases, and the numerical
+    rank that splits the rows of ``vh`` into row space and null space."""
 
-    Columns span the right singular directions whose singular values fall
-    below ``default_rank_tol(a.shape) * s_max``. A matrix with zero rows
+    u: np.ndarray
+    s: np.ndarray
+    vh: np.ndarray
+    rank: int
+
+    @property
+    def basis(self) -> np.ndarray:
+        """Orthonormal basis of the null space, as columns."""
+        return self.vh[self.rank:, :].conj().T
+
+    def svd_times(self, b) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Deterministic thin SVD of ``a @ b``, with ``a`` cut to its rank, as
+        :func:`svd` returns it: only the core ``diag(s) vh @ b`` of ``rank``
+        rows is decomposed, and its left vectors are lifted by ``u``."""
+        r = self.rank
+        u, s, vh = np.linalg.svd(self.s[:r, None] * self.vh[:r] @ b, full_matrices=False)
+        u, vh = _fix_column_phases(self.u[:, :r] @ u, vh)
+        return u, s, vh
+
+
+def nullspace_svd(a) -> NullSpaceSvd:
+    """Full SVD of ``a`` and its numerical rank: the singular values above
+    ``default_rank_tol(a.shape) * s_max``. A matrix with zero rows
     constrains nothing: it has no singular values, so rank 0, and numpy's
-    full ``vh`` is the identity, the full basis.
+    full ``vh`` is the identity, the full null basis.
     """
     a = _as_matrix(a)
     rel_tol = default_rank_tol(a.shape)
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
+    u, s, vh = np.linalg.svd(a, full_matrices=True)
     smax = s[0] if s.size else 0.0
     rank = int(np.count_nonzero(s > rel_tol * smax)) if smax > 0.0 else 0
-    return vh[rank:, :].conj().T
+    return NullSpaceSvd(u, s, vh, rank)
+
+
+def nullspace_basis(a) -> np.ndarray:
+    """Orthonormal basis of the numerical null space of ``a``."""
+    return nullspace_svd(a).basis

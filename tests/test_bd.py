@@ -7,6 +7,7 @@ import pytest
 from irs_multicast import bd
 from irs_multicast import channel as ch
 from irs_multicast import matrixkit as mk
+from irs_multicast import phaseopt as po
 from irs_multicast import signalmodel as sm
 
 from conftest import CONFIG_DIR, random_complex
@@ -233,8 +234,11 @@ def test_rank_test_keeps_the_exact_decision(desk_cfg, monkeypatch, s_proj, feasi
     assert (s > tol * np.linalg.norm(h_eff[0], 2)) == feasible
     calls = spy_on_two_norms(monkeypatch)
     if feasible:
+        # user 0's channel alone is group 1's constraint stack, so its
+        # factors come from that stack's SVD
         decomp = bd.decompose(h_eff, desk_cfg)
-        assert np.array_equal(decomp.s1[0], mk.svd(proj)[1][:desk_cfg.zeta])
+        core_s = mk.nullspace_svd(h_eff[0]).svd_times(mk.nullspace_basis(h_eff[1]))[1]
+        assert np.array_equal(decomp.s1[0], core_s[:desk_cfg.zeta])
     else:
         with pytest.raises(bd.BdInfeasibleError,
                            match="user 0: projected channel rank below zeta"):
@@ -252,3 +256,65 @@ def test_feasible_full_scale_decompose_takes_no_two_norm(monkeypatch):
         for nulling in (True, False):
             bd.decompose(h_eff, cfg, nulling)
     assert calls == []
+
+
+def check_against_direct_svd(h_eff, cfg):
+    """On two singleton groups each user's channel alone is the other
+    group's constraint stack, so ``decompose`` takes every user's factors
+    from that stack's SVD. They must match the direct SVD of ``H_k V0`` to
+    1e-12 * ||H_k||_2 absolute, and the infeasibility decision must be the
+    direct path's: the exact rank test on that SVD. Returns whether BD is
+    feasible."""
+    assert cfg.group_sizes == (1, 1)
+    zeta, direct, feasible = cfg.zeta, [], []
+    for k in (0, 1):
+        v0 = mk.nullspace_basis(h_eff[1 - k])
+        u, s, vh = mk.svd(h_eff[k] @ v0)
+        scale = float(np.linalg.norm(h_eff[k], 2))
+        direct.append((u[:, :zeta], s[:zeta], vh[:zeta], scale))
+        tol = mk.default_rank_tol((cfg.n_ue, v0.shape[1]))
+        feasible.append(scale > 0.0 and s[zeta - 1] > tol * scale)
+    if not all(feasible):
+        with pytest.raises(bd.BdInfeasibleError,
+                           match=f"^user {feasible.index(False)}: projected channel rank"
+                                 f" below zeta={zeta} \\(effective channel collapses"):
+            bd.decompose(h_eff, cfg)
+        return False
+    decomp = bd.decompose(h_eff, cfg)
+    for k, (u, s, vh, scale) in enumerate(direct):
+        assert np.max(np.abs(decomp.s1[k] - s)) <= 1e-12 * scale
+        got = (decomp.u1[k] * decomp.s1[k]) @ decomp.v1[k].conj().T
+        assert np.max(np.abs(got - (u * s) @ vh)) <= 1e-12 * scale
+    return True
+
+
+@pytest.mark.parametrize("name, n_ue", [("desk", None), ("full_scale", None),
+                                        ("desk", 8), ("desk", 32)])
+@pytest.mark.parametrize("seed", range(5))
+def test_reused_constraint_svd_matches_the_direct_svd(name, n_ue, seed):
+    # n_ue 8 and 32 give non-square U_k, N_U != N_B
+    cfg = ch.load_config(CONFIG_DIR / f"{name}.json")
+    if n_ue is not None:
+        cfg = dataclasses.replace(cfg, n_ue=n_ue)
+    rng = np.random.default_rng(seed)
+    chset = ch.generate_channels(cfg, rng)
+    nu = ch.random_phase_vector(cfg.n_irs, rng)
+    optimized = po.optimize_phases(po.coupling_vectors(chset, cfg), nu).nu
+    for phases in (nu, optimized):
+        assert check_against_direct_svd(ch.effective_channels(chset, phases, cfg), cfg)
+
+
+@pytest.mark.parametrize("s_proj", [0.0, 1.0e-9, 2.4e-9, 4.0e-9])
+def test_reused_constraint_svd_keeps_the_planted_decisions(desk_cfg, s_proj):
+    assert check_against_direct_svd(planted_projection(s_proj), desk_cfg) == (s_proj > 2e-9)
+
+
+def test_one_user_constraint_below_zeta_is_rejected_as_the_direct_path(desk_cfg):
+    # user 0's channel has rank 1 < zeta = 2: the SVD its constraint stack
+    # holds for group 1 cannot carry the streams, and the direct projection
+    # fails the rank test with the same message
+    rng = np.random.default_rng(5)
+    h0 = random_complex(rng, desk_cfg.n_ue, 1) @ random_complex(rng, 1, desk_cfg.n_bs)
+    h1 = random_complex(rng, desk_cfg.n_ue, 8) @ random_complex(rng, 8, desk_cfg.n_bs)
+    assert mk.nullspace_svd(h0).rank == 1 < desk_cfg.zeta
+    assert not check_against_direct_svd(np.stack([h0, h1]), desk_cfg)

@@ -98,6 +98,27 @@ def test_nullspace_rank_nullity_property(rank, cols, seed):
     assert np.allclose(v0.conj().T @ v0, np.eye(v0.shape[1]), atol=1e-10)
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 6), st.integers(2, 9), st.integers(0, 2 ** 31 - 1))
+def test_svd_times_is_the_svd_of_the_product(rank, rows, seed):
+    # a (rows x 10) of numerical rank <= 6, times an orthonormal 10 x 7 basis
+    rng = np.random.default_rng(seed)
+    a = random_complex(rng, rows, rank) @ random_complex(rng, rank, 10)
+    b = np.linalg.qr(random_complex(rng, 10, 7))[0]
+    fac = mk.nullspace_svd(a)
+    assert fac.rank == min(rank, rows)
+    assert np.array_equal(fac.basis, mk.nullspace_basis(a))
+    u, s, vh = fac.svd_times(b)
+    assert u.shape == (rows, min(fac.rank, 7)) and s.shape == (min(fac.rank, 7),)
+    assert np.all(s[:-1] >= s[1:])
+    assert np.allclose(u.conj().T @ u, np.eye(len(s)), atol=1e-10)
+    assert np.linalg.norm(a @ b - (u * s) @ vh) <= 1e-12 * np.linalg.norm(a)
+    # the phase convention holds on the lifted left vectors
+    peak = u[np.argmax(np.abs(u), axis=0), np.arange(u.shape[1])]
+    assert np.all(np.abs(np.angle(peak)) <= 1e-12)
+    assert np.allclose(s, mk.svd(a @ b)[1][:len(s)], rtol=0.0, atol=1e-12 * s[0])
+
+
 def _reference_fix_column_phases(u, vh):
     """The per-column loop of the phase convention, kept as the oracle."""
     u, vh = u.copy(), vh.copy()

@@ -81,11 +81,25 @@ def _coupling_per_user(chset, cfg, groups):
     return dict(c=np.stack(c), b=np.stack(b), gain=np.stack(gain))
 
 
+def _others(groups, h):
+    return sorted(k for g, members in enumerate(groups) if g != h for k in members)
+
+
 def _other_groups_vstack(h_eff, groups, h):
-    others = sorted(k for g, members in enumerate(groups) if g != h for k in members)
+    others = _others(groups, h)
     if not others:
         return np.zeros((0, h_eff[0].shape[1]), dtype=np.complex128)
     return np.vstack([h_eff[k] for k in others])
+
+
+def _projected_svd_per_user(h_eff, groups, k, v0):
+    """SVD of user k's projection ``H_k V0``. Where a group's other groups
+    are user k alone, it comes from that constraint stack's own SVD, as the
+    SVD of its core lifted back; otherwise from the projection itself."""
+    for g in range(len(groups)):
+        if _others(groups, g) == [k]:
+            return mk.nullspace_svd(_other_groups_vstack(h_eff, groups, g)).svd_times(v0)
+    return mk.svd(h_eff[k] @ v0)
 
 
 def _hybridize_per_user(tx, combiners, cfg, rng):
@@ -202,7 +216,7 @@ def test_null_bases_equal_those_of_the_stacked_other_groups(name, seed):
     for h, v0 in enumerate(decomp.v0):
         assert np.array_equal(v0, mk.nullspace_basis(_other_groups_vstack(h_eff, groups, h)))
         for k in groups[h]:
-            u, _, _ = mk.svd(h_eff[k] @ v0)
+            u, _, _ = _projected_svd_per_user(h_eff, groups, k, v0)
             assert np.array_equal(decomp.u1[k], u[:, :cfg.zeta])
 
 
@@ -223,8 +237,11 @@ def test_oracle_and_hybrid_equal_the_per_user_forms(name, seed, nulling, monkeyp
     digital = [None] * cfg.k_users
     for h, members in enumerate(groups):
         for k in members:
-            proj = h_list[k] if decomp.v0[h] is None else h_list[k] @ decomp.v0[h]
-            digital[k] = mk.svd(proj)[0][:, :cfg.zeta]
+            if decomp.v0[h] is None:
+                u, _, _ = mk.svd(h_list[k])
+            else:
+                u, _, _ = _projected_svd_per_user(h_list, groups, k, decomp.v0[h])
+            digital[k] = u[:, :cfg.zeta]
     state = rng.bit_generator.state
     hybrid, s2 = harness._hybridize(bf, cfg, rng)
     assert s2 == (10 if name == "rf_limited" else 0)
